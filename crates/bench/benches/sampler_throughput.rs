@@ -1,24 +1,22 @@
 //! Per-event throughput of every sampler — the microbenchmark behind the
 //! paper's running-time columns and its "≈3.2 µs per event" claim
 //! (§V-B(2)). Each iteration processes a full fully-dynamic stream with
-//! a fresh counter.
+//! a fresh single-query session.
 //!
 //! The engine-layer cases measure the two claims of the batched/parallel
 //! refactor directly rather than asserting them:
 //!
-//! * `batched_vs_sequential/*` — the same counter fed per-event vs
+//! * `batched_vs_sequential/*` — the same session fed per-event vs
 //!   through `process_batch` (via `BatchDriver`), for every algorithm.
 //! * `ensemble_scaling/*` — 8 independently seeded replicas executed on
 //!   1/2/4 worker threads; on multi-core hardware the 4-thread case
 //!   should complete the same work in well under ⅔ the 1-thread time
 //!   (the >1.5× acceptance bar; a single-core host will show ≈1×).
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is benchmarked deliberately
-
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 use wsd_core::engine::{BatchDriver, Ensemble};
-use wsd_core::{Algorithm, CounterConfig};
+use wsd_core::{Algorithm, SessionBuilder, StreamSession};
 use wsd_graph::Pattern;
 use wsd_stream::gen::GeneratorConfig;
 use wsd_stream::Scenario;
@@ -27,6 +25,16 @@ fn stream() -> wsd_stream::EventStream {
     let edges = GeneratorConfig::HolmeKim { vertices: 2_000, edges_per_vertex: 5, triad_prob: 0.5 }
         .generate(7);
     Scenario::default_light().apply(&edges, 3)
+}
+
+/// A fresh session counting `pattern` alone.
+fn session(alg: Algorithm, pattern: Pattern, capacity: usize, seed: u64) -> StreamSession {
+    SessionBuilder::new(alg, capacity, seed).query(pattern).build()
+}
+
+/// The estimate of the session's only query.
+fn estimate(session: &StreamSession) -> f64 {
+    session.report().queries[0].estimate
 }
 
 fn bench_samplers(c: &mut Criterion) {
@@ -46,10 +54,10 @@ fn bench_samplers(c: &mut Criterion) {
     ] {
         group.bench_function(alg.name(), |b| {
             b.iter_batched(
-                || CounterConfig::new(Pattern::Triangle, capacity, 42).build(alg),
-                |mut counter| {
-                    counter.process_all(&events);
-                    black_box(counter.estimate())
+                || session(alg, Pattern::Triangle, capacity, 42),
+                |mut s| {
+                    s.process_all(&events);
+                    black_box(estimate(&s))
                 },
                 BatchSize::LargeInput,
             );
@@ -64,10 +72,10 @@ fn bench_samplers(c: &mut Criterion) {
     for pattern in [Pattern::Wedge, Pattern::Triangle, Pattern::FourClique] {
         group.bench_function(pattern.name(), |b| {
             b.iter_batched(
-                || CounterConfig::new(pattern, capacity, 42).build(Algorithm::WsdH),
-                |mut counter| {
-                    counter.process_all(&events);
-                    black_box(counter.estimate())
+                || session(Algorithm::WsdH, pattern, capacity, 42),
+                |mut s| {
+                    s.process_all(&events);
+                    black_box(estimate(&s))
                 },
                 BatchSize::LargeInput,
             );
@@ -88,22 +96,22 @@ fn bench_batched_vs_sequential(c: &mut Criterion) {
     {
         group.bench_function(format!("{}/sequential", alg.name()), |b| {
             b.iter_batched(
-                || CounterConfig::new(Pattern::Triangle, capacity, 42).build(alg),
-                |mut counter| {
+                || session(alg, Pattern::Triangle, capacity, 42),
+                |mut s| {
                     for &ev in &events {
-                        counter.process(ev);
+                        s.process(ev);
                     }
-                    black_box(counter.estimate())
+                    black_box(estimate(&s))
                 },
                 BatchSize::LargeInput,
             );
         });
         group.bench_function(format!("{}/batched", alg.name()), |b| {
             b.iter_batched(
-                || CounterConfig::new(Pattern::Triangle, capacity, 42).build(alg),
-                |mut counter| {
-                    driver.run(counter.as_mut(), &events);
-                    black_box(counter.estimate())
+                || session(alg, Pattern::Triangle, capacity, 42),
+                |mut s| {
+                    driver.run_session(&mut s, &events);
+                    black_box(estimate(&s))
                 },
                 BatchSize::LargeInput,
             );
@@ -126,10 +134,9 @@ fn bench_ensemble_scaling(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for seed in 0..REPLICAS as u64 {
-                let mut counter =
-                    CounterConfig::new(Pattern::Triangle, capacity, seed).build(Algorithm::WsdH);
-                counter.process_all(&events);
-                acc += counter.estimate();
+                let mut s = session(Algorithm::WsdH, Pattern::Triangle, capacity, seed);
+                s.process_all(&events);
+                acc += estimate(&s);
             }
             black_box(acc / REPLICAS as f64)
         });
@@ -138,10 +145,10 @@ fn bench_ensemble_scaling(c: &mut Criterion) {
         group.bench_function(format!("{threads}_threads"), |b| {
             let ensemble = Ensemble::new(REPLICAS).with_threads(threads);
             b.iter(|| {
-                let report = ensemble.run(&events, |seed| {
-                    CounterConfig::new(Pattern::Triangle, capacity, seed).build(Algorithm::WsdH)
+                let report = ensemble.run_sessions(&events, |seed| {
+                    session(Algorithm::WsdH, Pattern::Triangle, capacity, seed)
                 });
-                black_box(report.mean)
+                black_box(report.queries[0].1.mean)
             });
         });
     }

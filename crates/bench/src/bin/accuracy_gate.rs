@@ -17,7 +17,7 @@
 //! sampler answering wedge/triangle/4-clique at once — so the
 //! shared-sample estimates of the session API are accuracy-gated, not
 //! just benchmarked. The triangle query of such a session is
-//! bit-identical to the standalone counter (the weight pass fuses with
+//! bit-identical to the standalone session (the weight pass fuses with
 //! it); the wedge and 4-clique queries ride a triangle-weighted sample
 //! and carry their own pinned bounds.
 //!
@@ -150,7 +150,7 @@ fn main() {
             truths[1].1,
             truths[2].1
         );
-        // Standalone cells: single-query sessions (≡ legacy counters).
+        // Standalone cells: single-query sessions.
         // The weighted triangle estimates are kept for the session
         // cells' fused-query bit-equality assert — same alg, stream,
         // capacity and seeds, so rerunning them would be pure waste.
@@ -196,7 +196,7 @@ fn main() {
                         .build()
                 });
             // The fused triangle query must be bit-identical to the
-            // standalone triangle counter — a free equivalence check on
+            // standalone triangle session — a free equivalence check on
             // the real evaluation workload (estimates captured from the
             // standalone GATES cells above).
             let standalone =
@@ -205,7 +205,7 @@ fn main() {
             assert_eq!(
                 &fused.estimates,
                 standalone,
-                "{name}: {} session triangle query diverged from the standalone counter",
+                "{name}: {} session triangle query diverged from the standalone session",
                 alg.name()
             );
             for gate in SESSION_GATES.iter().filter(|g| g.stream == name && g.algorithm == alg) {

@@ -3,12 +3,15 @@
 //! Every experiment that includes a WSD-L column needs a policy trained
 //! on the matching training graph (Table I pairing). Training is cheap
 //! at this scale but not free, so trained policies are cached as
-//! `artifacts/policies/<key>.policy` (the text format of
-//! `wsd_rl::policy_io`) keyed by everything that affects the result.
+//! `artifacts/policies/<key>.policy` — checksummed
+//! [`PolicyArtifact`] bytes, keyed by everything that affects the
+//! result. The `.policy` extension keeps cache entries out of the
+//! [`wsd_core::PolicyRegistry`]'s `*.wsdp` scan; an entry that fails to
+//! decode is simply retrained.
 
 use std::path::PathBuf;
 use std::time::Duration;
-use wsd_core::{LinearPolicy, TemporalPooling};
+use wsd_core::{LinearPolicy, PolicyArtifact, PolicyMeta, TemporalPooling};
 use wsd_graph::Pattern;
 use wsd_rl::trainer::{train, TrainerConfig};
 use wsd_stream::{DatasetSpec, Scenario};
@@ -121,9 +124,9 @@ pub fn train_custom(
     let dir = policy_cache_dir();
     let path = dir.join(format!("{key}.policy"));
     if !no_cache {
-        if let Ok(policy) = wsd_rl::load_policy(&path) {
-            if policy.dim() == pattern.num_edges() + 3 {
-                return PolicyOutcome { policy, train_time: None };
+        if let Ok(artifact) = PolicyArtifact::load(&path) {
+            if artifact.meta.pattern == pattern {
+                return PolicyOutcome { policy: artifact.policy, train_time: None };
             }
         }
     }
@@ -134,11 +137,21 @@ pub fn train_custom(
     cfg.seed = seed;
     cfg.pooling = pooling;
     let report = train(&edges, scenario, &cfg);
+    let artifact = PolicyArtifact {
+        meta: PolicyMeta {
+            pattern,
+            scenario: cache_tag.to_string(),
+            capacity: capacity as u64,
+            train_seed: seed,
+            iterations: iterations as u64,
+        },
+        policy: report.policy,
+    };
     std::fs::create_dir_all(&dir).ok();
-    if let Err(e) = wsd_rl::save_policy(&path, &report.policy) {
+    if let Err(e) = artifact.save(&path) {
         eprintln!("warning: could not cache policy at {}: {e}", path.display());
     }
-    PolicyOutcome { policy: report.policy, train_time: Some(report.wall_time) }
+    PolicyOutcome { policy: artifact.policy, train_time: Some(report.wall_time) }
 }
 
 /// The reservoir budget used in experiments: the paper's *relative*

@@ -124,7 +124,7 @@ pub struct CellResult {
     pub seconds: f64,
 }
 
-/// How to construct counters for one algorithm column.
+/// How to construct the sessions of one algorithm column.
 #[derive(Clone)]
 pub struct AlgoSpec {
     /// Which algorithm to run.
@@ -158,8 +158,7 @@ impl AlgoSpec {
         self.label.clone().unwrap_or_else(|| self.algorithm.name().to_string())
     }
 
-    /// Builds a single-query session for this column (bit-identical to
-    /// the historical per-pattern counters).
+    /// Builds a single-query session for this column.
     pub fn session(&self, pattern: Pattern, capacity: usize, seed: u64) -> StreamSession {
         self.session_multi(&[pattern], capacity, seed)
     }

@@ -14,13 +14,9 @@
 //! for those.
 //!
 //! [`GpsSampler`] is the session-facing sampling layer (N pattern
-//! queries off one reservoir, see [`crate::session`]); [`GpsCounter`]
-//! is the legacy one-pattern façade, bit-identical to the pre-session
-//! implementation.
+//! queries off one reservoir, see [`crate::session`]).
 
 use crate::algorithms::WeightMode;
-use crate::counter::SubgraphCounter;
-use crate::estimator::MassKernel;
 use crate::rank::{draw_u, rank};
 use crate::reservoir::IndexedMinHeap;
 use crate::sampled_graph::{EdgeMeta, WeightedSample};
@@ -52,8 +48,6 @@ pub struct GpsSampler {
     rng: SmallRng,
     /// Pre-drawn `u` variates for batched processing (reused scratch).
     u_buf: Vec<f64>,
-    /// Mass kernel for the sampler-owned weight pass.
-    mass_kernel: MassKernel,
     /// Resolved state-observation mode of the weight function.
     weight_mode: WeightMode,
 }
@@ -91,7 +85,6 @@ impl GpsSampler {
             weight_fn,
             rng: SmallRng::seed_from_u64(seed),
             u_buf: Vec::new(),
-            mass_kernel: MassKernel::build_default(),
             weight_mode,
         }
     }
@@ -99,13 +92,6 @@ impl GpsSampler {
     /// Overrides the display name.
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.display_name = name.into();
-        self
-    }
-
-    /// Selects the mass kernel of the sampler-owned weight pass (see
-    /// [`MassKernel`]); estimates are bit-identical either way.
-    pub fn with_mass_kernel(mut self, kernel: MassKernel) -> Self {
-        self.mass_kernel = kernel;
         self
     }
 
@@ -128,7 +114,7 @@ impl GpsSampler {
     /// returns the arriving edge's weight. One layered pass serves
     /// every query when the weight observation rides a plan level
     /// (fused weight query or a count-blind `Affine(0, b)` weight);
-    /// otherwise the legacy per-query passes run unchanged.
+    /// otherwise the per-query passes run unchanged.
     // inline(always): this was the inline first half of `insert_with_u`
     // before the admission plan split it out; keep it inlined so both
     // admission paths compile to the pre-split code.
@@ -157,7 +143,6 @@ impl GpsSampler {
             ),
             None => crate::algorithms::observe_queries(
                 self.weight_mode,
-                self.mass_kernel,
                 self.weight_pattern,
                 &mut self.sample,
                 e,
@@ -312,109 +297,46 @@ impl EdgeSampler for GpsSampler {
     }
 }
 
-/// The legacy one-pattern GPS counter: a [`GpsSampler`] plus a single
-/// [`PatternQuery`], bit-identical to the pre-session implementation.
-pub struct GpsCounter {
-    sampler: GpsSampler,
-    query: PatternQuery,
-    scratch: EnumScratch,
-}
-
-impl GpsCounter {
-    /// Creates a GPS counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity < |H|` or the pattern is invalid.
-    pub fn new(pattern: Pattern, capacity: usize, weight_fn: Box<dyn WeightFn>, seed: u64) -> Self {
-        Self {
-            sampler: GpsSampler::new(pattern, capacity, weight_fn, seed),
-            query: PatternQuery::new(pattern, MassKernel::build_default()),
-            scratch: EnumScratch::default(),
-        }
-    }
-
-    /// Overrides the display name.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.sampler = self.sampler.with_name(name);
-        self
-    }
-
-    /// Selects the estimator mass kernel (see [`MassKernel`]); estimates
-    /// are bit-identical either way.
-    pub fn with_mass_kernel(mut self, kernel: MassKernel) -> Self {
-        self.sampler = self.sampler.with_mass_kernel(kernel);
-        self.query.mass_kernel = kernel;
-        self
-    }
-
-    /// The current threshold `z = r_{M+1}` — exposed for tests.
-    pub fn threshold(&self) -> f64 {
-        self.sampler.threshold()
-    }
-}
-
-impl SubgraphCounter for GpsCounter {
-    /// # Panics
-    ///
-    /// Panics on deletion events — GPS is insertion-only.
-    fn process(&mut self, ev: EdgeEvent) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process(ev, ctx);
-    }
-
-    fn process_batch(&mut self, batch: &[EdgeEvent]) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process_batch(batch, ctx);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.sampler.query_estimate(&self.query)
-    }
-
-    fn name(&self) -> &str {
-        self.sampler.name()
-    }
-
-    fn pattern(&self) -> Pattern {
-        self.query.pattern()
-    }
-
-    fn stored_edges(&self) -> usize {
-        self.sampler.stored_edges()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::OneQuery;
     use crate::weight::{HeuristicWeight, UniformWeight};
 
     fn ins(a: u64, b: u64) -> EdgeEvent {
         EdgeEvent::insert(Edge::new(a, b))
     }
 
+    fn gps(
+        pattern: Pattern,
+        capacity: usize,
+        weight_fn: Box<dyn WeightFn>,
+        seed: u64,
+    ) -> OneQuery<GpsSampler> {
+        OneQuery::new(GpsSampler::new(pattern, capacity, weight_fn, seed), pattern)
+    }
+
     #[test]
     fn exact_when_not_full() {
-        let mut c = GpsCounter::new(Pattern::Triangle, 64, Box::new(HeuristicWeight), 1);
+        let mut c = gps(Pattern::Triangle, 64, Box::new(HeuristicWeight), 1);
         for ev in [ins(1, 2), ins(2, 3), ins(1, 3), ins(1, 4), ins(3, 4)] {
             c.process(ev);
         }
         // Triangles: {1,2,3} and {1,3,4}.
         assert_eq!(c.estimate(), 2.0);
-        assert_eq!(c.threshold(), 0.0);
+        assert_eq!(c.sampler.threshold(), 0.0);
     }
 
     #[test]
     fn threshold_grows_monotonically() {
-        let mut c = GpsCounter::new(Pattern::Triangle, 8, Box::new(UniformWeight), 2);
+        let mut c = gps(Pattern::Triangle, 8, Box::new(UniformWeight), 2);
         let mut last = 0.0;
         for i in 0..100u64 {
             c.process(ins(i, i + 1));
-            let z = c.threshold();
+            let z = c.sampler.threshold();
             assert!(z >= last, "z must be monotone");
             last = z;
-            assert!(c.stored_edges() <= 8);
+            assert!(c.sampler.stored_edges() <= 8);
         }
         assert!(last > 0.0);
     }
@@ -422,15 +344,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot process deletion")]
     fn deletion_panics() {
-        let mut c = GpsCounter::new(Pattern::Triangle, 8, Box::new(UniformWeight), 3);
+        let mut c = gps(Pattern::Triangle, 8, Box::new(UniformWeight), 3);
         c.process(ins(1, 2));
         c.process(EdgeEvent::delete(Edge::new(1, 2)));
     }
 
     #[test]
     fn name_and_pattern() {
-        let c = GpsCounter::new(Pattern::Wedge, 8, Box::new(UniformWeight), 4);
-        assert_eq!(c.name(), "GPS");
-        assert_eq!(c.pattern(), Pattern::Wedge);
+        let c = gps(Pattern::Wedge, 8, Box::new(UniformWeight), 4);
+        assert_eq!(c.sampler.name(), "GPS");
+        assert_eq!(c.query.pattern(), Pattern::Wedge);
     }
 }

@@ -19,13 +19,10 @@
 //! no edge-keyed hashing anywhere on the event path.
 //!
 //! [`GpsASampler`] is the session-facing sampling layer (N pattern
-//! queries off one reservoir, see [`crate::session`]); [`GpsACounter`]
-//! is the legacy one-pattern façade, bit-identical to the pre-session
-//! implementation.
+//! queries off one reservoir, see [`crate::session`]).
 
 use crate::algorithms::WeightMode;
-use crate::counter::SubgraphCounter;
-use crate::estimator::{layered_weighted_mass, weighted_mass, MassKernel};
+use crate::estimator::{layered_weighted_mass, weighted_mass};
 use crate::rank::{draw_u, rank};
 use crate::reservoir::IndexedMinHeap;
 use crate::sampled_graph::{EdgeMeta, WeightedSample};
@@ -70,8 +67,6 @@ pub struct GpsASampler {
     rng: SmallRng,
     /// Pre-drawn `u` variates for batched processing (reused scratch).
     u_buf: Vec<f64>,
-    /// Mass kernel for the sampler-owned weight pass.
-    mass_kernel: MassKernel,
     /// Resolved state-observation mode of the weight function.
     weight_mode: WeightMode,
 }
@@ -113,7 +108,6 @@ impl GpsASampler {
             weight_fn,
             rng: SmallRng::seed_from_u64(seed),
             u_buf: Vec::new(),
-            mass_kernel: MassKernel::build_default(),
             weight_mode,
         }
     }
@@ -121,13 +115,6 @@ impl GpsASampler {
     /// Overrides the display name.
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.display_name = name.into();
-        self
-    }
-
-    /// Selects the mass kernel of the sampler-owned weight pass (see
-    /// [`MassKernel`]); estimates are bit-identical either way.
-    pub fn with_mass_kernel(mut self, kernel: MassKernel) -> Self {
-        self.mass_kernel = kernel;
         self
     }
 
@@ -178,7 +165,7 @@ impl GpsASampler {
     /// sample; returns the arriving edge's weight. One layered pass
     /// serves every query when the weight observation rides a plan
     /// level (fused weight query or a count-blind `Affine(0, b)`
-    /// weight); otherwise the legacy per-query passes run unchanged.
+    /// weight); otherwise the per-query passes run unchanged.
     // inline(always): this was the inline first half of `insert_with_u`
     // before the admission plan split it out; keep it inlined so both
     // admission paths compile to the pre-split code.
@@ -207,7 +194,6 @@ impl GpsASampler {
             ),
             None => crate::algorithms::observe_queries(
                 self.weight_mode,
-                self.mass_kernel,
                 self.weight_pattern,
                 &mut self.sample,
                 e,
@@ -320,9 +306,7 @@ impl GpsASampler {
         }
         match plan {
             Some(plan) => {
-                let kernel = queries[0].mass_kernel;
                 let m = layered_weighted_mass(
-                    kernel,
                     plan.levels(),
                     &mut self.sample,
                     e,
@@ -336,15 +320,7 @@ impl GpsASampler {
             }
             None => {
                 for q in queries.iter_mut() {
-                    let m = weighted_mass(
-                        q.mass_kernel,
-                        q.pattern,
-                        &mut self.sample,
-                        e,
-                        self.z,
-                        scratch,
-                        None,
-                    );
+                    let m = weighted_mass(q.pattern, &mut self.sample, e, self.z, scratch, None);
                     q.estimate -= m.mass;
                 }
             }
@@ -449,85 +425,20 @@ impl EdgeSampler for GpsASampler {
     }
 }
 
-/// The legacy one-pattern GPS-A counter: a [`GpsASampler`] plus a single
-/// [`PatternQuery`], bit-identical to the pre-session implementation.
-pub struct GpsACounter {
-    sampler: GpsASampler,
-    query: PatternQuery,
-    scratch: EnumScratch,
-}
-
-impl GpsACounter {
-    /// Creates a GPS-A counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity < |H|` or the pattern is invalid.
-    pub fn new(pattern: Pattern, capacity: usize, weight_fn: Box<dyn WeightFn>, seed: u64) -> Self {
-        Self {
-            sampler: GpsASampler::new(pattern, capacity, weight_fn, seed),
-            query: PatternQuery::new(pattern, MassKernel::build_default()),
-            scratch: EnumScratch::default(),
-        }
-    }
-
-    /// Overrides the display name.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.sampler = self.sampler.with_name(name);
-        self
-    }
-
-    /// Selects the estimator mass kernel (see [`MassKernel`]); estimates
-    /// are bit-identical either way.
-    pub fn with_mass_kernel(mut self, kernel: MassKernel) -> Self {
-        self.sampler = self.sampler.with_mass_kernel(kernel);
-        self.query.mass_kernel = kernel;
-        self
-    }
-
-    /// Number of tagged ghosts currently wasting reservoir budget.
-    pub fn tagged_edges(&self) -> usize {
-        self.sampler.tagged_edges()
-    }
-
-    /// Number of live (estimation-visible) sampled edges.
-    pub fn live_edges(&self) -> usize {
-        self.sampler.live_edges()
-    }
-}
-
-impl SubgraphCounter for GpsACounter {
-    fn process(&mut self, ev: EdgeEvent) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process(ev, ctx);
-    }
-
-    fn process_batch(&mut self, batch: &[EdgeEvent]) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process_batch(batch, ctx);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.sampler.query_estimate(&self.query)
-    }
-
-    fn name(&self) -> &str {
-        self.sampler.name()
-    }
-
-    fn pattern(&self) -> Pattern {
-        self.query.pattern()
-    }
-
-    fn stored_edges(&self) -> usize {
-        self.sampler.stored_edges()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::OneQuery;
     use crate::weight::{HeuristicWeight, UniformWeight};
+
+    fn gps_a(
+        pattern: Pattern,
+        capacity: usize,
+        weight_fn: Box<dyn WeightFn>,
+        seed: u64,
+    ) -> OneQuery<GpsASampler> {
+        OneQuery::new(GpsASampler::new(pattern, capacity, weight_fn, seed), pattern)
+    }
 
     fn ins(a: u64, b: u64) -> EdgeEvent {
         EdgeEvent::insert(Edge::new(a, b))
@@ -539,7 +450,7 @@ mod tests {
 
     #[test]
     fn exact_when_not_full() {
-        let mut c = GpsACounter::new(Pattern::Triangle, 64, Box::new(HeuristicWeight), 1);
+        let mut c = gps_a(Pattern::Triangle, 64, Box::new(HeuristicWeight), 1);
         for ev in [ins(1, 2), ins(2, 3), ins(1, 3), del(2, 3), ins(2, 3)] {
             c.process(ev);
         }
@@ -549,61 +460,61 @@ mod tests {
 
     #[test]
     fn deletion_tags_but_keeps_budget() {
-        let mut c = GpsACounter::new(Pattern::Triangle, 4, Box::new(UniformWeight), 2);
+        let mut c = gps_a(Pattern::Triangle, 4, Box::new(UniformWeight), 2);
         for i in 0..4u64 {
             c.process(ins(10 * i, 10 * i + 1));
         }
-        assert_eq!(c.stored_edges(), 4);
-        assert_eq!(c.tagged_edges(), 0);
+        assert_eq!(c.sampler.stored_edges(), 4);
+        assert_eq!(c.sampler.tagged_edges(), 0);
         c.process(del(0, 1));
         // Budget still fully occupied, but one ghost.
-        assert_eq!(c.stored_edges(), 4);
-        assert_eq!(c.tagged_edges(), 1);
-        assert_eq!(c.live_edges(), 3);
+        assert_eq!(c.sampler.stored_edges(), 4);
+        assert_eq!(c.sampler.tagged_edges(), 1);
+        assert_eq!(c.sampler.live_edges(), 3);
     }
 
     #[test]
     fn ghost_coexists_with_reinsertion() {
-        let mut c = GpsACounter::new(Pattern::Triangle, 8, Box::new(UniformWeight), 3);
+        let mut c = gps_a(Pattern::Triangle, 8, Box::new(UniformWeight), 3);
         c.process(ins(1, 2));
         c.process(del(1, 2));
-        assert_eq!(c.tagged_edges(), 1);
+        assert_eq!(c.sampler.tagged_edges(), 1);
         // Re-insert the same edge: a second item for the same edge.
         c.process(ins(1, 2));
-        assert_eq!(c.stored_edges(), 2);
-        assert_eq!(c.tagged_edges(), 1);
-        assert_eq!(c.live_edges(), 1);
+        assert_eq!(c.sampler.stored_edges(), 2);
+        assert_eq!(c.sampler.tagged_edges(), 1);
+        assert_eq!(c.sampler.live_edges(), 1);
         // Delete again: the live copy becomes a second ghost.
         c.process(del(1, 2));
-        assert_eq!(c.stored_edges(), 2);
-        assert_eq!(c.tagged_edges(), 2);
+        assert_eq!(c.sampler.stored_edges(), 2);
+        assert_eq!(c.sampler.tagged_edges(), 2);
     }
 
     #[test]
     fn ghosts_are_evictable() {
-        let mut c = GpsACounter::new(Pattern::Triangle, 3, Box::new(UniformWeight), 4);
+        let mut c = gps_a(Pattern::Triangle, 3, Box::new(UniformWeight), 4);
         for i in 0..3u64 {
             c.process(ins(10 * i, 10 * i + 1));
         }
         for i in 0..3u64 {
             c.process(del(10 * i, 10 * i + 1));
         }
-        assert_eq!(c.tagged_edges(), 3);
+        assert_eq!(c.sampler.tagged_edges(), 3);
         // Keep inserting; ghosts get displaced by higher-ranked arrivals
         // eventually (rank = 1/u > min ghost rank with prob ~1 over many
         // trials).
         for i in 10..60u64 {
             c.process(ins(10 * i, 10 * i + 1));
         }
-        assert!(c.tagged_edges() < 3, "some ghost should have been evicted");
-        assert_eq!(c.stored_edges(), 3);
+        assert!(c.sampler.tagged_edges() < 3, "some ghost should have been evicted");
+        assert_eq!(c.sampler.stored_edges(), 3);
     }
 
     #[test]
     fn item_ids_stay_bounded_by_capacity() {
         // Heavy churn far past capacity: recycled item IDs must keep the
         // dense bookkeeping no larger than the queue.
-        let mut c = GpsACounter::new(Pattern::Triangle, 8, Box::new(UniformWeight), 6);
+        let mut c = gps_a(Pattern::Triangle, 8, Box::new(UniformWeight), 6);
         for round in 0..50u64 {
             for i in 0..8u64 {
                 c.process(ins(100 * round + 2 * i, 100 * round + 2 * i + 1));
@@ -613,16 +524,16 @@ mod tests {
             }
         }
         assert!(c.sampler.item_table_len() <= 8, "item ID space grew past capacity");
-        assert!(c.stored_edges() <= 8);
+        assert!(c.sampler.stored_edges() <= 8);
     }
 
     #[test]
     fn capacity_is_respected() {
-        let mut c = GpsACounter::new(Pattern::Wedge, 6, Box::new(UniformWeight), 5);
+        let mut c = gps_a(Pattern::Wedge, 6, Box::new(UniformWeight), 5);
         for i in 0..100u64 {
             c.process(ins(i, i + 1));
-            assert!(c.stored_edges() <= 6);
+            assert!(c.sampler.stored_edges() <= 6);
         }
-        assert_eq!(c.name(), "GPS-A");
+        assert_eq!(c.sampler.name(), "GPS-A");
     }
 }

@@ -8,12 +8,12 @@ pub mod triest;
 pub mod wrs;
 pub mod wsd;
 
-pub use gps::{GpsCounter, GpsSampler};
-pub use gps_a::{GpsACounter, GpsASampler};
-pub use thinkd::{ThinkDCounter, ThinkDSampler};
-pub use triest::{TriestCounter, TriestSampler};
-pub use wrs::{WrsCounter, WrsSampler};
-pub use wsd::{WsdCounter, WsdSampler};
+pub use gps::GpsSampler;
+pub use gps_a::GpsASampler;
+pub use thinkd::ThinkDSampler;
+pub use triest::TriestSampler;
+pub use wrs::WrsSampler;
+pub use wsd::WsdSampler;
 
 /// How a weighted sampler observes the state on an insertion — resolved
 /// once per configuration change (construction / observer install), so
@@ -66,7 +66,6 @@ pub(crate) type ObserverFn =
 #[inline(always)]
 pub(crate) fn observe_insertion(
     mode: WeightMode,
-    kernel: crate::estimator::MassKernel,
     pattern: wsd_graph::Pattern,
     sample: &mut crate::sampled_graph::WeightedSample,
     e: wsd_graph::Edge,
@@ -82,7 +81,7 @@ pub(crate) fn observe_insertion(
     use crate::estimator::weighted_mass;
     if mode == WeightMode::Full {
         acc.reset();
-        let m = weighted_mass(kernel, pattern, sample, e, tau, scratch, Some((acc, now)));
+        let m = weighted_mass(pattern, sample, e, tau, scratch, Some((acc, now)));
         *estimate += m.mass;
         acc.finish_into(m.deg_u, m.deg_v, state_buf);
         let w = weight_fn.weight(state_buf);
@@ -94,7 +93,7 @@ pub(crate) fn observe_insertion(
         // The weight reads at most |H_k| (a free by-product of the mass
         // pass), so the whole temporal-state accumulation is skipped on
         // the hot path.
-        let m = weighted_mass(kernel, pattern, sample, e, tau, scratch, None);
+        let m = weighted_mass(pattern, sample, e, tau, scratch, None);
         *estimate += m.mass;
         match mode {
             WeightMode::Affine(a, b) => a * (m.instances as f64) + b,
@@ -111,14 +110,12 @@ pub(crate) fn observe_insertion(
 ///
 /// The sampler's edge weight is observed on its fixed *weight pattern*:
 /// when an attached query counts that same pattern (`fused`), the
-/// weight observation rides the query's own mass pass — exactly the
-/// legacy single-counter path of [`observe_insertion`], which is what
-/// keeps one-query sessions bit-identical to the pre-session counters.
-/// Otherwise the weight runs on a sampler-owned pass (or, for weights
-/// that ignore the instance count entirely, on no pass at all — the
-/// trajectory is the same either way). Every remaining query then adds
-/// the mass of the instances the arriving edge completes against the
-/// shared pre-update sample.
+/// weight observation rides the query's own mass pass
+/// ([`observe_insertion`]). Otherwise the weight runs on a
+/// sampler-owned pass (or, for weights that ignore the instance count
+/// entirely, on no pass at all — the trajectory is the same either
+/// way). Every remaining query then adds the mass of the instances the
+/// arriving edge completes against the shared pre-update sample.
 // inline(always): this wraps the first half of every weighted
 // sampler's per-insertion path; as with `observe_insertion` below, a
 // standalone call here measurably cost ~5% across the weighted grid
@@ -128,7 +125,6 @@ pub(crate) fn observe_insertion(
 #[inline(always)]
 pub(crate) fn observe_queries(
     mode: WeightMode,
-    own_kernel: crate::estimator::MassKernel,
     weight_pattern: wsd_graph::Pattern,
     sample: &mut crate::sampled_graph::WeightedSample,
     e: wsd_graph::Edge,
@@ -146,11 +142,9 @@ pub(crate) fn observe_queries(
     let w = match fused {
         Some(i) => {
             let q = &mut queries[i];
-            let kernel = q.mass_kernel;
             let pattern = q.pattern;
             observe_insertion(
                 mode,
-                kernel,
                 pattern,
                 sample,
                 e,
@@ -173,7 +167,6 @@ pub(crate) fn observe_queries(
                 let mut discard = 0.0;
                 observe_insertion(
                     mode,
-                    own_kernel,
                     weight_pattern,
                     sample,
                     e,
@@ -193,7 +186,7 @@ pub(crate) fn observe_queries(
         if Some(j) == fused {
             continue;
         }
-        let m = weighted_mass(q.mass_kernel, q.pattern, sample, e, tau, scratch, None);
+        let m = weighted_mass(q.pattern, sample, e, tau, scratch, None);
         q.estimate += m.mass;
     }
     w
@@ -230,20 +223,11 @@ pub(crate) fn observe_queries_layered(
 ) -> f64 {
     use crate::estimator::layered_weighted_mass;
     use wsd_graph::LayeredLevels;
-    let kernel = queries[0].mass_kernel;
     if mode == WeightMode::Full {
         let wl = LayeredLevels::level_of(weight_pattern)
             .expect("layered observation requires a leveled weight pattern");
         acc.reset();
-        let m = layered_weighted_mass(
-            kernel,
-            plan.levels(),
-            sample,
-            e,
-            tau,
-            scratch,
-            Some((wl, acc, now)),
-        );
+        let m = layered_weighted_mass(plan.levels(), sample, e, tau, scratch, Some((wl, acc, now)));
         for (j, q) in queries.iter_mut().enumerate() {
             q.estimate += m.mass[plan.level_of(j)];
         }
@@ -254,7 +238,7 @@ pub(crate) fn observe_queries_layered(
         }
         w
     } else {
-        let m = layered_weighted_mass(kernel, plan.levels(), sample, e, tau, scratch, None);
+        let m = layered_weighted_mass(plan.levels(), sample, e, tau, scratch, None);
         for (j, q) in queries.iter_mut().enumerate() {
             q.estimate += m.mass[plan.level_of(j)];
         }

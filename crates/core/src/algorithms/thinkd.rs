@@ -18,10 +18,8 @@
 //!
 //! The sampling decision never looks at any pattern, so one
 //! [`ThinkDSampler`] serves any number of attached queries off the same
-//! uniform sample (see [`crate::session`]); [`ThinkDCounter`] is the
-//! legacy one-pattern façade.
+//! uniform sample (see [`crate::session`]).
 
-use crate::counter::SubgraphCounter;
 use crate::reservoir::{Admission, RpReservoir};
 use crate::session::{EdgeSampler, PatternQuery, QueryCtx};
 use crate::snapshot::{RpState, SamplerState};
@@ -239,73 +237,14 @@ impl EdgeSampler for ThinkDSampler {
     }
 }
 
-/// The legacy one-pattern ThinkD counter: a [`ThinkDSampler`] plus a
-/// single [`PatternQuery`], bit-identical to the pre-session
-/// implementation.
-pub struct ThinkDCounter {
-    sampler: ThinkDSampler,
-    query: PatternQuery,
-    scratch: EnumScratch,
-}
-
-impl ThinkDCounter {
-    /// Creates a ThinkD counter with reservoir capacity `M`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity < |H|` or the pattern is invalid.
-    pub fn new(pattern: Pattern, capacity: usize, seed: u64) -> Self {
-        pattern.validate().expect("invalid pattern");
-        assert!(
-            capacity >= pattern.num_edges(),
-            "reservoir capacity M = {capacity} must be ≥ |H| = {}",
-            pattern.num_edges()
-        );
-        Self {
-            sampler: ThinkDSampler::new(capacity, seed),
-            query: PatternQuery::new(pattern, crate::estimator::MassKernel::build_default()),
-            scratch: EnumScratch::default(),
-        }
-    }
-
-    #[cfg(test)]
-    fn inv_prob(partners: u64, s: u64, n: u64) -> f64 {
-        ThinkDSampler::inv_prob(partners, s, n)
-    }
-}
-
-impl SubgraphCounter for ThinkDCounter {
-    fn process(&mut self, ev: EdgeEvent) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process(ev, ctx);
-    }
-
-    fn process_batch(&mut self, batch: &[EdgeEvent]) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process_batch(batch, ctx);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.sampler.query_estimate(&self.query)
-    }
-
-    fn name(&self) -> &str {
-        self.sampler.name()
-    }
-
-    fn pattern(&self) -> Pattern {
-        self.query.pattern()
-    }
-
-    fn stored_edges(&self) -> usize {
-        self.sampler.stored_edges()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsd_graph::Edge;
+    use crate::session::OneQuery;
+
+    fn thinkd(pattern: Pattern, capacity: usize, seed: u64) -> OneQuery<ThinkDSampler> {
+        OneQuery::new(ThinkDSampler::new(capacity, seed), pattern)
+    }
 
     fn ins(a: u64, b: u64) -> EdgeEvent {
         EdgeEvent::insert(Edge::new(a, b))
@@ -317,7 +256,7 @@ mod tests {
 
     #[test]
     fn exact_when_sample_holds_everything() {
-        let mut c = ThinkDCounter::new(Pattern::Triangle, 100, 1);
+        let mut c = thinkd(Pattern::Triangle, 100, 1);
         for ev in [ins(1, 2), ins(2, 3), ins(1, 3), ins(3, 4), ins(2, 4), del(2, 3)] {
             c.process(ev);
         }
@@ -329,7 +268,7 @@ mod tests {
 
     #[test]
     fn wedges_exact_in_sample_everything_mode() {
-        let mut c = ThinkDCounter::new(Pattern::Wedge, 100, 2);
+        let mut c = thinkd(Pattern::Wedge, 100, 2);
         for leaf in 1..=5u64 {
             c.process(ins(0, leaf));
         }
@@ -340,21 +279,21 @@ mod tests {
 
     #[test]
     fn inv_prob_formula() {
-        assert_eq!(ThinkDCounter::inv_prob(2, 10, 10), 1.0);
-        assert_eq!(ThinkDCounter::inv_prob(2, 5, 10), (10.0 / 5.0) * (9.0 / 4.0));
-        assert_eq!(ThinkDCounter::inv_prob(0, 5, 10), 1.0);
+        assert_eq!(ThinkDSampler::inv_prob(2, 10, 10), 1.0);
+        assert_eq!(ThinkDSampler::inv_prob(2, 5, 10), (10.0 / 5.0) * (9.0 / 4.0));
+        assert_eq!(ThinkDSampler::inv_prob(0, 5, 10), 1.0);
     }
 
     #[test]
     fn capacity_respected() {
-        let mut c = ThinkDCounter::new(Pattern::Triangle, 8, 3);
+        let mut c = thinkd(Pattern::Triangle, 8, 3);
         for a in 0..15u64 {
             for b in (a + 1)..15 {
                 c.process(ins(a, b));
-                assert!(c.stored_edges() <= 8);
+                assert!(c.sampler.stored_edges() <= 8);
             }
         }
         assert!(c.estimate() > 0.0);
-        assert_eq!(c.name(), "ThinkD");
+        assert_eq!(c.sampler.name(), "ThinkD");
     }
 }

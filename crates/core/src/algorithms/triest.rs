@@ -19,10 +19,8 @@
 //!
 //! Because the sampling decision never looks at any pattern, one
 //! [`TriestSampler`] serves any number of attached queries off the same
-//! uniform sample (see [`crate::session`]); [`TriestCounter`] is the
-//! legacy one-pattern façade.
+//! uniform sample (see [`crate::session`]).
 
-use crate::counter::SubgraphCounter;
 use crate::reservoir::{Admission, RpReservoir};
 use crate::session::{EdgeSampler, PatternQuery, QueryCtx};
 use crate::snapshot::{RpState, SamplerState};
@@ -204,77 +202,14 @@ impl EdgeSampler for TriestSampler {
     }
 }
 
-/// The legacy one-pattern Triest-FD counter: a [`TriestSampler`] plus a
-/// single [`PatternQuery`], bit-identical to the pre-session
-/// implementation.
-pub struct TriestCounter {
-    sampler: TriestSampler,
-    query: PatternQuery,
-    scratch: EnumScratch,
-}
-
-impl TriestCounter {
-    /// Creates a Triest-FD counter with reservoir capacity `M`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity < |H|` or the pattern is invalid.
-    pub fn new(pattern: Pattern, capacity: usize, seed: u64) -> Self {
-        pattern.validate().expect("invalid pattern");
-        assert!(
-            capacity >= pattern.num_edges(),
-            "reservoir capacity M = {capacity} must be ≥ |H| = {}",
-            pattern.num_edges()
-        );
-        Self {
-            sampler: TriestSampler::new(capacity, seed),
-            query: PatternQuery::new(pattern, crate::estimator::MassKernel::build_default()),
-            scratch: EnumScratch::default(),
-        }
-    }
-
-    /// The raw in-sample instance counter `τ` — exposed for tests.
-    pub fn tau(&self) -> i64 {
-        self.query.tau
-    }
-
-    /// The sampled adjacency — exposed for white-box tests.
-    pub fn sampled_graph(&self) -> &VertexAdjacency {
-        self.sampler.sampled_graph()
-    }
-}
-
-impl SubgraphCounter for TriestCounter {
-    fn process(&mut self, ev: EdgeEvent) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process(ev, ctx);
-    }
-
-    fn process_batch(&mut self, batch: &[EdgeEvent]) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process_batch(batch, ctx);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.sampler.query_estimate(&self.query)
-    }
-
-    fn name(&self) -> &str {
-        self.sampler.name()
-    }
-
-    fn pattern(&self) -> Pattern {
-        self.query.pattern()
-    }
-
-    fn stored_edges(&self) -> usize {
-        self.sampler.stored_edges()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::OneQuery;
+
+    fn triest(pattern: Pattern, capacity: usize, seed: u64) -> OneQuery<TriestSampler> {
+        OneQuery::new(TriestSampler::new(capacity, seed), pattern)
+    }
 
     fn ins(a: u64, b: u64) -> EdgeEvent {
         EdgeEvent::insert(Edge::new(a, b))
@@ -286,12 +221,12 @@ mod tests {
 
     #[test]
     fn exact_when_sample_holds_everything() {
-        let mut c = TriestCounter::new(Pattern::Triangle, 100, 1);
+        let mut c = triest(Pattern::Triangle, 100, 1);
         for ev in [ins(1, 2), ins(2, 3), ins(1, 3), ins(3, 4), ins(2, 4)] {
             c.process(ev);
         }
         // s == n → κ = 1, τ exact: triangles {1,2,3} and {2,3,4}.
-        assert_eq!(c.tau(), 2);
+        assert_eq!(c.query.tau, 2);
         assert_eq!(c.estimate(), 2.0);
         c.process(del(2, 3));
         assert_eq!(c.estimate(), 0.0);
@@ -299,38 +234,40 @@ mod tests {
 
     #[test]
     fn estimate_zero_below_pattern_size() {
-        let mut c = TriestCounter::new(Pattern::Triangle, 10, 2);
+        let mut c = triest(Pattern::Triangle, 10, 2);
         c.process(ins(1, 2));
         assert_eq!(c.estimate(), 0.0);
     }
 
     #[test]
     fn capacity_respected_and_tau_consistent() {
-        let mut c = TriestCounter::new(Pattern::Triangle, 16, 3);
+        let mut c = triest(Pattern::Triangle, 16, 3);
         // A clique stream guarantees plenty of triangles.
         for a in 0..12u64 {
             for b in (a + 1)..12 {
                 c.process(ins(a, b));
-                assert!(c.stored_edges() <= 16);
+                assert!(c.sampler.stored_edges() <= 16);
             }
         }
         // τ must equal the exact triangle count of the sampled graph.
-        let recount = wsd_graph::exact::count_static(Pattern::Triangle, c.sampled_graph()) as i64;
-        assert_eq!(c.tau(), recount);
+        let recount =
+            wsd_graph::exact::count_static(Pattern::Triangle, c.sampler.sampled_graph()) as i64;
+        assert_eq!(c.query.tau, recount);
         assert!(c.estimate() > 0.0);
     }
 
     #[test]
     fn deletion_of_unsampled_edge_keeps_tau() {
-        let mut c = TriestCounter::new(Pattern::Triangle, 3, 4);
+        let mut c = triest(Pattern::Triangle, 3, 4);
         for a in 0..6u64 {
             for b in (a + 1)..6 {
                 c.process(ins(a, b));
             }
         }
         // Delete edges until one is certainly unsampled (capacity 3 of 15).
-        let tau_validity = |c: &TriestCounter| {
-            wsd_graph::exact::count_static(Pattern::Triangle, c.sampled_graph()) as i64 == c.tau()
+        let tau_validity = |c: &OneQuery<TriestSampler>| {
+            wsd_graph::exact::count_static(Pattern::Triangle, c.sampler.sampled_graph()) as i64
+                == c.query.tau
         };
         assert!(tau_validity(&c));
         for a in 0..6u64 {
@@ -339,14 +276,14 @@ mod tests {
                 assert!(tau_validity(&c));
             }
         }
-        assert_eq!(c.stored_edges(), 0);
-        assert_eq!(c.tau(), 0);
+        assert_eq!(c.sampler.stored_edges(), 0);
+        assert_eq!(c.query.tau, 0);
     }
 
     #[test]
     fn name_and_pattern() {
-        let c = TriestCounter::new(Pattern::FourClique, 10, 5);
-        assert_eq!(c.name(), "Triest");
-        assert_eq!(c.pattern(), Pattern::FourClique);
+        let c = triest(Pattern::FourClique, 10, 5);
+        assert_eq!(c.sampler.name(), "Triest");
+        assert_eq!(c.query.pattern(), Pattern::FourClique);
     }
 }

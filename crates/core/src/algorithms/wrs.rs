@@ -33,19 +33,10 @@
 //! popped entry resolves through the adjacency it probes anyway, and
 //! deletions classify the edge by its stamp.
 //!
-//! With the lane-batched kernel ([`MassKernel::Lanes`]) the in-room
-//! tests run four instances at a time over [`wsd_graph::InstanceBlock`] rows —
-//! stamp-compare-and-count per lane, then the per-instance inverse
-//! probability products accumulate in emission order, bit-identical to
-//! the scalar loop.
-//!
 //! The room/reservoir machinery never looks at any pattern, so one
 //! [`WrsSampler`] serves any number of attached queries off the same
-//! split sample (see [`crate::session`]); [`WrsCounter`] is the legacy
-//! one-pattern façade.
+//! split sample (see [`crate::session`]).
 
-use crate::counter::SubgraphCounter;
-use crate::estimator::MassKernel;
 use crate::reservoir::{Admission, RpReservoir};
 use crate::session::{EdgeSampler, LayeredPlan, PatternQuery, QueryCtx};
 use crate::snapshot::{RpState, SamplerState};
@@ -53,7 +44,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use wsd_graph::patterns::EnumScratch;
-use wsd_graph::{Adjacency, Edge, EdgeEvent, LayeredLevels, Op, Pattern, BLOCK_LANES};
+use wsd_graph::{Adjacency, Edge, EdgeEvent, LayeredLevels, Op, Pattern};
 
 /// Default waiting-room fraction of the budget (the WRS paper's default).
 pub const DEFAULT_WAITING_ROOM_FRACTION: f64 = 0.1;
@@ -219,54 +210,16 @@ impl WrsSampler {
         let room_seq = &self.room_seq;
         let horizon = self.spill_horizon;
         let mut total = 0.0;
-        // Blocks only pay off with ≥ 2 partners per instance: a wedge
-        // instance's whole work is one stamp compare, which the lane
-        // fill/flush machinery would outweigh (measured ~15–25% slower).
-        let blockable = q.pattern.block_width().is_some_and(|w| w >= 2);
-        if q.mass_kernel == MassKernel::Lanes && blockable {
-            // Lane-batched: count reservoir partners of four instances
-            // at a time (stamp compare-and-add over contiguous block
-            // rows — vectorizable), then accumulate the per-instance
-            // inverse products in emission order; a partial tail block
-            // runs per-lane so sparse events pay nothing for empty
-            // lanes.
-            q.pattern.for_each_completed_blocks(&self.adj, e, scratch, |block| {
-                if block.len() == BLOCK_LANES {
-                    let mut in_res = [0u64; BLOCK_LANES];
-                    for j in 0..block.width() {
-                        let row = block.lane_ids(j);
-                        for (c, &id) in in_res.iter_mut().zip(row) {
-                            *c += u64::from(room_seq[id as usize] <= horizon);
-                        }
-                    }
-                    for &in_reservoir in &in_res {
-                        debug_assert!(in_reservoir <= s);
-                        total += Self::instance_inv(in_reservoir, s, n_r);
-                    }
-                } else {
-                    for lane in 0..block.len() {
-                        let mut in_reservoir = 0u64;
-                        for j in 0..block.width() {
-                            let id = block.id(j, lane);
-                            in_reservoir += u64::from(room_seq[id as usize] <= horizon);
-                        }
-                        debug_assert!(in_reservoir <= s);
-                        total += Self::instance_inv(in_reservoir, s, n_r);
-                    }
+        q.pattern.for_each_completed(&self.adj, e, scratch, |partners| {
+            let mut in_reservoir = 0u64;
+            for &p in partners {
+                if room_seq[p as usize] <= horizon {
+                    in_reservoir += 1;
                 }
-            });
-        } else {
-            q.pattern.for_each_completed(&self.adj, e, scratch, |partners| {
-                let mut in_reservoir = 0u64;
-                for &p in partners {
-                    if room_seq[p as usize] <= horizon {
-                        in_reservoir += 1;
-                    }
-                }
-                debug_assert!(in_reservoir <= s);
-                total += Self::instance_inv(in_reservoir, s, n_r);
-            });
-        }
+            }
+            debug_assert!(in_reservoir <= s);
+            total += Self::instance_inv(in_reservoir, s, n_r);
+        });
         q.estimate += sign * total;
     }
 
@@ -291,45 +244,16 @@ impl WrsSampler {
         let room_seq = &self.room_seq;
         let horizon = self.spill_horizon;
         let mut totals = [0.0f64; LayeredLevels::COUNT];
-        if queries[0].mass_kernel == MassKernel::Lanes {
-            plan.levels().for_each_completed_blocks(&self.adj, e, scratch, |level, block| {
-                let total = &mut totals[level];
-                if block.len() == BLOCK_LANES {
-                    let mut in_res = [0u64; BLOCK_LANES];
-                    for j in 0..block.width() {
-                        let row = block.lane_ids(j);
-                        for (c, &id) in in_res.iter_mut().zip(row) {
-                            *c += u64::from(room_seq[id as usize] <= horizon);
-                        }
-                    }
-                    for &in_reservoir in &in_res {
-                        debug_assert!(in_reservoir <= s);
-                        *total += Self::instance_inv(in_reservoir, s, n_r);
-                    }
-                } else {
-                    for lane in 0..block.len() {
-                        let mut in_reservoir = 0u64;
-                        for j in 0..block.width() {
-                            let id = block.id(j, lane);
-                            in_reservoir += u64::from(room_seq[id as usize] <= horizon);
-                        }
-                        debug_assert!(in_reservoir <= s);
-                        *total += Self::instance_inv(in_reservoir, s, n_r);
-                    }
+        plan.levels().for_each_completed(&self.adj, e, scratch, |level, partners| {
+            let mut in_reservoir = 0u64;
+            for &p in partners {
+                if room_seq[p as usize] <= horizon {
+                    in_reservoir += 1;
                 }
-            });
-        } else {
-            plan.levels().for_each_completed(&self.adj, e, scratch, |level, partners| {
-                let mut in_reservoir = 0u64;
-                for &p in partners {
-                    if room_seq[p as usize] <= horizon {
-                        in_reservoir += 1;
-                    }
-                }
-                debug_assert!(in_reservoir <= s);
-                totals[level] += Self::instance_inv(in_reservoir, s, n_r);
-            });
-        }
+            }
+            debug_assert!(in_reservoir <= s);
+            totals[level] += Self::instance_inv(in_reservoir, s, n_r);
+        });
         for (j, q) in queries.iter_mut().enumerate() {
             q.estimate += sign * totals[plan.level_of(j)];
         }
@@ -633,84 +557,14 @@ impl EdgeSampler for WrsSampler {
     }
 }
 
-/// The legacy one-pattern WRS counter: a [`WrsSampler`] plus a single
-/// [`PatternQuery`], bit-identical to the pre-session implementation.
-pub struct WrsCounter {
-    sampler: WrsSampler,
-    query: PatternQuery,
-    scratch: EnumScratch,
-}
-
-impl WrsCounter {
-    /// Creates a WRS counter with total budget `M` and the default
-    /// waiting-room fraction.
-    pub fn new(pattern: Pattern, capacity: usize, seed: u64) -> Self {
-        Self::with_fraction(pattern, capacity, DEFAULT_WAITING_ROOM_FRACTION, seed)
-    }
-
-    /// Creates a WRS counter with an explicit waiting-room fraction in
-    /// `(0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fraction leaves either side of the budget empty, if
-    /// the reservoir part is smaller than `|H|`, or the pattern is
-    /// invalid.
-    pub fn with_fraction(pattern: Pattern, capacity: usize, fraction: f64, seed: u64) -> Self {
-        pattern.validate().expect("invalid pattern");
-        let sampler = WrsSampler::with_fraction(capacity, fraction, seed);
-        sampler.assert_capacity_for(pattern);
-        Self {
-            sampler,
-            query: PatternQuery::new(pattern, crate::estimator::MassKernel::build_default()),
-            scratch: EnumScratch::default(),
-        }
-    }
-
-    /// Selects the estimator accumulation kernel (see [`MassKernel`]);
-    /// estimates are bit-identical either way.
-    pub fn with_mass_kernel(mut self, kernel: MassKernel) -> Self {
-        self.query.mass_kernel = kernel;
-        self
-    }
-
-    /// Current waiting-room occupancy — exposed for tests.
-    pub fn waiting_room_len(&self) -> usize {
-        self.sampler.waiting_room_len()
-    }
-}
-
-impl SubgraphCounter for WrsCounter {
-    fn process(&mut self, ev: EdgeEvent) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process(ev, ctx);
-    }
-
-    fn process_batch(&mut self, batch: &[EdgeEvent]) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process_batch(batch, ctx);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.sampler.query_estimate(&self.query)
-    }
-
-    fn name(&self) -> &str {
-        self.sampler.name()
-    }
-
-    fn pattern(&self) -> Pattern {
-        self.query.pattern()
-    }
-
-    fn stored_edges(&self) -> usize {
-        self.sampler.stored_edges()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::OneQuery;
+
+    fn wrs(pattern: Pattern, capacity: usize, fraction: f64, seed: u64) -> OneQuery<WrsSampler> {
+        OneQuery::new(WrsSampler::with_fraction(capacity, fraction, seed), pattern)
+    }
 
     fn ins(a: u64, b: u64) -> EdgeEvent {
         EdgeEvent::insert(Edge::new(a, b))
@@ -721,14 +575,14 @@ mod tests {
     }
 
     /// True if a live edge is classified as a waiting-room member.
-    fn in_room(c: &WrsCounter, e: Edge) -> bool {
+    fn in_room(c: &OneQuery<WrsSampler>, e: Edge) -> bool {
         c.sampler.adj.edge_id(e).is_some_and(|id| c.sampler.in_room_id(id))
     }
 
     /// Checks the stamp/horizon classification invariants: every live
     /// edge is in the room XOR in the reservoir sample, and the room
     /// counter matches the classification.
-    fn assert_flags_coherent(c: &WrsCounter) {
+    fn assert_flags_coherent(c: &OneQuery<WrsSampler>) {
         let s = &c.sampler;
         let mut roomed = 0;
         for e in s.adj.edges().collect::<Vec<_>>() {
@@ -746,7 +600,7 @@ mod tests {
 
     #[test]
     fn exact_when_everything_fits() {
-        let mut c = WrsCounter::with_fraction(Pattern::Triangle, 100, 0.2, 1);
+        let mut c = wrs(Pattern::Triangle, 100, 0.2, 1);
         for ev in [ins(1, 2), ins(2, 3), ins(1, 3), ins(3, 4), ins(2, 4), del(2, 3)] {
             c.process(ev);
         }
@@ -758,34 +612,34 @@ mod tests {
 
     #[test]
     fn waiting_room_holds_most_recent() {
-        let mut c = WrsCounter::with_fraction(Pattern::Triangle, 20, 0.25, 2);
+        let mut c = wrs(Pattern::Triangle, 20, 0.25, 2);
         // Room capacity = 5.
         for i in 0..50u64 {
             c.process(ins(i, i + 1));
         }
-        assert_eq!(c.waiting_room_len(), 5);
+        assert_eq!(c.sampler.waiting_room_len(), 5);
         // The very last edges are certainly present.
         for i in 45..50u64 {
             assert!(in_room(&c, Edge::new(i, i + 1)), "recent edge {i} missing");
         }
-        assert!(c.stored_edges() <= 20);
+        assert!(c.sampler.stored_edges() <= 20);
         assert_flags_coherent(&c);
     }
 
     #[test]
     fn deletion_inside_waiting_room() {
-        let mut c = WrsCounter::with_fraction(Pattern::Triangle, 20, 0.25, 3);
+        let mut c = wrs(Pattern::Triangle, 20, 0.25, 3);
         for i in 0..5u64 {
             c.process(ins(i, i + 1));
         }
         c.process(del(4, 5));
-        assert_eq!(c.waiting_room_len(), 4);
+        assert_eq!(c.sampler.waiting_room_len(), 4);
         assert!(!c.sampler.adj.contains(Edge::new(4, 5)));
         // FIFO ghost purge: keep inserting past room capacity.
         for i in 10..30u64 {
             c.process(ins(i, i + 1));
         }
-        assert_eq!(c.waiting_room_len(), 5);
+        assert_eq!(c.sampler.waiting_room_len(), 5);
         assert_flags_coherent(&c);
     }
 
@@ -793,7 +647,7 @@ mod tests {
     fn room_flags_track_churn() {
         // Drive edges through room → reservoir → deletion with recycled
         // IDs in play; the dense mirror must never drift.
-        let mut c = WrsCounter::with_fraction(Pattern::Triangle, 16, 0.25, 9);
+        let mut c = wrs(Pattern::Triangle, 16, 0.25, 9);
         for round in 0..30u64 {
             for i in 0..6u64 {
                 c.process(ins(7 * round + i, 7 * round + i + 1));
@@ -810,16 +664,16 @@ mod tests {
     #[test]
     fn readmission_spills_at_ghost_position() {
         // Room capacity 2 (8 × 0.25).
-        let mut c = WrsCounter::with_fraction(Pattern::Triangle, 8, 0.25, 7);
+        let mut c = wrs(Pattern::Triangle, 8, 0.25, 7);
         c.process(ins(1, 2)); // X enters; FIFO [X]
         c.process(del(1, 2)); // X leaves the room map; FIFO ghost remains
         c.process(ins(3, 4)); // A; FIFO [X?, A]
         c.process(ins(1, 2)); // X re-admitted; FIFO [X?, A, X]
-        assert_eq!(c.waiting_room_len(), 2);
+        assert_eq!(c.sampler.waiting_room_len(), 2);
         c.process(ins(5, 6)); // overflow: the spill pops X's ghost entry
                               // The spill found X live again and must spill X (the map
                               // semantics) while A stays classified in-room.
-        assert_eq!(c.waiting_room_len(), 2);
+        assert_eq!(c.sampler.waiting_room_len(), 2);
         assert!(in_room(&c, Edge::new(3, 4)), "A must stay in the room");
         assert!(!in_room(&c, Edge::new(1, 2)), "X must have spilled");
         assert!(c.sampler.adj.contains(Edge::new(1, 2)), "spilled X lives in the reservoir");
@@ -828,15 +682,15 @@ mod tests {
 
     #[test]
     fn budget_split_respected() {
-        let c = WrsCounter::with_fraction(Pattern::Triangle, 40, 0.1, 4);
+        let c = wrs(Pattern::Triangle, 40, 0.1, 4);
         assert_eq!(c.sampler.room_capacity(), 4);
         assert_eq!(c.sampler.reservoir_capacity(), 36);
-        assert_eq!(c.name(), "WRS");
+        assert_eq!(c.sampler.name(), "WRS");
     }
 
     #[test]
     #[should_panic(expected = "too small")]
     fn tiny_budget_panics() {
-        let _ = WrsCounter::with_fraction(Pattern::Triangle, 1, 0.9, 5);
+        let _ = wrs(Pattern::Triangle, 1, 0.9, 5);
     }
 }

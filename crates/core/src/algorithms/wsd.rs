@@ -39,13 +39,10 @@
 //! identity holds per *edge*, not per pattern, every query's estimator
 //! is unbiased off the same reservoir; the weight function (which reads
 //! the completed-instance count of the sampler's fixed *weight
-//! pattern*) only shapes the variance. [`WsdCounter`] is the legacy
-//! one-pattern façade: a sampler plus a single query, bit-identical to
-//! the pre-session implementation.
+//! pattern*) only shapes the variance.
 
 use crate::algorithms::WeightMode;
-use crate::counter::SubgraphCounter;
-use crate::estimator::{layered_weighted_mass, weighted_mass, MassKernel};
+use crate::estimator::{layered_weighted_mass, weighted_mass};
 use crate::rank::{draw_u, rank};
 use crate::reservoir::IndexedMinHeap;
 use crate::sampled_graph::{EdgeMeta, WeightedSample};
@@ -84,9 +81,6 @@ pub struct WsdSampler {
     rng: SmallRng,
     /// Pre-drawn `u` variates for batched processing (reused scratch).
     u_buf: Vec<f64>,
-    /// Mass kernel for the sampler-owned weight pass (attached queries
-    /// carry their own).
-    mass_kernel: MassKernel,
     /// Resolved state-observation mode (kept in sync with the weight
     /// function and observer).
     weight_mode: WeightMode,
@@ -135,7 +129,6 @@ impl WsdSampler {
             weight_fn,
             rng: SmallRng::seed_from_u64(seed),
             u_buf: Vec::new(),
-            mass_kernel: MassKernel::build_default(),
             weight_mode,
             observer: None,
         }
@@ -144,13 +137,6 @@ impl WsdSampler {
     /// Overrides the display name (e.g. to distinguish pooling ablations).
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.display_name = name.into();
-        self
-    }
-
-    /// Selects the mass kernel of the sampler-owned weight pass (see
-    /// [`MassKernel`]); estimates are bit-identical either way.
-    pub fn with_mass_kernel(mut self, kernel: MassKernel) -> Self {
-        self.mass_kernel = kernel;
         self
     }
 
@@ -217,7 +203,6 @@ impl WsdSampler {
             ),
             None => crate::algorithms::observe_queries(
                 self.weight_mode,
-                self.mass_kernel,
                 self.weight_pattern,
                 &mut self.sample,
                 e,
@@ -312,9 +297,7 @@ impl WsdSampler {
         }
         match plan {
             Some(plan) => {
-                let kernel = queries[0].mass_kernel;
                 let m = layered_weighted_mass(
-                    kernel,
                     plan.levels(),
                     &mut self.sample,
                     e,
@@ -328,15 +311,8 @@ impl WsdSampler {
             }
             None => {
                 for q in queries.iter_mut() {
-                    let m = weighted_mass(
-                        q.mass_kernel,
-                        q.pattern,
-                        &mut self.sample,
-                        e,
-                        self.tau_q,
-                        scratch,
-                        None,
-                    );
+                    let m =
+                        weighted_mass(q.pattern, &mut self.sample, e, self.tau_q, scratch, None);
                     q.estimate -= m.mass;
                 }
             }
@@ -443,107 +419,22 @@ impl EdgeSampler for WsdSampler {
     }
 }
 
-/// The legacy one-pattern WSD counter: a [`WsdSampler`] plus a single
-/// [`PatternQuery`] for the same pattern, processed in lockstep —
-/// bit-identical to the pre-session implementation by construction.
-pub struct WsdCounter {
-    sampler: WsdSampler,
-    query: PatternQuery,
-    scratch: EnumScratch,
-}
-
-impl WsdCounter {
-    /// Creates a WSD counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity < |H|` (the unbiasedness theorems require
-    /// `M ≥ |H|`) or the pattern is invalid.
-    pub fn new(
-        pattern: Pattern,
-        capacity: usize,
-        weight_fn: Box<dyn WeightFn>,
-        pooling: TemporalPooling,
-        seed: u64,
-    ) -> Self {
-        Self {
-            sampler: WsdSampler::new(pattern, capacity, weight_fn, pooling, seed),
-            query: PatternQuery::new(pattern, MassKernel::build_default()),
-            scratch: EnumScratch::default(),
-        }
-    }
-
-    /// Overrides the display name (e.g. to distinguish pooling ablations).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.sampler = self.sampler.with_name(name);
-        self
-    }
-
-    /// Selects the estimator mass kernel (see [`MassKernel`]); estimates
-    /// are bit-identical either way.
-    pub fn with_mass_kernel(mut self, kernel: MassKernel) -> Self {
-        self.sampler = self.sampler.with_mass_kernel(kernel);
-        self.query.mass_kernel = kernel;
-        self
-    }
-
-    /// Installs a per-insertion observer `(edge, state, weight)`; see
-    /// [`WsdSampler::set_observer`].
-    pub fn set_observer(&mut self, f: InsertionObserver) {
-        self.sampler.set_observer(f);
-    }
-
-    /// Current thresholds `(τp, τq)` — exposed for white-box tests.
-    pub fn thresholds(&self) -> (f64, f64) {
-        self.sampler.thresholds()
-    }
-
-    /// Whether an edge currently sits in the reservoir.
-    pub fn sampled(&self, e: Edge) -> bool {
-        self.sampler.sampled(e)
-    }
-}
-
-impl SubgraphCounter for WsdCounter {
-    fn process(&mut self, ev: EdgeEvent) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process(ev, ctx);
-    }
-
-    fn process_batch(&mut self, batch: &[EdgeEvent]) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process_batch(batch, ctx);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.sampler.query_estimate(&self.query)
-    }
-
-    fn name(&self) -> &str {
-        self.sampler.name()
-    }
-
-    fn pattern(&self) -> Pattern {
-        self.query.pattern()
-    }
-
-    fn stored_edges(&self) -> usize {
-        self.sampler.stored_edges()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::OneQuery;
     use crate::weight::{HeuristicWeight, UniformWeight};
 
-    fn wsd(capacity: usize, seed: u64) -> WsdCounter {
-        WsdCounter::new(
+    fn wsd(capacity: usize, seed: u64) -> OneQuery<WsdSampler> {
+        OneQuery::new(
+            WsdSampler::new(
+                Pattern::Triangle,
+                capacity,
+                Box::new(UniformWeight),
+                TemporalPooling::Max,
+                seed,
+            ),
             Pattern::Triangle,
-            capacity,
-            Box::new(UniformWeight),
-            TemporalPooling::Max,
-            seed,
         )
     }
 
@@ -568,9 +459,9 @@ mod tests {
             c.process(ev);
         }
         assert_eq!(c.estimate(), 0.0);
-        assert_eq!(c.thresholds(), (0.0, 0.0));
-        assert_eq!(c.stored_edges(), 4); // 5 inserted, 1 deleted
-        assert!(!c.sampled(Edge::new(2, 3)));
+        assert_eq!(c.sampler.thresholds(), (0.0, 0.0));
+        assert_eq!(c.sampler.stored_edges(), 4); // 5 inserted, 1 deleted
+        assert!(!c.sampler.sampled(Edge::new(2, 3)));
     }
 
     #[test]
@@ -578,10 +469,10 @@ mod tests {
         let mut c = wsd(8, 2);
         for i in 0..200u64 {
             c.process(tri(i, i + 1));
-            assert!(c.stored_edges() <= 8);
+            assert!(c.sampler.stored_edges() <= 8);
         }
-        assert_eq!(c.stored_edges(), 8);
-        let (tau_p, tau_q) = c.thresholds();
+        assert_eq!(c.sampler.stored_edges(), 8);
+        let (tau_p, tau_q) = c.sampler.thresholds();
         assert!(tau_p > 0.0 && tau_q > 0.0 && tau_q <= tau_p);
     }
 
@@ -591,14 +482,14 @@ mod tests {
         for i in 0..4u64 {
             c.process(tri(10 * i, 10 * i + 1));
         }
-        assert_eq!(c.stored_edges(), 4);
+        assert_eq!(c.sampler.stored_edges(), 4);
         c.process(EdgeEvent::delete(Edge::new(0, 1)));
-        assert_eq!(c.stored_edges(), 3);
-        assert!(!c.sampled(Edge::new(0, 1)));
+        assert_eq!(c.sampler.stored_edges(), 3);
+        assert!(!c.sampler.sampled(Edge::new(0, 1)));
         // Case 3 must not touch thresholds.
-        let before = c.thresholds();
+        let before = c.sampler.thresholds();
         c.process(EdgeEvent::delete(Edge::new(10, 11)));
-        assert_eq!(c.thresholds(), before);
+        assert_eq!(c.sampler.thresholds(), before);
     }
 
     #[test]
@@ -610,16 +501,16 @@ mod tests {
         for i in 0..5u64 {
             c.process(tri(10 * i, 10 * i + 1));
         }
-        let (tau_p, _) = c.thresholds();
+        let (tau_p, _) = c.sampler.thresholds();
         assert!(tau_p > 0.0);
         c.process(EdgeEvent::delete(Edge::new(0, 1)));
         c.process(EdgeEvent::delete(Edge::new(10, 11)));
-        let (tau_p_after, _) = c.thresholds();
+        let (tau_p_after, _) = c.sampler.thresholds();
         assert_eq!(tau_p, tau_p_after, "Case 3 must retain τp");
         // Non-full insertions never *lower* the bar.
         for i in 6..30u64 {
             c.process(tri(10 * i, 10 * i + 1));
-            assert!(c.thresholds().0 >= tau_p);
+            assert!(c.sampler.thresholds().0 >= tau_p);
         }
     }
 
@@ -628,14 +519,17 @@ mod tests {
         use std::sync::{Arc, Mutex};
         let log: Arc<Mutex<Vec<(usize, f64)>>> = Arc::new(Mutex::new(Vec::new()));
         let log2 = log.clone();
-        let mut c = WsdCounter::new(
+        let mut c = OneQuery::new(
+            WsdSampler::new(
+                Pattern::Triangle,
+                16,
+                Box::new(HeuristicWeight),
+                TemporalPooling::Max,
+                5,
+            ),
             Pattern::Triangle,
-            16,
-            Box::new(HeuristicWeight),
-            TemporalPooling::Max,
-            5,
         );
-        c.set_observer(Box::new(move |e, s, w| {
+        c.sampler.set_observer(Box::new(move |e, s, w| {
             assert!(e.u() < e.v());
             log2.lock().unwrap().push((s.dim(), w));
         }));
@@ -675,11 +569,11 @@ mod tests {
 
     #[test]
     fn heuristic_name_propagates() {
-        let c =
-            WsdCounter::new(Pattern::Wedge, 8, Box::new(HeuristicWeight), TemporalPooling::Max, 1);
-        assert_eq!(c.name(), "WSD-H");
-        let c = c.with_name("WSD-H (Avg)");
-        assert_eq!(c.name(), "WSD-H (Avg)");
+        let s =
+            WsdSampler::new(Pattern::Wedge, 8, Box::new(HeuristicWeight), TemporalPooling::Max, 1);
+        assert_eq!(s.name(), "WSD-H");
+        let s = s.with_name("WSD-H (Avg)");
+        assert_eq!(s.name(), "WSD-H (Avg)");
     }
 
     #[test]

@@ -4,19 +4,17 @@
 //! The paper's protocol is *many independent runs of a one-pass sampler*
 //! whose per-event cost is the binding constraint at stream scale. This
 //! module turns that protocol into a first-class, hardware-friendly
-//! system on top of the [`SubgraphCounter`](crate::SubgraphCounter)
-//! trait:
+//! system on top of [`StreamSession`](crate::StreamSession):
 //!
-//! * [`BatchDriver`] feeds a stream to a counter — or a whole
-//!   multi-query [`StreamSession`](crate::StreamSession) via
-//!   [`BatchDriver::run_session`] — in fixed-size batches, letting each
+//! * [`BatchDriver`] feeds a stream to a session
+//!   ([`BatchDriver::run_session`]) in fixed-size batches, letting each
 //!   algorithm amortise RNG draws, dispatch and bookkeeping across the
 //!   batch.
-//! * [`Ensemble`] executes N independently seeded replicas of a counter
-//!   ([`Ensemble::run`]) or session ([`Ensemble::run_sessions`]) over
-//!   the same stream on a thread pool and merges their unbiased
-//!   estimates into a mean with variance and a normal-approximation
-//!   confidence interval — the repeated-runs protocol, parallel.
+//! * [`Ensemble`] executes N independently seeded replicas of a session
+//!   ([`Ensemble::run_sessions`]) over the same stream on a thread pool
+//!   and merges their unbiased estimates into a mean with variance and
+//!   a normal-approximation confidence interval — the repeated-runs
+//!   protocol, parallel.
 //!   Replica seeds derive from the base seed via the splitmix
 //!   [`replica_seed`] bijection, so adjacent base seeds never share
 //!   replica RNG streams.

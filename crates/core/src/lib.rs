@@ -21,10 +21,9 @@
 //!   fed from the shared sample (Algorithm 2 and the baselines'
 //!   analogues; unbiased per query because the inclusion identity holds
 //!   per edge, not per pattern).
-//! * [`SubgraphCounter`] — the legacy one-pattern trait, now served by
-//!   single-query sessions (`CounterConfig::build`, deprecated) and the
-//!   per-algorithm `XCounter` façades; bit-identical to the historical
-//!   counters.
+//!
+//! A session is the only way to count: a one-pattern count is a session
+//! with one query.
 //!
 //! Weight functions ([`weight`]) plug into the weighted samplers: the
 //! uniform control, the GPS heuristic `9·|H(e)|+1` (WSD-H), and the
@@ -34,25 +33,16 @@
 //! ([`SessionBuilder::with_weight_pattern`]); the choice only shapes
 //! variance, never biasedness.
 //!
-//! # The `simd` feature and the mass kernels
+//! # The mass kernel
 //!
 //! The estimators' hot loop — the `Π 1/p` mass products over each
-//! completed instance's partner edges — runs in one of two
-//! [`MassKernel`]s: the per-instance `Scalar` kernel, or the
-//! lane-batched `Lanes` kernel consuming 4-instance
-//! [`wsd_graph::InstanceBlock`]s with a branch-hoisted τ-stamp/cache
-//! fill pass and a vectorizable product pass (portable chunked code the
-//! compiler packs into 4-wide f64 vector arithmetic; patterns too wide
-//! to block — generic cliques of order ≥ 5 — fall back to the scalar
-//! loop). **Both kernels are always compiled and produce bit-identical
-//! estimates** — each lane evaluates its instance's product in the
-//! scalar kernel's exact operation order, and cross-instance sums
-//! accumulate in emission order. The `simd` feature (enabled by
-//! default) only selects which kernel [`MassKernel::build_default`]
-//! returns; building with `--no-default-features` flips the default to
-//! `Scalar`. Counters take an explicit kernel via
-//! [`CounterConfig::with_mass_kernel`], which is how the differential
-//! test harness pins the bit-identity contract inside one binary.
+//! completed instance's partner edges — is one fused per-instance loop
+//! straight off the enumeration kernel, with two fast paths: the fill
+//! phase (`τ = 0`, every product is exactly 1) skips the `1/p` reads,
+//! and wedge instances (one partner each) fold their single `1/p`
+//! without a partner slice. Multi-query sessions run one layered pass
+//! per event (see [`LayeredPlan`]), bit-identical to the per-query
+//! passes it replaces.
 //!
 //! # Batched admission
 //!
@@ -100,12 +90,12 @@
 //! assert_eq!(session.estimate(report.queries[1].id), 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod algorithms;
 pub mod config;
-pub mod counter;
 pub mod engine;
 mod estimator;
 pub mod policy;
@@ -117,18 +107,16 @@ pub mod snapshot;
 pub mod state;
 pub mod weight;
 
-pub use config::{Algorithm, CounterConfig};
-pub use counter::SubgraphCounter;
+pub use config::Algorithm;
 pub use engine::{BatchDriver, Ensemble, EnsembleReport, SessionEnsembleReport};
-pub use estimator::MassKernel;
 pub use policy::{PolicyArtifact, PolicyError, PolicyMeta, PolicyRegistry};
 pub use session::{
     EdgeSampler, LayeredPlan, PatternQuery, QueryCheckpoint, QueryCtx, QueryId, QueryReport,
-    SessionBuilder, SessionCounter, SessionReport, StreamSession, WeightSwapError,
+    SessionBuilder, SessionReport, StreamSession, WeightSwapError,
 };
 pub use snapshot::{
-    ByteReader, ByteWriter, QuerySnapshot, SamplerState, SessionConfig, SessionSnapshot,
-    SnapshotError,
+    fnv1a64, write_file_atomic, ByteReader, ByteWriter, QuerySnapshot, SamplerState, SessionConfig,
+    SessionSnapshot, SnapshotError,
 };
 pub use state::{StateVector, TemporalPooling};
 pub use weight::{FeatureNorm, HeuristicWeight, LinearPolicy, UniformWeight, WeightFn, WeightSpec};

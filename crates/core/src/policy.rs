@@ -27,7 +27,9 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::snapshot::{ByteReader, ByteWriter, SnapshotError};
+use crate::snapshot::{
+    fnv1a64, get_pattern, put_pattern, write_file_atomic, ByteReader, ByteWriter, SnapshotError,
+};
 use crate::weight::{HeuristicWeight, LinearPolicy, WeightFn};
 use wsd_graph::Pattern;
 
@@ -37,17 +39,6 @@ pub const POLICY_MAGIC: &[u8; 4] = b"WSDP";
 pub const POLICY_VERSION: u32 = 1;
 /// File extension registry directories are scanned for.
 pub const POLICY_FILE_EXT: &str = "wsdp";
-
-/// FNV-1a 64-bit — the same integrity hash the serve store trails its
-/// snapshot files with.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Decode failure of a policy artifact — every way a file can be wrong
 /// gets its own variant so callers (and the registry's quarantine list)
@@ -141,28 +132,6 @@ pub struct PolicyArtifact {
     pub meta: PolicyMeta,
     /// The frozen policy.
     pub policy: LinearPolicy,
-}
-
-fn put_pattern(w: &mut ByteWriter, p: Pattern) {
-    match p {
-        Pattern::Wedge => w.put_u8(0),
-        Pattern::Triangle => w.put_u8(1),
-        Pattern::FourClique => w.put_u8(2),
-        Pattern::Clique(k) => {
-            w.put_u8(3);
-            w.put_u8(k);
-        }
-    }
-}
-
-fn get_pattern(r: &mut ByteReader<'_>) -> Result<Pattern, SnapshotError> {
-    Ok(match r.get_u8()? {
-        0 => Pattern::Wedge,
-        1 => Pattern::Triangle,
-        2 => Pattern::FourClique,
-        3 => Pattern::Clique(r.get_u8()?),
-        _ => return Err(SnapshotError::BadTag("pattern")),
-    })
 }
 
 fn put_f64_vec(w: &mut ByteWriter, xs: &[f64]) {
@@ -275,17 +244,11 @@ impl PolicyArtifact {
         format!("{}-{}.{}", self.meta.scenario, self.meta.pattern.name(), POLICY_FILE_EXT)
     }
 
-    /// Writes the artifact atomically (tmp sibling + rename, like the
-    /// serve store) so a crashed writer never leaves a torn file behind.
+    /// Writes the artifact with [`write_file_atomic`] (tmp sibling,
+    /// fsync, rename, directory fsync — as the serve store does) so a
+    /// crash never leaves a torn or lost file behind.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PolicyError> {
-        let path = path.as_ref();
-        let tmp = path.with_extension(format!("{POLICY_FILE_EXT}.tmp"));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            io::Write::write_all(&mut f, &self.encode())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
+        write_file_atomic(path.as_ref(), &self.encode())?;
         Ok(())
     }
 

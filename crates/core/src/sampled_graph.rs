@@ -292,39 +292,6 @@ impl MetaView<'_> {
         (self.inv_p(id), self.meta[id as usize].time)
     }
 
-    /// Fills the `1/p` cache for every ID in `ids` (the τ-stamp check +
-    /// epoch-cache fill pass of the lane-batched kernel). Running the
-    /// stamp branches here, once per block row, leaves the product pass
-    /// branch-free; in steady state (τ unchanged since the last event)
-    /// the branch is never taken and the pass is a straight run of
-    /// stamp loads.
-    #[inline]
-    pub(crate) fn prime(&mut self, ids: &[EdgeId]) {
-        for &id in ids {
-            self.inv_p(id);
-        }
-    }
-
-    /// The cached `1/p` of an edge previously primed in this epoch —
-    /// the branch-free, bounds-check-free read of the lane-batched
-    /// product pass.
-    ///
-    /// # Safety
-    ///
-    /// `id` must be a live edge ID of the sample this view was split
-    /// from (live IDs always index within the metadata arrays) and must
-    /// have been passed to [`MetaView::prime`] (or [`MetaView::inv_p`])
-    /// since the view was created.
-    #[inline]
-    pub(crate) unsafe fn inv_p_primed(&self, id: EdgeId) -> f64 {
-        let i = id as usize;
-        debug_assert_eq!(self.prob[i].stamp, self.epoch, "inv_p_primed of an unprimed edge");
-        // SAFETY: live IDs index within the arrays per the caller
-        // contract; the value is current because the edge was primed in
-        // this epoch.
-        unsafe { self.prob.get_unchecked(i).inv_p }
-    }
-
     /// Arrival time of a sampled edge.
     #[inline]
     pub(crate) fn time(&self, id: EdgeId) -> u64 {

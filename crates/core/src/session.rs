@@ -63,16 +63,8 @@
 //! warms up all new queries from **one** replay of the current sample
 //! (per-query [`StreamSession::attach`] replays the sample once per
 //! call) — bit-identical to attaching them one by one.
-//!
-//! A session with a single query is **bit-identical** to the legacy
-//! one-pattern counters (`CounterConfig::build`, now a shim over this
-//! module): same RNG stream, same floating-point evaluation order. The
-//! golden pins, the scalar/SIMD differential harness and the session
-//! equivalence suite all enforce this.
 
 use crate::config::Algorithm;
-use crate::counter::SubgraphCounter;
-use crate::estimator::MassKernel;
 use crate::rank::inclusion_prob;
 use crate::sampled_graph::WeightedSample;
 use crate::snapshot::{QuerySnapshot, SamplerState, SessionConfig, SessionSnapshot};
@@ -107,15 +99,14 @@ impl QueryId {
 ///
 /// A query owns everything that is *per pattern*: the running
 /// accumulator (a mass estimate for the weighted samplers, ThinkD and
-/// WRS; the in-sample instance counter τ for Triest) and the mass
-/// kernel its estimator passes run with. It owns nothing of the sample
-/// — that lives in the sampler — and no enumeration scratch: the
-/// session owns one [`EnumScratch`] shared by every attached query
-/// (the scratch is pure per-event workspace, so N queries never needed
-/// N copies), handed to the sampler per event via [`QueryCtx`].
+/// WRS; the in-sample instance counter τ for Triest). It owns nothing
+/// of the sample — that lives in the sampler — and no enumeration
+/// scratch: the session owns one [`EnumScratch`] shared by every
+/// attached query (the scratch is pure per-event workspace, so N
+/// queries never needed N copies), handed to the sampler per event via
+/// [`QueryCtx`].
 pub struct PatternQuery {
     pub(crate) pattern: Pattern,
-    pub(crate) mass_kernel: MassKernel,
     /// Running mass estimate (weighted samplers, ThinkD, WRS).
     pub(crate) estimate: f64,
     /// In-sample instance counter (Triest's τ).
@@ -128,9 +119,9 @@ impl PatternQuery {
     /// # Panics
     ///
     /// Panics if the pattern is invalid.
-    pub fn new(pattern: Pattern, mass_kernel: MassKernel) -> Self {
+    pub fn new(pattern: Pattern) -> Self {
         pattern.validate().expect("invalid pattern");
-        Self { pattern, mass_kernel, estimate: 0.0, tau: 0 }
+        Self { pattern, estimate: 0.0, tau: 0 }
     }
 
     /// The pattern this query counts.
@@ -200,9 +191,8 @@ pub struct QueryCtx<'a> {
 }
 
 impl<'a> QueryCtx<'a> {
-    /// A plan-less context — per-query passes, as the legacy counters
-    /// run (used by the single-query counter façades and tests that
-    /// drive an [`EdgeSampler`] directly).
+    /// A plan-less context — per-query passes (used by callers that
+    /// drive an [`EdgeSampler`] directly, such as the white-box tests).
     pub fn new(queries: &'a mut [PatternQuery], scratch: &'a mut EnumScratch) -> Self {
         Self { queries, scratch, plan: None }
     }
@@ -568,8 +558,6 @@ pub struct StreamSession {
     handles: Vec<Option<usize>>,
     /// Query ids in attachment order (parallel to `queries`).
     ids: Vec<QueryId>,
-    /// Session-level default mass kernel for queries attached later.
-    mass_kernel: MassKernel,
     /// This session's handle token (process-unique; see [`QueryId`]).
     token: u64,
     events: u64,
@@ -599,17 +587,12 @@ impl StreamSession {
     /// the backend of [`SessionBuilder::build`]. Prefer the builder
     /// (sessions assembled from raw parts carry no rebuildable
     /// configuration, so they cannot [`StreamSession::snapshot`]).
-    pub fn from_parts(
-        sampler: Box<dyn EdgeSampler>,
-        patterns: &[Pattern],
-        mass_kernel: MassKernel,
-    ) -> Self {
+    pub fn from_parts(sampler: Box<dyn EdgeSampler>, patterns: &[Pattern]) -> Self {
         let mut session = Self {
             sampler,
             queries: Vec::new(),
             handles: Vec::new(),
             ids: Vec::new(),
-            mass_kernel,
             token: next_token(),
             events: 0,
             scratch: EnumScratch::default(),
@@ -649,7 +632,6 @@ impl StreamSession {
                 seed: builder.seed,
                 pooling: builder.pooling,
                 wrs_fraction: builder.wrs_fraction,
-                mass_kernel: self.mass_kernel,
                 weight_pattern: builder
                     .weight_pattern
                     .or_else(|| builder.patterns.first().copied()),
@@ -688,7 +670,6 @@ impl StreamSession {
         let mut builder = SessionBuilder::new(cfg.algorithm, cfg.capacity as usize, cfg.seed)
             .with_pooling(cfg.pooling)
             .with_wrs_fraction(cfg.wrs_fraction)
-            .with_mass_kernel(cfg.mass_kernel)
             .with_layered(cfg.layered);
         if let Some(p) = cfg.weight_pattern {
             builder = builder.with_weight_pattern(p);
@@ -703,7 +684,7 @@ impl StreamSession {
             .queries
             .iter()
             .map(|q| {
-                let mut query = PatternQuery::new(q.pattern, cfg.mass_kernel);
+                let mut query = PatternQuery::new(q.pattern);
                 query.estimate = q.estimate;
                 query.tau = q.tau;
                 query
@@ -722,7 +703,6 @@ impl StreamSession {
             queries,
             handles: snapshot.handles.iter().map(|h| h.map(|q| q as usize)).collect(),
             ids,
-            mass_kernel: cfg.mass_kernel,
             token,
             events: snapshot.events,
             scratch: EnumScratch::default(),
@@ -802,7 +782,7 @@ impl StreamSession {
     /// Panics if the sampler's budget cannot support the pattern.
     pub fn attach(&mut self, pattern: Pattern) -> QueryId {
         self.sampler.assert_capacity_for(pattern);
-        let mut query = PatternQuery::new(pattern, self.mass_kernel);
+        let mut query = PatternQuery::new(pattern);
         self.sampler.warm_start(&mut query, &mut self.scratch);
         let id = QueryId { session: self.token, index: self.handles.len() };
         self.handles.push(Some(self.queries.len()));
@@ -831,7 +811,7 @@ impl StreamSession {
         for &p in patterns {
             let id = QueryId { session: self.token, index: self.handles.len() };
             self.handles.push(Some(self.queries.len()));
-            self.queries.push(PatternQuery::new(p, self.mass_kernel));
+            self.queries.push(PatternQuery::new(p));
             self.ids.push(id);
             ids.push(id);
         }
@@ -1034,15 +1014,13 @@ pub struct SessionBuilder {
     policy: Option<LinearPolicy>,
     pooling: TemporalPooling,
     wrs_fraction: f64,
-    mass_kernel: MassKernel,
     weight_pattern: Option<Pattern>,
     layered: bool,
 }
 
 impl SessionBuilder {
-    /// Starts a builder with the paper's defaults (cf.
-    /// `CounterConfig::new`): memory budget `capacity` edges, sampling
-    /// RNG seeded with `seed`.
+    /// Starts a builder with the paper's defaults: memory budget
+    /// `capacity` edges, sampling RNG seeded with `seed`.
     pub fn new(algorithm: Algorithm, capacity: usize, seed: u64) -> Self {
         Self {
             algorithm,
@@ -1052,7 +1030,6 @@ impl SessionBuilder {
             policy: None,
             pooling: TemporalPooling::Max,
             wrs_fraction: crate::algorithms::wrs::DEFAULT_WAITING_ROOM_FRACTION,
-            mass_kernel: MassKernel::build_default(),
             weight_pattern: None,
             layered: true,
         }
@@ -1086,13 +1063,6 @@ impl SessionBuilder {
     /// Sets the WRS waiting-room fraction.
     pub fn with_wrs_fraction(mut self, fraction: f64) -> Self {
         self.wrs_fraction = fraction;
-        self
-    }
-
-    /// Selects the estimator mass kernel for every query (estimates are
-    /// bit-identical either way; see [`MassKernel`]).
-    pub fn with_mass_kernel(mut self, kernel: MassKernel) -> Self {
-        self.mass_kernel = kernel;
         self
     }
 
@@ -1134,7 +1104,7 @@ impl SessionBuilder {
     /// the weight pattern.
     pub fn build(self) -> StreamSession {
         let sampler = self.build_sampler();
-        let mut session = StreamSession::from_parts(sampler, &self.patterns, self.mass_kernel);
+        let mut session = StreamSession::from_parts(sampler, &self.patterns);
         if !self.layered {
             session.set_layered(false);
         }
@@ -1163,20 +1133,16 @@ impl SessionBuilder {
                 );
                 Box::new(
                     WsdSampler::new(wp, self.capacity, Box::new(policy), self.pooling, self.seed)
-                        .with_name("WSD-L")
-                        .with_mass_kernel(self.mass_kernel),
+                        .with_name("WSD-L"),
                 )
             }
-            Algorithm::WsdH => Box::new(
-                WsdSampler::new(
-                    self.resolve_weight_pattern(),
-                    self.capacity,
-                    heuristic,
-                    self.pooling,
-                    self.seed,
-                )
-                .with_mass_kernel(self.mass_kernel),
-            ),
+            Algorithm::WsdH => Box::new(WsdSampler::new(
+                self.resolve_weight_pattern(),
+                self.capacity,
+                heuristic,
+                self.pooling,
+                self.seed,
+            )),
             Algorithm::WsdUniform => Box::new(
                 WsdSampler::new(
                     self.resolve_weight_pattern(),
@@ -1185,26 +1151,22 @@ impl SessionBuilder {
                     self.pooling,
                     self.seed,
                 )
-                .with_name("WSD-U")
-                .with_mass_kernel(self.mass_kernel),
+                .with_name("WSD-U"),
             ),
-            Algorithm::GpsA => Box::new(
-                GpsASampler::new(
-                    self.resolve_weight_pattern(),
-                    self.capacity,
-                    heuristic,
-                    self.seed,
-                )
-                .with_mass_kernel(self.mass_kernel),
-            ),
-            Algorithm::Gps => Box::new(
-                GpsSampler::new(self.resolve_weight_pattern(), self.capacity, heuristic, self.seed)
-                    .with_mass_kernel(self.mass_kernel),
-            ),
+            Algorithm::GpsA => Box::new(GpsASampler::new(
+                self.resolve_weight_pattern(),
+                self.capacity,
+                heuristic,
+                self.seed,
+            )),
+            Algorithm::Gps => Box::new(GpsSampler::new(
+                self.resolve_weight_pattern(),
+                self.capacity,
+                heuristic,
+                self.seed,
+            )),
             Algorithm::Triest => Box::new(TriestSampler::new(self.capacity, self.seed)),
             Algorithm::ThinkD => Box::new(ThinkDSampler::new(self.capacity, self.seed)),
-            // WRS has no sampler-side estimator pass — each attached
-            // query carries its own mass kernel.
             Algorithm::Wrs => {
                 Box::new(WrsSampler::with_fraction(self.capacity, self.wrs_fraction, self.seed))
             }
@@ -1212,61 +1174,37 @@ impl SessionBuilder {
     }
 }
 
-/// Adapter presenting a single-query [`StreamSession`] through the
-/// legacy [`SubgraphCounter`] trait — the shim behind the deprecated
-/// `CounterConfig::build`. Bit-identical to the pre-session counters.
-pub struct SessionCounter {
-    session: StreamSession,
-    query: QueryId,
+/// Test harness: one concrete sampler plus a single plan-less query,
+/// driven through [`EdgeSampler::process`] — white-box unit tests read
+/// the sampler's own accessors (thresholds, room state) between events.
+#[cfg(test)]
+pub(crate) struct OneQuery<S> {
+    pub(crate) sampler: S,
+    pub(crate) query: PatternQuery,
+    scratch: EnumScratch,
 }
 
-impl SessionCounter {
-    /// Wraps a session, exposing its **first** attached query as the
-    /// counter's estimate.
+#[cfg(test)]
+impl<S: EdgeSampler> OneQuery<S> {
+    /// Attaches a cold `pattern` query to `sampler`.
     ///
     /// # Panics
     ///
-    /// Panics if the session has no attached query.
-    pub fn new(session: StreamSession) -> Self {
-        let query =
-            session.queries().next().expect("SessionCounter needs at least one attached query").0;
-        Self { session, query }
+    /// Panics if the pattern is invalid or the sampler's budget cannot
+    /// support it.
+    pub(crate) fn new(sampler: S, pattern: Pattern) -> Self {
+        let query = PatternQuery::new(pattern);
+        sampler.assert_capacity_for(pattern);
+        Self { sampler, query, scratch: EnumScratch::default() }
     }
 
-    /// The underlying session (e.g. to attach further queries).
-    pub fn session(&self) -> &StreamSession {
-        &self.session
+    pub(crate) fn process(&mut self, ev: EdgeEvent) {
+        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
+        self.sampler.process(ev, ctx);
     }
 
-    /// Unwraps back into the session.
-    pub fn into_session(self) -> StreamSession {
-        self.session
-    }
-}
-
-impl SubgraphCounter for SessionCounter {
-    fn process(&mut self, ev: EdgeEvent) {
-        self.session.process(ev);
-    }
-
-    fn process_batch(&mut self, batch: &[EdgeEvent]) {
-        self.session.process_batch(batch);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.session.estimate(self.query)
-    }
-
-    fn name(&self) -> &str {
-        self.session.name()
-    }
-
-    fn pattern(&self) -> Pattern {
-        self.session.pattern(self.query)
-    }
-
-    fn stored_edges(&self) -> usize {
-        self.session.stored_edges()
+    pub(crate) fn estimate(&self) -> f64 {
+        self.sampler.query_estimate(&self.query)
     }
 }
 

@@ -9,8 +9,8 @@
 //! # What is (and is not) serialized
 //!
 //! A snapshot carries the *builder configuration* (algorithm, budget,
-//! seed, pooling, WRS fraction, resolved weight pattern, mass kernel,
-//! layered toggle, optional learned policy) plus the *dynamic state*:
+//! seed, pooling, WRS fraction, resolved weight pattern, layered
+//! toggle, optional learned policy) plus the *dynamic state*:
 //! the attached queries' estimators, the rank heap in **verbatim slot
 //! order** (heap layout is observable — tie-breaking and sift order
 //! depend on it), the sampled adjacency as a canonical
@@ -27,21 +27,29 @@
 //!
 //! The encoding is a fixed little-endian byte format behind
 //! [`ByteWriter`]/[`ByteReader`] (no serde in this workspace); floats
-//! travel as raw IEEE-754 bits so round-trips are exact.
+//! travel as raw IEEE-754 bits so round-trips are exact. The same module
+//! holds the rest of the workspace's byte envelope: the [`fnv1a64`]
+//! integrity hash that checksummed files trail their content with, and
+//! [`write_file_atomic`], the one crash-safe way files are written.
 //!
 //! [`StreamSession`]: crate::session::StreamSession
 //! [`AdjacencyLayout`]: wsd_graph::AdjacencyLayout
 
+use std::fs::{self, File};
+use std::io::{self, Write};
+use std::path::Path;
+
 use crate::config::Algorithm;
-use crate::estimator::MassKernel;
 use crate::state::TemporalPooling;
 use crate::weight::{FeatureNorm, LinearPolicy};
 use wsd_graph::{AdjacencyLayout, Edge, EdgeId, Pattern};
 
 /// Magic bytes opening every encoded snapshot.
 const MAGIC: &[u8; 4] = b"WSDS";
-/// Encoding version (bump on any layout change).
-const VERSION: u32 = 1;
+/// Encoding version (bump on any layout change). Blobs of any other
+/// version are rejected with [`SnapshotError::BadHeader`]; there is no
+/// compatibility reader.
+const VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------
 // Errors
@@ -230,11 +238,48 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// FNV-1a, 64-bit: tiny, dependency-free corruption detection — the
+/// checksum trailing policy artifacts and the serve store's files. It
+/// is an integrity check against torn writes and bit rot, not an
+/// authentication mechanism.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Writes `bytes` to `path` atomically: the bytes go to a `<name>.tmp`
+/// sibling, which is fsynced and renamed over `path`, and then the
+/// directory is fsynced so the rename itself is durable. A reader sees
+/// either the old complete file or the new complete file, never a torn
+/// one.
+pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, path)?;
+    // Not every platform exposes a directory fsync, so a failure here
+    // downgrades to best-effort.
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------
 // Leaf encoders
 // ---------------------------------------------------------------------
 
-fn put_pattern(w: &mut ByteWriter, p: Pattern) {
+pub(crate) fn put_pattern(w: &mut ByteWriter, p: Pattern) {
     match p {
         Pattern::Wedge => w.put_u8(0),
         Pattern::Triangle => w.put_u8(1),
@@ -246,7 +291,7 @@ fn put_pattern(w: &mut ByteWriter, p: Pattern) {
     }
 }
 
-fn get_pattern(r: &mut ByteReader<'_>) -> Result<Pattern, SnapshotError> {
+pub(crate) fn get_pattern(r: &mut ByteReader<'_>) -> Result<Pattern, SnapshotError> {
     Ok(match r.get_u8()? {
         0 => Pattern::Wedge,
         1 => Pattern::Triangle,
@@ -693,7 +738,7 @@ impl SamplerState {
 // ---------------------------------------------------------------------
 
 /// The builder configuration a snapshot carries — enough to rebuild the
-/// sampler skeleton (weight function, capacities, kernels) before the
+/// sampler skeleton (weight function, capacities) before the
 /// dynamic [`SamplerState`] is overlaid.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionConfig {
@@ -708,9 +753,6 @@ pub struct SessionConfig {
     pub pooling: TemporalPooling,
     /// WRS waiting-room fraction.
     pub wrs_fraction: f64,
-    /// Estimator mass kernel (both kernels exist under every build
-    /// config and are bit-identical, so this round-trips faithfully).
-    pub mass_kernel: MassKernel,
     /// The *resolved* weight pattern of the weighted samplers; `None`
     /// only for uniform algorithms built without any query.
     pub weight_pattern: Option<Pattern>,
@@ -739,10 +781,6 @@ impl SessionConfig {
             TemporalPooling::Avg => 1,
         });
         w.put_f64(self.wrs_fraction);
-        w.put_u8(match self.mass_kernel {
-            MassKernel::Scalar => 0,
-            MassKernel::Lanes => 1,
-        });
         match self.weight_pattern {
             None => w.put_u8(0),
             Some(p) => {
@@ -790,11 +828,6 @@ impl SessionConfig {
             _ => return Err(SnapshotError::BadTag("pooling")),
         };
         let wrs_fraction = r.get_f64()?;
-        let mass_kernel = match r.get_u8()? {
-            0 => MassKernel::Scalar,
-            1 => MassKernel::Lanes,
-            _ => return Err(SnapshotError::BadTag("mass kernel")),
-        };
         let weight_pattern = match r.get_u8()? {
             0 => None,
             1 => Some(get_pattern(r)?),
@@ -832,7 +865,6 @@ impl SessionConfig {
             seed,
             pooling,
             wrs_fraction,
-            mass_kernel,
             weight_pattern,
             layered,
             policy,
@@ -963,7 +995,6 @@ mod tests {
                 seed: 42,
                 pooling: TemporalPooling::Max,
                 wrs_fraction: 0.1,
-                mass_kernel: MassKernel::Scalar,
                 weight_pattern: Some(Pattern::Triangle),
                 layered: true,
                 policy: None,
@@ -1092,5 +1123,22 @@ mod tests {
         // The algorithm tag sits right after the 8-byte header.
         bad_tag[8] = 200;
         assert_eq!(SessionSnapshot::decode(&bad_tag), Err(SnapshotError::BadTag("algorithm")));
+    }
+
+    /// A blob of another encoding version — version 1 still carried the
+    /// mass-kernel byte — is rejected at the header, never misparsed.
+    #[test]
+    fn rejects_other_encoding_versions() {
+        let bytes = snapshot_for(SamplerState::Rp {
+            reservoir: RpState { edges: vec![], d_in: 0, d_out: 0, population: 0 },
+            adj: AdjacencyLayout { vertices: vec![], free: vec![], id_bound: 0 },
+            rng: [1, 2, 3, 4],
+        })
+        .encode();
+        for version in [1u32, VERSION + 1] {
+            let mut skewed = bytes.clone();
+            skewed[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(SessionSnapshot::decode(&skewed), Err(SnapshotError::BadHeader));
+        }
     }
 }

@@ -4,8 +4,8 @@
 //! admission plans (`guaranteed_admissions` / unconditional admits),
 //! run-level reservoir and WRS room admission, and the SoA reservoir
 //! write path underneath — is an *optimisation*, not a semantic
-//! variant. This suite runs the batched path and the legacy per-event
-//! path in lockstep over the same stream and asserts, at every batch
+//! variant. This suite runs the batched path and the per-event path in
+//! lockstep over the same stream and asserts, at every batch
 //! boundary (batch sizes down to 1, so per-event granularity is
 //! covered):
 //!
@@ -22,9 +22,7 @@
 //! Deterministic scenarios pin the regimes the run plans must not
 //! disturb — ID-recycling churn waves and WRS ghost-position
 //! re-admissions — and a proptest sweeps feasible dynamic streams ×
-//! batch partitions × capacities for all six algorithms. Both mass
-//! kernels run in-process; CI's `--no-default-features` leg re-runs the
-//! whole suite under the scalar default.
+//! batch partitions × capacities for all six algorithms.
 
 use proptest::prelude::*;
 use wsd_core::algorithms::{
@@ -32,7 +30,7 @@ use wsd_core::algorithms::{
 };
 use wsd_core::state::TemporalPooling;
 use wsd_core::weight::HeuristicWeight;
-use wsd_core::{EdgeSampler, MassKernel, PatternQuery, QueryCtx};
+use wsd_core::{EdgeSampler, PatternQuery, QueryCtx};
 use wsd_graph::patterns::EnumScratch;
 use wsd_graph::{Edge, EdgeEvent, Pattern};
 
@@ -88,8 +86,8 @@ struct Lockstep<S, Snap> {
 }
 
 impl<S: EdgeSampler, Snap: PartialEq + std::fmt::Debug> Lockstep<S, Snap> {
-    fn new(seq: S, bat: S, patterns: &[(Pattern, MassKernel)], snapshot: fn(&S) -> Snap) -> Self {
-        let queries = || patterns.iter().map(|&(p, k)| PatternQuery::new(p, k)).collect::<Vec<_>>();
+    fn new(seq: S, bat: S, patterns: &[Pattern], snapshot: fn(&S) -> Snap) -> Self {
+        let queries = || patterns.iter().map(|&p| PatternQuery::new(p)).collect::<Vec<_>>();
         Self {
             seq,
             bat,
@@ -177,8 +175,6 @@ fn wsd(capacity: usize, seed: u64) -> WsdSampler {
     )
 }
 
-const KERNELS: [MassKernel; 2] = [MassKernel::Scalar, MassKernel::Lanes];
-
 /// Insert/delete churn waves that recycle arena (and GPS-A item) IDs
 /// far past capacity: fill over budget, delete a sliding half, refill.
 fn churn_waves() -> Vec<EdgeEvent> {
@@ -198,34 +194,24 @@ fn churn_waves() -> Vec<EdgeEvent> {
 #[test]
 fn wsd_id_recycling_waves_match_per_event() {
     let stream = churn_waves();
-    for kernel in KERNELS {
-        for &cuts in &[&[1usize][..], &[3, 7, 1][..], &[64][..]] {
-            let mut lock = Lockstep::new(
-                wsd(12, 9).with_mass_kernel(kernel),
-                wsd(12, 9).with_mass_kernel(kernel),
-                &[(Pattern::Triangle, kernel), (Pattern::Wedge, kernel)],
-                wsd_snap,
-            );
-            lock.drive(&stream, cuts).unwrap();
-        }
+    for &cuts in &[&[1usize][..], &[3, 7, 1][..], &[64][..]] {
+        let mut lock =
+            Lockstep::new(wsd(12, 9), wsd(12, 9), &[Pattern::Triangle, Pattern::Wedge], wsd_snap);
+        lock.drive(&stream, cuts).unwrap();
     }
 }
 
 #[test]
 fn gps_a_id_recycling_waves_match_per_event() {
     let stream = churn_waves();
-    for kernel in KERNELS {
-        for &cuts in &[&[1usize][..], &[5, 2][..], &[64][..]] {
-            let mut lock = Lockstep::new(
-                GpsASampler::new(Pattern::Triangle, 12, Box::new(HeuristicWeight), 11)
-                    .with_mass_kernel(kernel),
-                GpsASampler::new(Pattern::Triangle, 12, Box::new(HeuristicWeight), 11)
-                    .with_mass_kernel(kernel),
-                &[(Pattern::Triangle, kernel)],
-                gps_a_snap,
-            );
-            lock.drive(&stream, cuts).unwrap();
-        }
+    for &cuts in &[&[1usize][..], &[5, 2][..], &[64][..]] {
+        let mut lock = Lockstep::new(
+            GpsASampler::new(Pattern::Triangle, 12, Box::new(HeuristicWeight), 11),
+            GpsASampler::new(Pattern::Triangle, 12, Box::new(HeuristicWeight), 11),
+            &[Pattern::Triangle],
+            gps_a_snap,
+        );
+        lock.drive(&stream, cuts).unwrap();
     }
 }
 
@@ -239,18 +225,14 @@ fn gps_fill_plan_matches_per_event() {
             stream.push(EdgeEvent::insert(Edge::new(a, b)));
         }
     }
-    for kernel in KERNELS {
-        for &cuts in &[&[1usize][..], &[11, 4][..], &[256][..]] {
-            let mut lock = Lockstep::new(
-                GpsSampler::new(Pattern::Triangle, 16, Box::new(HeuristicWeight), 13)
-                    .with_mass_kernel(kernel),
-                GpsSampler::new(Pattern::Triangle, 16, Box::new(HeuristicWeight), 13)
-                    .with_mass_kernel(kernel),
-                &[(Pattern::Triangle, kernel)],
-                gps_snap,
-            );
-            lock.drive(&stream, cuts).unwrap();
-        }
+    for &cuts in &[&[1usize][..], &[11, 4][..], &[256][..]] {
+        let mut lock = Lockstep::new(
+            GpsSampler::new(Pattern::Triangle, 16, Box::new(HeuristicWeight), 13),
+            GpsSampler::new(Pattern::Triangle, 16, Box::new(HeuristicWeight), 13),
+            &[Pattern::Triangle],
+            gps_snap,
+        );
+        lock.drive(&stream, cuts).unwrap();
     }
 }
 
@@ -261,14 +243,14 @@ fn rp_fill_runs_match_per_event() {
         let mut t = Lockstep::new(
             TriestSampler::new(10, 17),
             TriestSampler::new(10, 17),
-            &[(Pattern::Triangle, MassKernel::Scalar)],
+            &[Pattern::Triangle],
             triest_snap,
         );
         t.drive(&stream, cuts).unwrap();
         let mut d = Lockstep::new(
             ThinkDSampler::new(10, 19),
             ThinkDSampler::new(10, 19),
-            &[(Pattern::Triangle, MassKernel::Scalar)],
+            &[Pattern::Triangle],
             thinkd_snap,
         );
         d.drive(&stream, cuts).unwrap();
@@ -292,17 +274,15 @@ fn wrs_ghost_position_readmissions_match_per_event() {
         intents.push((18 + round % 4, 70 + round % 9, false));
     }
     let stream = feasible_stream(&intents);
-    for kernel in KERNELS {
-        for &cuts in &[&[1usize][..], &[4, 1, 6][..], &[64][..]] {
-            // Room capacity 2 (8 × 0.25) keeps the FIFO under pressure.
-            let mut lock = Lockstep::new(
-                WrsSampler::with_fraction(8, 0.25, 7),
-                WrsSampler::with_fraction(8, 0.25, 7),
-                &[(Pattern::Triangle, kernel)],
-                wrs_snap,
-            );
-            lock.drive(&stream, cuts).unwrap();
-        }
+    for &cuts in &[&[1usize][..], &[4, 1, 6][..], &[64][..]] {
+        // Room capacity 2 (8 × 0.25) keeps the FIFO under pressure.
+        let mut lock = Lockstep::new(
+            WrsSampler::with_fraction(8, 0.25, 7),
+            WrsSampler::with_fraction(8, 0.25, 7),
+            &[Pattern::Triangle],
+            wrs_snap,
+        );
+        lock.drive(&stream, cuts).unwrap();
     }
 }
 
@@ -311,30 +291,21 @@ proptest! {
 
     /// Full sweep: all six algorithms, feasible dynamic churn, arbitrary
     /// batch partitions, budgets small enough to exercise every
-    /// admission/eviction/fill regime, both kernels.
+    /// admission/eviction/fill regime.
     #[test]
     fn prop_admission_paths_bit_identical(
         intents in proptest::collection::vec((0u8..20, 0u8..20, any::<bool>()), 0..250),
         cuts in proptest::collection::vec(1usize..40, 0..10),
         seed in 0u64..1_000,
         capacity in 8usize..24,
-        lanes in any::<bool>(),
     ) {
-        let kernel = if lanes { MassKernel::Lanes } else { MassKernel::Scalar };
         let stream = feasible_stream(&intents);
-        let queries = [(Pattern::Triangle, kernel)];
+        let queries = [Pattern::Triangle];
+        Lockstep::new(wsd(capacity, seed), wsd(capacity, seed), &queries, wsd_snap)
+            .drive(&stream, &cuts)?;
         Lockstep::new(
-            wsd(capacity, seed).with_mass_kernel(kernel),
-            wsd(capacity, seed).with_mass_kernel(kernel),
-            &queries,
-            wsd_snap,
-        )
-        .drive(&stream, &cuts)?;
-        Lockstep::new(
-            GpsASampler::new(Pattern::Triangle, capacity, Box::new(HeuristicWeight), seed)
-                .with_mass_kernel(kernel),
-            GpsASampler::new(Pattern::Triangle, capacity, Box::new(HeuristicWeight), seed)
-                .with_mass_kernel(kernel),
+            GpsASampler::new(Pattern::Triangle, capacity, Box::new(HeuristicWeight), seed),
+            GpsASampler::new(Pattern::Triangle, capacity, Box::new(HeuristicWeight), seed),
             &queries,
             gps_a_snap,
         )
@@ -370,10 +341,8 @@ proptest! {
             .filter(|ev| ev.is_insert() && seen.insert(ev.edge))
             .collect();
         Lockstep::new(
-            GpsSampler::new(Pattern::Triangle, capacity, Box::new(HeuristicWeight), seed)
-                .with_mass_kernel(kernel),
-            GpsSampler::new(Pattern::Triangle, capacity, Box::new(HeuristicWeight), seed)
-                .with_mass_kernel(kernel),
+            GpsSampler::new(Pattern::Triangle, capacity, Box::new(HeuristicWeight), seed),
+            GpsSampler::new(Pattern::Triangle, capacity, Box::new(HeuristicWeight), seed),
             &queries,
             gps_snap,
         )

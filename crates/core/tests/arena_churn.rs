@@ -14,12 +14,11 @@
 //! weight, time, or cached `1/p`) or heap/ID desynchronisation shows up
 //! as a divergence.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wsd_core::rank::{draw_u, inclusion_prob, rank};
-use wsd_core::{Algorithm, CounterConfig};
+use wsd_core::{Algorithm, SessionBuilder};
 use wsd_graph::patterns::EnumScratch;
 use wsd_graph::{Adjacency, Edge, EdgeEvent, FxHashMap, Pattern};
 
@@ -160,16 +159,17 @@ fn feasible_stream(ops: Vec<(bool, u64, u64)>) -> Vec<EdgeEvent> {
 }
 
 fn assert_bit_identical(pattern: Pattern, capacity: usize, seed: u64, stream: &[EdgeEvent]) {
-    let mut arena = CounterConfig::new(pattern, capacity, seed).build(Algorithm::WsdH);
+    let mut arena = SessionBuilder::new(Algorithm::WsdH, capacity, seed).query(pattern).build();
+    let (q, _) = arena.queries().next().unwrap();
     let mut reference = RefWsd::new(pattern, capacity, seed);
     for (i, &ev) in stream.iter().enumerate() {
         arena.process(ev);
         reference.process(ev);
         assert_eq!(
-            arena.estimate().to_bits(),
+            arena.estimate(q).to_bits(),
             reference.estimate.to_bits(),
             "estimates diverged at event {i} ({ev:?}): arena {:?}, reference {:?}",
-            arena.estimate(),
+            arena.estimate(q),
             reference.estimate
         );
         assert_eq!(arena.stored_edges(), reference.entries.len(), "sample size diverged at {i}");

@@ -1,10 +1,17 @@
 //! Framework-level invariants of the weighted samplers, on top of the
 //! per-module unit tests: threshold monotonicity, reservoir/sample
 //! coherence, and the documented GPS-A budget-waste behaviour.
+//!
+//! The samplers are driven directly through [`EdgeSampler::process`] so
+//! the white-box accessors (thresholds, sampled edges, ghost counts)
+//! can be read between events.
 
 use proptest::prelude::*;
-use wsd_core::algorithms::{GpsACounter, WsdCounter};
-use wsd_core::{HeuristicWeight, SubgraphCounter, TemporalPooling, UniformWeight};
+use wsd_core::algorithms::{GpsASampler, WsdSampler};
+use wsd_core::{
+    EdgeSampler, HeuristicWeight, PatternQuery, QueryCtx, TemporalPooling, UniformWeight,
+};
+use wsd_graph::patterns::EnumScratch;
 use wsd_graph::{Edge, EdgeEvent, Pattern};
 
 fn feasible_stream(intents: Vec<(u8, u8, bool)>) -> Vec<EdgeEvent> {
@@ -37,16 +44,13 @@ proptest! {
         capacity in 4usize..24,
     ) {
         let stream = feasible_stream(intents);
-        let mut c = WsdCounter::new(
-            Pattern::Triangle,
-            capacity,
-            Box::new(UniformWeight),
-            TemporalPooling::Max,
-            9,
-        );
+        let mut c =
+            WsdSampler::new(Pattern::Triangle, capacity, Box::new(UniformWeight), TemporalPooling::Max, 9);
+        let mut queries = vec![PatternQuery::new(Pattern::Triangle)];
+        let mut scratch = EnumScratch::default();
         for &ev in &stream {
             let before = c.thresholds();
-            c.process(ev);
+            c.process(ev, QueryCtx::new(&mut queries, &mut scratch));
             let (tau_p, tau_q) = c.thresholds();
             prop_assert!(tau_p >= 0.0 && tau_q >= 0.0);
             if tau_p > 0.0 {
@@ -67,10 +71,12 @@ proptest! {
         capacity in 4usize..24,
     ) {
         let stream = feasible_stream(intents);
-        let mut c = GpsACounter::new(Pattern::Triangle, capacity, Box::new(HeuristicWeight), 9);
+        let mut c = GpsASampler::new(Pattern::Triangle, capacity, Box::new(HeuristicWeight), 9);
+        let mut queries = vec![PatternQuery::new(Pattern::Triangle)];
+        let mut scratch = EnumScratch::default();
         let mut max_stored = 0usize;
         for &ev in &stream {
-            c.process(ev);
+            c.process(ev, QueryCtx::new(&mut queries, &mut scratch));
             let stored = c.stored_edges();
             prop_assert!(stored <= capacity);
             prop_assert!(stored >= max_stored || stored == capacity,
@@ -87,13 +93,10 @@ proptest! {
         intents in proptest::collection::vec((0u8..14, 0u8..14, any::<bool>()), 0..250),
     ) {
         let stream = feasible_stream(intents);
-        let mut c = WsdCounter::new(
-            Pattern::Triangle,
-            8,
-            Box::new(UniformWeight),
-            TemporalPooling::Max,
-            3,
-        );
+        let mut c =
+            WsdSampler::new(Pattern::Triangle, 8, Box::new(UniformWeight), TemporalPooling::Max, 3);
+        let mut queries = vec![PatternQuery::new(Pattern::Triangle)];
+        let mut scratch = EnumScratch::default();
         let mut live = std::collections::BTreeSet::new();
         for &ev in &stream {
             if ev.is_insert() {
@@ -101,7 +104,7 @@ proptest! {
             } else {
                 live.remove(&ev.edge);
             }
-            c.process(ev);
+            c.process(ev, QueryCtx::new(&mut queries, &mut scratch));
             if !ev.is_insert() {
                 prop_assert!(!c.sampled(ev.edge), "deleted edge still sampled");
             }
@@ -122,12 +125,17 @@ proptest! {
 #[test]
 fn minimum_budget_is_usable() {
     let mut c =
-        WsdCounter::new(Pattern::Triangle, 3, Box::new(HeuristicWeight), TemporalPooling::Max, 1);
+        WsdSampler::new(Pattern::Triangle, 3, Box::new(HeuristicWeight), TemporalPooling::Max, 1);
+    let mut queries = vec![PatternQuery::new(Pattern::Triangle)];
+    let mut scratch = EnumScratch::default();
     for a in 0..20u64 {
         for b in (a + 1)..20 {
-            c.process(EdgeEvent::insert(Edge::new(a, b)));
+            c.process(
+                EdgeEvent::insert(Edge::new(a, b)),
+                QueryCtx::new(&mut queries, &mut scratch),
+            );
         }
     }
-    assert!(c.estimate().is_finite());
+    assert!(c.query_estimate(&queries[0]).is_finite());
     assert_eq!(c.stored_edges(), 3);
 }

@@ -12,16 +12,20 @@
 //! different RNG protocol), regenerate these constants deliberately and
 //! say so in the commit — never loosen the comparison to a tolerance.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
-use wsd_core::{Algorithm, CounterConfig};
+use wsd_core::{Algorithm, SessionBuilder, StreamSession};
 use wsd_graph::Pattern;
 use wsd_stream::gen::GeneratorConfig;
 use wsd_stream::{EventStream, Scenario};
 
+/// Runs a single-query session over the whole stream and returns its
+/// final estimate.
+fn final_estimate(mut session: StreamSession, events: &EventStream) -> f64 {
+    session.process_all(events);
+    session.report().queries[0].estimate
+}
+
 fn run(events: &EventStream, pattern: Pattern, alg: Algorithm, seed: u64, capacity: usize) -> f64 {
-    let mut c = CounterConfig::new(pattern, capacity, seed).build(alg);
-    c.process_all(events);
-    c.estimate()
+    final_estimate(SessionBuilder::new(alg, capacity, seed).query(pattern).build(), events)
 }
 
 fn check(events: &EventStream, seed: u64, capacity: usize, golden: &[(Pattern, Algorithm, f64)]) {
@@ -154,11 +158,11 @@ fn golden_wrs_forest_fire_churn() {
         (0.3, Pattern::FourClique, 63.11443438914028_f64),
     ];
     for &(fraction, pattern, want) in &golden {
-        let mut cfg = CounterConfig::new(pattern, capacity, 31);
-        cfg.wrs_fraction = fraction;
-        let mut c = cfg.build(Algorithm::Wrs);
-        c.process_all(&events);
-        let got = c.estimate();
+        let session = SessionBuilder::new(Algorithm::Wrs, capacity, 31)
+            .query(pattern)
+            .with_wrs_fraction(fraction)
+            .build();
+        let got = final_estimate(session, &events);
         assert_eq!(
             got.to_bits(),
             want.to_bits(),

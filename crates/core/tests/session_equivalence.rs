@@ -1,30 +1,25 @@
 //! Session-API equivalence guarantees.
 //!
-//! The [`wsd_core::StreamSession`] redesign split every counter into a
-//! sampler layer and a query layer. These tests pin the contracts that
-//! make the split safe:
+//! A [`wsd_core::StreamSession`] is one sampler layer plus any number
+//! of query layers. These tests pin the contracts that make the split
+//! safe (estimates compared via `f64::to_bits`):
 //!
-//! 1. A **single-query session** is per-event bit-identical to the
-//!    legacy `CounterConfig::build` counter for every algorithm ×
-//!    pattern × churn stream (estimates compared via `f64::to_bits`).
-//! 2. In a **multi-query session**, the query counting the sampler's
-//!    weight pattern is bit-identical to a standalone counter of that
-//!    pattern (the sampler trajectory depends only on the weight
-//!    pattern); for pattern-blind samplers (uniform weights, Triest,
-//!    ThinkD, WRS) *every* query matches its standalone counter.
-//! 3. **Attach warm-up** is a pure function of the sampler state: a
+//! 1. In a **multi-query session**, the query counting the sampler's
+//!    weight pattern is bit-identical to a standalone single-query
+//!    session of that pattern (the sampler trajectory depends only on
+//!    the weight pattern); for pattern-blind samplers (uniform weights,
+//!    Triest, ThinkD, WRS) *every* query matches its standalone session.
+//! 2. **Attach warm-up** is a pure function of the sampler state: a
 //!    query attached at event `t` has exactly the trajectory of a query
 //!    detached and re-attached at `t` — and for Triest, whose estimator
 //!    state is fully sample-determined, exactly the trajectory of a
 //!    query attached from event 0.
-//! 4. **Attach/detach churn leaves the sampler untouched**: the
+//! 3. **Attach/detach churn leaves the sampler untouched**: the
 //!    surviving queries and the sample trajectory are bit-identical to
 //!    a session that never attached anything.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
-
 use proptest::prelude::*;
-use wsd_core::{Algorithm, CounterConfig, SessionBuilder, StreamSession};
+use wsd_core::{Algorithm, QueryId, SessionBuilder, StreamSession};
 use wsd_graph::{Edge, EdgeEvent, Pattern};
 
 /// Every deletion-capable algorithm of the comparison set.
@@ -40,7 +35,7 @@ const DYNAMIC_ALGORITHMS: [Algorithm; 7] = [
 
 /// Samplers whose trajectory ignores every pattern: uniform weights and
 /// the uniform baselines. Every query of such a session matches its
-/// standalone counter bit-for-bit.
+/// standalone session bit-for-bit.
 const PATTERN_BLIND: [Algorithm; 4] =
     [Algorithm::WsdUniform, Algorithm::Triest, Algorithm::ThinkD, Algorithm::Wrs];
 
@@ -93,78 +88,30 @@ fn churn_stream() -> Vec<EdgeEvent> {
     events
 }
 
+/// A session counting `pattern` alone, plus the handle of its query.
 fn single_query_session(
     alg: Algorithm,
     pattern: Pattern,
     capacity: usize,
     seed: u64,
-) -> StreamSession {
-    SessionBuilder::new(alg, capacity, seed).query(pattern).build()
+) -> (StreamSession, QueryId) {
+    let session = SessionBuilder::new(alg, capacity, seed).query(pattern).build();
+    let (id, _) = session.queries().next().unwrap();
+    (session, id)
 }
 
 // ---------------------------------------------------------------------
-// 1. Single-query session ≡ legacy counter, per event.
-// ---------------------------------------------------------------------
-
-#[test]
-fn single_query_session_matches_legacy_counter_per_event() {
-    let stream = churn_stream();
-    for alg in DYNAMIC_ALGORITHMS {
-        for pattern in PATTERNS {
-            let capacity = 24;
-            let mut legacy = CounterConfig::new(pattern, capacity, 7).build(alg);
-            let mut session = single_query_session(alg, pattern, capacity, 7);
-            let (qid, _) = session.queries().next().unwrap();
-            for (i, &ev) in stream.iter().enumerate() {
-                legacy.process(ev);
-                session.process(ev);
-                assert_eq!(
-                    legacy.estimate().to_bits(),
-                    session.estimate(qid).to_bits(),
-                    "{} on {} diverged at event {i}",
-                    alg.name(),
-                    pattern.name()
-                );
-                assert_eq!(legacy.stored_edges(), session.stored_edges());
-            }
-        }
-    }
-}
-
-#[test]
-fn single_query_session_batched_matches_legacy_sequential() {
-    let stream = churn_stream();
-    for alg in DYNAMIC_ALGORITHMS {
-        let mut legacy = CounterConfig::new(Pattern::Triangle, 20, 3).build(alg);
-        for &ev in &stream {
-            legacy.process(ev);
-        }
-        let mut session = single_query_session(alg, Pattern::Triangle, 20, 3);
-        let (qid, _) = session.queries().next().unwrap();
-        for batch in stream.chunks(17) {
-            session.process_batch(batch);
-        }
-        assert_eq!(
-            legacy.estimate().to_bits(),
-            session.estimate(qid).to_bits(),
-            "{} batched session diverged",
-            alg.name()
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// 2. Multi-query sessions vs standalone counters.
+// 1. Multi-query sessions vs standalone sessions.
 // ---------------------------------------------------------------------
 
 /// The weight-pattern query of a weighted multi-query session is
-/// bit-identical to the standalone counter: the sampler trajectory is a
+/// bit-identical to the standalone session: the sampler trajectory is a
 /// function of the weight pattern only.
 #[test]
 fn weight_query_of_multi_session_matches_standalone() {
     let stream = churn_stream();
     for alg in [Algorithm::WsdH, Algorithm::WsdL, Algorithm::GpsA] {
-        let mut standalone = CounterConfig::new(Pattern::Triangle, 24, 11).build(alg);
+        let (mut standalone, solo_tri) = single_query_session(alg, Pattern::Triangle, 24, 11);
         let mut session = SessionBuilder::new(alg, 24, 11)
             .query(Pattern::Wedge)
             .query(Pattern::Triangle)
@@ -176,7 +123,7 @@ fn weight_query_of_multi_session_matches_standalone() {
             standalone.process(ev);
             session.process(ev);
             assert_eq!(
-                standalone.estimate().to_bits(),
+                standalone.estimate(solo_tri).to_bits(),
                 session.estimate(tri).to_bits(),
                 "{} fused triangle query diverged at event {i}",
                 alg.name()
@@ -186,7 +133,7 @@ fn weight_query_of_multi_session_matches_standalone() {
 }
 
 /// For pattern-blind samplers every query of a 3-pattern session is
-/// bit-identical to its standalone counter with the same seed.
+/// bit-identical to its standalone session with the same seed.
 #[test]
 fn pattern_blind_session_queries_match_standalones() {
     let stream = churn_stream();
@@ -194,17 +141,17 @@ fn pattern_blind_session_queries_match_standalones() {
         let mut session = SessionBuilder::new(alg, 24, 13).queries(PATTERNS).build();
         let qids: Vec<_> = session.queries().map(|(id, _)| id).collect();
         let mut standalones: Vec<_> =
-            PATTERNS.iter().map(|&p| CounterConfig::new(p, 24, 13).build(alg)).collect();
+            PATTERNS.iter().map(|&p| single_query_session(alg, p, 24, 13)).collect();
         for (i, &ev) in stream.iter().enumerate() {
             session.process(ev);
-            for (standalone, &qid) in standalones.iter_mut().zip(&qids) {
+            for ((standalone, solo), &qid) in standalones.iter_mut().zip(&qids) {
                 standalone.process(ev);
                 assert_eq!(
-                    standalone.estimate().to_bits(),
+                    standalone.estimate(*solo).to_bits(),
                     session.estimate(qid).to_bits(),
                     "{} {} query diverged at event {i}",
                     alg.name(),
-                    standalone.pattern().name()
+                    standalone.pattern(*solo).name()
                 );
             }
         }
@@ -212,7 +159,7 @@ fn pattern_blind_session_queries_match_standalones() {
 }
 
 // ---------------------------------------------------------------------
-// 3 & 4. Attach / detach.
+// 2 & 3. Attach / detach.
 // ---------------------------------------------------------------------
 
 proptest! {

@@ -19,8 +19,7 @@
 //! Deterministic scenarios pin the mid-churn snapshot points (ID
 //! recycling in flight, WRS ghosts parked in the FIFO); a proptest
 //! sweeps feasible dynamic streams × snapshot positions × capacities
-//! across all six algorithms. CI's `--no-default-features` leg re-runs
-//! everything under the scalar mass kernel.
+//! across all six algorithms.
 
 use proptest::prelude::*;
 use wsd_core::{Algorithm, SessionBuilder, SessionSnapshot, StreamSession};

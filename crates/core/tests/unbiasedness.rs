@@ -7,8 +7,7 @@
 //! within a few standard errors of the exact count. These are the tests
 //! that would catch a wrong inclusion probability or a broken τ update.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
-use wsd_core::{Algorithm, CounterConfig, SubgraphCounter};
+use wsd_core::{Algorithm, SessionBuilder};
 use wsd_graph::Pattern;
 use wsd_stream::gen::GeneratorConfig;
 use wsd_stream::{EventStream, Scenario, TruthTimeline};
@@ -29,9 +28,9 @@ fn mean_estimate(
 ) -> (f64, f64) {
     let estimates: Vec<f64> = (0..reps)
         .map(|seed| {
-            let mut c = CounterConfig::new(pattern, capacity, 1000 + seed).build(alg);
-            c.process_all(stream);
-            c.estimate()
+            let mut s = SessionBuilder::new(alg, capacity, 1000 + seed).query(pattern).build();
+            s.process_all(stream);
+            s.report().queries[0].estimate
         })
         .collect();
     let mean = estimates.iter().sum::<f64>() / reps as f64;
@@ -154,8 +153,9 @@ fn triest_approximately_unbiased_triangles_light() {
 /// streams (Example 1) and WSD restores.
 #[test]
 fn wsd_equal_weights_equal_inclusion_probabilities() {
-    use wsd_core::algorithms::WsdCounter;
-    use wsd_core::{TemporalPooling, UniformWeight};
+    use wsd_core::algorithms::WsdSampler;
+    use wsd_core::{EdgeSampler, QueryCtx, TemporalPooling, UniformWeight};
+    use wsd_graph::patterns::EnumScratch;
     use wsd_graph::{Edge, EdgeEvent};
 
     // Adversarial mini-stream shaped like the paper's Example 1: fill a
@@ -171,8 +171,10 @@ fn wsd_equal_weights_equal_inclusion_probabilities() {
 
     let reps = 60_000u64;
     let mut freq = vec![0u64; survivors.len()];
+    let mut scratch = EnumScratch::default();
     for seed in 0..reps {
-        let mut c = WsdCounter::new(
+        // No query attached: inclusion depends on the sampler alone.
+        let mut c = WsdSampler::new(
             Pattern::Triangle,
             m,
             Box::new(UniformWeight),
@@ -180,7 +182,7 @@ fn wsd_equal_weights_equal_inclusion_probabilities() {
             seed,
         );
         for &ev in &events {
-            c.process(ev);
+            c.process(ev, QueryCtx::new(&mut [], &mut scratch));
         }
         for (i, &e) in survivors.iter().enumerate() {
             if c.sampled(e) {

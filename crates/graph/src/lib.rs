@@ -27,6 +27,7 @@
 //! * [`ExactCounter`] — exact `|J(t)|` maintained incrementally over the
 //!   stream.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
@@ -43,4 +44,4 @@ pub use adjacency::{
 pub use edge::{Edge, EdgeEvent, Op, Vertex};
 pub use exact::ExactCounter;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use patterns::{InstanceBlock, LayeredLevels, Pattern, BLOCK_LANES, MAX_BLOCK_WIDTH};
+pub use patterns::{LayeredLevels, Pattern};

@@ -19,11 +19,9 @@
 //! (`impl FnMut`), so the estimator's per-instance mass/state closure is
 //! fused straight into the galloping intersection kernel — one
 //! monomorphised loop per pattern with no per-instance dynamic dispatch.
-//! Cold callers that need object-safe dispatch (or would otherwise bloat
-//! codegen) use [`Pattern::for_each_completed_dyn`]. The counting kernel
-//! [`Pattern::count_completed`] is additionally generic over the
-//! adjacency's [`IdPayload`], so the ID-free [`VertexAdjacency`] of the
-//! uniform baselines shares it.
+//! The counting kernel [`Pattern::count_completed`] is additionally
+//! generic over the adjacency's [`IdPayload`], so the ID-free
+//! [`VertexAdjacency`] of the uniform baselines shares it.
 //!
 //! Supported patterns:
 //!
@@ -47,122 +45,6 @@ use crate::adjacency::VertexAdjacency;
 /// The bound exists only to keep the stack-allocated scratch buffers small;
 /// enumeration cost explodes combinatorially long before this limit.
 pub const MAX_CLIQUE: u8 = 8;
-
-/// Number of instances per [`InstanceBlock`] — the lane width of the
-/// batched emission mode. Four `f64` lanes fill one 256-bit vector
-/// register, the widest unit portable chunked autovectorization reliably
-/// targets.
-pub const BLOCK_LANES: usize = 4;
-
-/// Widest per-instance partner set the batched emission mode serves
-/// (wedge 1, triangle 2, 4-clique 5). Patterns whose instances carry
-/// more partners — generic cliques of order ≥ 5 — report no
-/// [`Pattern::block_width`] and stay on per-instance emission; keeping
-/// the bound tight keeps the per-event block (re)initialisation to a
-/// couple of cache lines.
-pub const MAX_BLOCK_WIDTH: usize = 5;
-
-/// A fixed-width batch of completed pattern instances, emitted by
-/// [`Pattern::for_each_completed_blocks`].
-///
-/// Partner edge IDs are stored **structure-of-arrays**: lane `l` of row
-/// `j` holds the `j`-th partner of the block's `l`-th instance, so a
-/// consumer walking rows multiplies/compares the same partner position
-/// of all [`BLOCK_LANES`] instances with one contiguous load — the
-/// layout the vectorized `Π 1/p` kernels chew through. Instances occupy
-/// lanes `0..len()` in emission order; lanes past `len()` of a partial
-/// (final) block are unspecified and must not be read — consumers run
-/// the full-width vector path only on full blocks (`len() ==
-/// BLOCK_LANES`) and fall back to per-lane loops on the tail, so sparse
-/// events never pay for empty lanes.
-#[derive(Clone, Debug)]
-pub struct InstanceBlock {
-    /// `ids[j][l]` = partner `j` of instance `l` (SoA).
-    ids: [[EdgeId; BLOCK_LANES]; MAX_BLOCK_WIDTH],
-    /// Partners per instance (fixed per pattern).
-    width: u8,
-    /// Instances currently in the block (`1..=BLOCK_LANES` at emission).
-    len: u8,
-}
-
-impl InstanceBlock {
-    fn new(width: usize) -> Self {
-        debug_assert!((1..=MAX_BLOCK_WIDTH).contains(&width));
-        Self { ids: [[0; BLOCK_LANES]; MAX_BLOCK_WIDTH], width: width as u8, len: 0 }
-    }
-
-    /// Number of instances in the block (`1..=BLOCK_LANES` when emitted).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// True if no instance has been recorded.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Partners per instance (`|H| − 1` of the emitting pattern).
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width as usize
-    }
-
-    /// The `j`-th partner of every lane, as one contiguous row. Entries
-    /// past [`InstanceBlock::len`] are unspecified (see the type docs);
-    /// only full blocks should be consumed row-wise.
-    #[inline]
-    pub fn lane_ids(&self, j: usize) -> &[EdgeId; BLOCK_LANES] {
-        &self.ids[j]
-    }
-
-    /// The `j`-th partner of instance `lane`.
-    #[inline]
-    pub fn id(&self, j: usize, lane: usize) -> EdgeId {
-        self.ids[j][lane]
-    }
-
-    /// Appends a single-partner instance (wedge lane fill).
-    #[inline]
-    fn push1(&mut self, a: EdgeId) -> bool {
-        debug_assert_eq!(self.width, 1);
-        let lane = self.len as usize;
-        self.ids[0][lane] = a;
-        self.len += 1;
-        self.len as usize == BLOCK_LANES
-    }
-
-    /// Appends a two-partner instance (triangle lane fill).
-    #[inline]
-    fn push2(&mut self, a: EdgeId, b: EdgeId) -> bool {
-        debug_assert_eq!(self.width, 2);
-        let lane = self.len as usize;
-        self.ids[0][lane] = a;
-        self.ids[1][lane] = b;
-        self.len += 1;
-        self.len as usize == BLOCK_LANES
-    }
-
-    /// Appends a five-partner instance (4-clique lane fill).
-    #[inline]
-    #[allow(clippy::many_single_char_names)]
-    fn push5(&mut self, a: EdgeId, b: EdgeId, c: EdgeId, d: EdgeId, e: EdgeId) -> bool {
-        debug_assert_eq!(self.width, 5);
-        let lane = self.len as usize;
-        self.ids[0][lane] = a;
-        self.ids[1][lane] = b;
-        self.ids[2][lane] = c;
-        self.ids[3][lane] = d;
-        self.ids[4][lane] = e;
-        self.len += 1;
-        self.len as usize == BLOCK_LANES
-    }
-
-    fn reset(&mut self) {
-        self.len = 0;
-    }
-}
 
 /// A subgraph pattern `H`.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -291,12 +173,10 @@ impl Pattern {
 
     /// Streams the partner edge ID of every wedge completed by adding
     /// `e` to `g` — the wedge kernel's exact instances and emission
-    /// order (`u`'s slots, then `v`'s) without the partner-slice or
-    /// block plumbing. A wedge instance has exactly one partner edge,
-    /// so mass-only consumers can fold over the IDs directly; the block
-    /// fill, prime pass and unit-product chains of the width-1 lane
-    /// path are pure overhead for them. Returns the endpoint degrees,
-    /// as the full kernels do.
+    /// order (`u`'s slots, then `v`'s) without the partner-slice
+    /// plumbing. A wedge instance has exactly one partner edge, so
+    /// mass-only consumers can fold over the IDs directly. Returns the
+    /// endpoint degrees, as the full kernels do.
     pub fn for_each_wedge_partner(
         g: &Adjacency,
         e: Edge,
@@ -328,9 +208,7 @@ impl Pattern {
     /// The callback is a generic `impl FnMut`, so hot callers (the
     /// estimator mass loop, the WRS instance weigher) get one fused,
     /// monomorphised kernel per pattern — the per-instance work inlines
-    /// into the intersection loop itself. Use
-    /// [`Pattern::for_each_completed_dyn`] where object-safe dispatch is
-    /// preferred.
+    /// into the intersection loop itself.
     ///
     /// Returns the degrees of `e`'s endpoints in `g` — a free by-product
     /// of the neighbourhood lookups enumeration performs anyway, saving
@@ -426,109 +304,6 @@ impl Pattern {
             }
         }
     }
-
-    /// Partner count per instance when the pattern fits the batched
-    /// emission mode: `Some(|H| − 1)` iff it is at most
-    /// [`MAX_BLOCK_WIDTH`]. Generic cliques of order ≥ 5 return `None`
-    /// and must be enumerated per instance.
-    #[inline]
-    pub fn block_width(&self) -> Option<usize> {
-        let w = self.num_edges() - 1;
-        (w <= MAX_BLOCK_WIDTH).then_some(w)
-    }
-
-    /// Batched emission mode of [`Pattern::for_each_completed`]: the
-    /// same instances, in the same order, but delivered in
-    /// [`InstanceBlock`]s of up to [`BLOCK_LANES`] consecutive instances
-    /// (SoA partner-ID lanes) instead of one callback per instance —
-    /// the shape the vectorized estimator mass kernels consume. The
-    /// final block of an event may be partial (`len() < BLOCK_LANES`);
-    /// its unused lanes are unspecified per the [`InstanceBlock`]
-    /// contract.
-    ///
-    /// Returns the endpoint degrees, as the per-instance mode does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Pattern::block_width`] is `None` (instances too wide
-    /// for a block); callers gate on it and fall back to per-instance
-    /// emission.
-    pub fn for_each_completed_blocks(
-        &self,
-        g: &Adjacency,
-        e: Edge,
-        scratch: &mut EnumScratch,
-        mut f: impl FnMut(&InstanceBlock),
-    ) -> (usize, usize) {
-        let width = self.block_width().expect("pattern instances too wide for block emission");
-        let mut block = InstanceBlock::new(width);
-        let (u, v) = e.endpoints();
-        // Every blockable pattern fills lanes straight out of its
-        // intersection kernel — no per-instance partner-slice bounce.
-        let degs = match self {
-            Pattern::Wedge => {
-                let (us, ids_u) = g.neighbor_entries(u);
-                for (i, &w) in us.iter().enumerate() {
-                    if w != v && block.push1(ids_u[i]) {
-                        f(&block);
-                        block.reset();
-                    }
-                }
-                let (vs, ids_v) = g.neighbor_entries(v);
-                for (i, &w) in vs.iter().enumerate() {
-                    if w != u && block.push1(ids_v[i]) {
-                        f(&block);
-                        block.reset();
-                    }
-                }
-                (us.len(), vs.len())
-            }
-            Pattern::Triangle | Pattern::Clique(3) => g.for_each_common_edge(u, v, |_, eu, ev| {
-                if block.push2(eu, ev) {
-                    f(&block);
-                    block.reset();
-                }
-            }),
-            Pattern::FourClique | Pattern::Clique(4) => {
-                let degs = g.common_edges_into(u, v, &mut scratch.common_edges);
-                let c = &scratch.common_edges;
-                for (i, ci) in c.iter().enumerate() {
-                    let nw = g.neighborhood(ci.w);
-                    for cj in &c[(i + 1)..] {
-                        if let Some(wx) = nw.id_of(cj.w) {
-                            if block.push5(ci.eu, ci.ev, cj.eu, cj.ev, wx) {
-                                f(&block);
-                                block.reset();
-                            }
-                        }
-                    }
-                }
-                degs
-            }
-            // Clique(3)/Clique(4) matched the fast arms above; wider
-            // cliques have no block_width and panicked at the gate (the
-            // Lanes kernel serves them through its scalar fallback).
-            Pattern::Clique(_) => unreachable!("unblockable clique passed block_width gating"),
-        };
-        if !block.is_empty() {
-            f(&block);
-        }
-        degs
-    }
-
-    /// Object-safe shim over [`Pattern::for_each_completed`] for cold
-    /// callers: dispatches the callback through a `&mut dyn FnMut`
-    /// instead of monomorphising the kernel per closure, trading
-    /// per-instance indirect calls for one shared instantiation.
-    pub fn for_each_completed_dyn(
-        &self,
-        g: &Adjacency,
-        e: Edge,
-        scratch: &mut EnumScratch,
-        f: &mut dyn FnMut(&[EdgeId]),
-    ) -> (usize, usize) {
-        self.for_each_completed(g, e, scratch, f)
-    }
 }
 
 /// The set of nesting levels a **layered** enumeration pass emits:
@@ -537,8 +312,8 @@ impl Pattern {
 /// neighbourhood the triangle kernel intersects, and the wedge kernel
 /// walks the same endpoint neighbourhoods. A multi-query session unions
 /// its queries' levels into one `LayeredLevels` and runs
-/// [`LayeredLevels::for_each_completed`] (or the block/count modes)
-/// once per event instead of one per-pattern pass per query.
+/// [`LayeredLevels::for_each_completed`] (or the count mode) once per
+/// event instead of one per-pattern pass per query.
 ///
 /// Levels are dense indices ([`LayeredLevels::WEDGE`] = 0,
 /// [`LayeredLevels::TRIANGLE`] = 1, [`LayeredLevels::FOUR_CLIQUE`] = 2)
@@ -549,13 +324,13 @@ impl Pattern {
 ///
 /// **Emission contract:** at each level the instances, their partner-ID
 /// order *and* their relative order are exactly those of the
-/// corresponding per-pattern kernel ([`Pattern::for_each_completed`] /
-/// [`Pattern::for_each_completed_blocks`]). Levels are emitted in
-/// ascending order (all wedges, then all triangles, then all
-/// 4-cliques). Estimators sum per level, so this makes a layered pass
-/// bit-identical to the per-pattern passes it replaces — the shared
-/// walk is a pure cost optimisation, never a numeric one. The shared
-/// work is real: when both the triangle and 4-clique levels are active
+/// corresponding per-pattern kernel ([`Pattern::for_each_completed`]).
+/// Levels are emitted in ascending order (all wedges, then all
+/// triangles, then all 4-cliques). Estimators sum per level, so this
+/// makes a layered pass bit-identical to the per-pattern passes it
+/// replaces — the shared walk is a pure cost optimisation, never a
+/// numeric one. The shared work is real: when both the triangle and
+/// 4-clique levels are active
 /// the galloping hub–hub intersection runs **once**, filling the
 /// common-edge buffer that the triangle level replays (the buffer fill
 /// *is* the streaming intersection callback, same hits in the same
@@ -593,8 +368,8 @@ impl LayeredLevels {
         }
     }
 
-    /// The canonical pattern emitted at `level` (used to recover widths
-    /// and for differential testing against the per-pattern kernels).
+    /// The canonical pattern emitted at `level` (used for differential
+    /// testing against the per-pattern kernels).
     #[inline]
     pub fn pattern_at(level: usize) -> Pattern {
         match level {
@@ -703,91 +478,6 @@ impl LayeredLevels {
                             f(Self::FOUR_CLIQUE, &partner);
                         }
                     }
-                }
-            }
-            (false, false) => {}
-        }
-        degs
-    }
-
-    /// Layered analogue of [`Pattern::for_each_completed_blocks`]: the
-    /// same instances as [`LayeredLevels::for_each_completed`], in the
-    /// same order, delivered per level in [`InstanceBlock`]s — each
-    /// level fills its own block (widths differ) and flushes its tail
-    /// before the next level starts, so per-level block boundaries
-    /// match the per-pattern block kernel exactly.
-    pub fn for_each_completed_blocks(
-        &self,
-        g: &Adjacency,
-        e: Edge,
-        scratch: &mut EnumScratch,
-        mut f: impl FnMut(usize, &InstanceBlock),
-    ) -> (usize, usize) {
-        let (u, v) = e.endpoints();
-        let mut degs = (g.degree(u), g.degree(v));
-        if self.wedge {
-            let mut block = InstanceBlock::new(1);
-            let (us, ids_u) = g.neighbor_entries(u);
-            for (i, &w) in us.iter().enumerate() {
-                if w != v && block.push1(ids_u[i]) {
-                    f(Self::WEDGE, &block);
-                    block.reset();
-                }
-            }
-            let (vs, ids_v) = g.neighbor_entries(v);
-            for (i, &w) in vs.iter().enumerate() {
-                if w != u && block.push1(ids_v[i]) {
-                    f(Self::WEDGE, &block);
-                    block.reset();
-                }
-            }
-            if !block.is_empty() {
-                f(Self::WEDGE, &block);
-            }
-            degs = (us.len(), vs.len());
-        }
-        match (self.triangle, self.four_clique) {
-            (true, false) => {
-                let mut block = InstanceBlock::new(2);
-                degs = g.for_each_common_edge(u, v, |_, eu, ev| {
-                    if block.push2(eu, ev) {
-                        f(Self::TRIANGLE, &block);
-                        block.reset();
-                    }
-                });
-                if !block.is_empty() {
-                    f(Self::TRIANGLE, &block);
-                }
-            }
-            (_, true) => {
-                degs = g.common_edges_into(u, v, &mut scratch.common_edges);
-                let c = &scratch.common_edges;
-                if self.triangle {
-                    let mut block = InstanceBlock::new(2);
-                    for ci in c {
-                        if block.push2(ci.eu, ci.ev) {
-                            f(Self::TRIANGLE, &block);
-                            block.reset();
-                        }
-                    }
-                    if !block.is_empty() {
-                        f(Self::TRIANGLE, &block);
-                    }
-                }
-                let mut block = InstanceBlock::new(5);
-                for (i, ci) in c.iter().enumerate() {
-                    let nw = g.neighborhood(ci.w);
-                    for cj in &c[(i + 1)..] {
-                        if let Some(wx) = nw.id_of(cj.w) {
-                            if block.push5(ci.eu, ci.ev, cj.eu, cj.ev, wx) {
-                                f(Self::FOUR_CLIQUE, &block);
-                                block.reset();
-                            }
-                        }
-                    }
-                }
-                if !block.is_empty() {
-                    f(Self::FOUR_CLIQUE, &block);
                 }
             }
             (false, false) => {}
@@ -1000,68 +690,6 @@ mod tests {
         );
     }
 
-    /// Flattens block emission back into per-instance partner vectors
-    /// (dropping pad lanes), for comparison against the per-instance mode.
-    fn enumerate_blocked(p: Pattern, g: &Adjacency, e: Edge) -> (Vec<Vec<EdgeId>>, (usize, usize)) {
-        let mut s = EnumScratch::default();
-        let mut out = Vec::new();
-        let degs = p.for_each_completed_blocks(g, e, &mut s, |block| {
-            assert!(!block.is_empty() && block.len() <= BLOCK_LANES);
-            assert_eq!(block.width(), p.num_edges() - 1);
-            for lane in 0..block.len() {
-                out.push((0..block.width()).map(|j| block.id(j, lane)).collect());
-            }
-        });
-        (out, degs)
-    }
-
-    #[test]
-    fn block_emission_matches_per_instance_order_and_degrees() {
-        // Hub star closing many triangles at once: 1 is connected to
-        // 2..=12, 13 is connected to 2..=12; adding (1,13) completes 11
-        // triangles — enough instances for two full blocks + a partial.
-        let mut g = Adjacency::new();
-        for v in 2..=12u64 {
-            g.insert(Edge::new(1, v));
-            g.insert(Edge::new(13, v));
-        }
-        g.insert(Edge::new(2, 3));
-        g.insert(Edge::new(2, 4));
-        g.insert(Edge::new(3, 4));
-        for p in [Pattern::Wedge, Pattern::Triangle, Pattern::FourClique, Pattern::Clique(4)] {
-            let e = Edge::new(1, 13);
-            let mut s = EnumScratch::default();
-            let mut per_instance: Vec<Vec<EdgeId>> = Vec::new();
-            let degs = p
-                .for_each_completed(&g, e, &mut s, |partners| per_instance.push(partners.to_vec()));
-            let (blocked, degs_blocked) = enumerate_blocked(p, &g, e);
-            assert_eq!(degs_blocked, degs, "{p:?}: degrees must ride along in block mode");
-            assert_eq!(blocked, per_instance, "{p:?}: block mode must preserve emission order");
-        }
-    }
-
-    #[test]
-    fn block_emission_partial_and_empty_blocks() {
-        // Exactly one completed triangle → a single partial block.
-        let g = graph(&[(1, 2), (2, 3)]);
-        let (inst, _) = enumerate_blocked(Pattern::Triangle, &g, Edge::new(1, 3));
-        assert_eq!(inst.len(), 1);
-        // No completions → the callback must never fire.
-        let mut s = EnumScratch::default();
-        let mut calls = 0;
-        Pattern::Triangle.for_each_completed_blocks(&g, Edge::new(5, 6), &mut s, |_| calls += 1);
-        assert_eq!(calls, 0, "empty events must not emit a block");
-    }
-
-    #[test]
-    fn block_width_gates_wide_patterns() {
-        assert_eq!(Pattern::Wedge.block_width(), Some(1));
-        assert_eq!(Pattern::Triangle.block_width(), Some(2));
-        assert_eq!(Pattern::FourClique.block_width(), Some(5));
-        assert_eq!(Pattern::Clique(4).block_width(), Some(5));
-        assert_eq!(Pattern::Clique(5).block_width(), None, "9 partners exceed MAX_BLOCK_WIDTH");
-    }
-
     /// All 7 non-empty level subsets.
     fn level_subsets() -> Vec<LayeredLevels> {
         let mut out = Vec::new();
@@ -1093,37 +721,16 @@ mod tests {
         (out, degs)
     }
 
-    /// Per-level instances from a layered pass (block mode), flattened.
-    fn enumerate_layered_blocked(
-        levels: LayeredLevels,
-        g: &Adjacency,
-        e: Edge,
-    ) -> (Vec<Vec<Vec<EdgeId>>>, (usize, usize)) {
-        let mut s = EnumScratch::default();
-        let mut out: Vec<Vec<Vec<EdgeId>>> = vec![Vec::new(); LayeredLevels::COUNT];
-        let degs = levels.for_each_completed_blocks(g, e, &mut s, |level, block| {
-            assert!(levels.active(level), "emitted at inactive level {level}");
-            assert!(!block.is_empty() && block.len() <= BLOCK_LANES);
-            assert_eq!(block.width(), LayeredLevels::pattern_at(level).num_edges() - 1);
-            for lane in 0..block.len() {
-                out[level].push((0..block.width()).map(|j| block.id(j, lane)).collect());
-            }
-        });
-        (out, degs)
-    }
-
     /// The layered differential harness: on every level subset, the
-    /// layered pass (both emission modes) must reproduce each active
-    /// level's per-pattern kernel output — same instances, same partner
-    /// order, same relative order, same degrees — and the layered count
-    /// must match the per-pattern counts. Bit-identity of the session
+    /// layered pass must reproduce each active level's per-pattern
+    /// kernel output — same instances, same partner order, same
+    /// relative order, same degrees — and the layered count must match
+    /// the per-pattern counts. Bit-identity of the session
     /// estimators rests on exactly this contract.
     fn assert_layered_matches_per_pattern(g: &Adjacency, e: Edge) {
         let mut s = EnumScratch::default();
         for levels in level_subsets() {
             let (inst, degs) = enumerate_layered(levels, g, e);
-            let (blocked, degs_blocked) = enumerate_layered_blocked(levels, g, e);
-            assert_eq!(degs_blocked, degs, "{levels:?}: degrees must agree across modes");
             let counts = levels.count_completed(g, e, &mut s);
             for level in 0..LayeredLevels::COUNT {
                 let p = LayeredLevels::pattern_at(level);
@@ -1142,10 +749,6 @@ mod tests {
                     "{levels:?}/{p:?}: layered emission order diverged"
                 );
                 assert_eq!(
-                    blocked[level], per_pattern,
-                    "{levels:?}/{p:?}: layered block emission diverged"
-                );
-                assert_eq!(
                     counts[level],
                     per_pattern.len() as u64,
                     "{levels:?}/{p:?}: layered count diverged"
@@ -1156,8 +759,8 @@ mod tests {
 
     #[test]
     fn layered_emission_matches_per_pattern_kernels() {
-        // The hub-star stream of the block test: enough triangles for
-        // multiple blocks, plus wedges and one 4-clique regime.
+        // A hub star: 1 and 13 share 2..=12, so (1,13) closes eleven
+        // triangles, plus wedges and one 4-clique regime.
         let mut g = Adjacency::new();
         for v in 2..=12u64 {
             g.insert(Edge::new(1, v));
@@ -1205,23 +808,6 @@ mod tests {
         assert!(levels.is_empty());
         levels.set(LayeredLevels::TRIANGLE);
         assert!(levels.active(LayeredLevels::TRIANGLE) && !levels.active(LayeredLevels::WEDGE));
-    }
-
-    #[test]
-    fn dyn_shim_matches_generic_kernel() {
-        let g = graph(&[(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]);
-        let e = Edge::new(1, 4);
-        for p in [Pattern::Wedge, Pattern::Triangle, Pattern::FourClique, Pattern::Clique(4)] {
-            let mut s = EnumScratch::default();
-            let mut via_dyn: Vec<Vec<EdgeId>> = Vec::new();
-            let mut sink = |partners: &[EdgeId]| via_dyn.push(partners.to_vec());
-            let degs_dyn = p.for_each_completed_dyn(&g, e, &mut s, &mut sink);
-            let mut via_gen: Vec<Vec<EdgeId>> = Vec::new();
-            let degs_gen =
-                p.for_each_completed(&g, e, &mut s, |partners| via_gen.push(partners.to_vec()));
-            assert_eq!(degs_dyn, degs_gen, "{p:?}");
-            assert_eq!(via_dyn, via_gen, "{p:?}: shim must not change results or order");
-        }
     }
 
     #[test]

@@ -233,7 +233,7 @@ impl Ddpg {
     }
 
     /// Exports the actor as a frozen [`LinearPolicy`] usable by
-    /// `wsd-core`'s WSD-L counter.
+    /// `wsd-core`'s WSD-L sampler.
     pub fn export_policy(&self) -> LinearPolicy {
         let layer = &self.actor.layers()[0];
         let norm = FeatureNorm::new(self.norm.mean().to_vec(), self.norm.std());

@@ -15,18 +15,21 @@
 //!   renamed aside, never deleted: a corrupt or forged blob must not
 //!   abort the boot, but it also must not silently vanish.
 //!
-//! Every write is atomic: the bytes go to a `.tmp` sibling, are synced,
-//! and are renamed over the final name. A reader (the next boot) sees
-//! either the old complete file or the new complete file, never a torn
-//! one — and the checksum catches the residual cases a crash on a
-//! rename-less filesystem could still leave behind.
+//! Every write goes through [`write_file_atomic`]: the bytes go to a
+//! `.tmp` sibling, are synced, and are renamed over the final name. A
+//! reader (the next boot) sees either the old complete file or the new
+//! complete file, never a torn one — and the [`fnv1a64`] checksum
+//! catches the residual cases a crash on a rename-less filesystem could
+//! still leave behind. The checksum is an integrity check, not
+//! authentication: the boot-time capacity gate is what keeps a *forged*
+//! data-dir from hurting the server.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use wsd_core::{ByteReader, ByteWriter};
+use wsd_core::{fnv1a64, write_file_atomic, ByteReader, ByteWriter};
 
 /// On-disk format version of both the manifest and the session files.
 pub const STORE_FORMAT_VERSION: u32 = 1;
@@ -70,7 +73,7 @@ impl SessionStore {
         let watermark = match read_manifest(&manifest) {
             Ok(Some(watermark)) => watermark,
             Ok(None) => {
-                write_file_atomic(&dir, "MANIFEST", &encode_manifest(1))?;
+                write_file_atomic(&manifest, &encode_manifest(1))?;
                 1
             }
             Err(_) => {
@@ -78,7 +81,7 @@ impl SessionStore {
                 // fresh one. Ids may be re-minted after this, but the
                 // alternative is refusing to boot at all.
                 let _ = fs::rename(&manifest, dir.join("MANIFEST.quarantined"));
-                write_file_atomic(&dir, "MANIFEST", &encode_manifest(1))?;
+                write_file_atomic(&manifest, &encode_manifest(1))?;
                 1
             }
         };
@@ -105,7 +108,7 @@ impl SessionStore {
             return Ok(());
         }
         let next = id.saturating_add(ID_RESERVE_BLOCK);
-        write_file_atomic(&self.dir, "MANIFEST", &encode_manifest(next))?;
+        write_file_atomic(&self.dir.join("MANIFEST"), &encode_manifest(next))?;
         *watermark = next;
         Ok(())
     }
@@ -122,7 +125,7 @@ impl SessionStore {
         let mut bytes = w.into_bytes();
         let sum = fnv1a64(&bytes);
         bytes.extend_from_slice(&sum.to_le_bytes());
-        write_file_atomic(&self.dir, &session_file_name(session), &bytes)
+        write_file_atomic(&self.dir.join(session_file_name(session)), &bytes)
     }
 
     /// Removes a session's persisted snapshot (e.g. on `Close`). Absent
@@ -257,37 +260,6 @@ fn read_manifest(path: &Path) -> io::Result<Option<u64>> {
     let watermark = r.get_u64().map_err(|_| invalid("truncated watermark"))?;
     r.finish().map_err(|_| invalid("trailing manifest bytes"))?;
     Ok(Some(watermark))
-}
-
-/// Writes `bytes` to `dir/name` atomically: tmp sibling, fsync, rename.
-fn write_file_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    let target = dir.join(name);
-    {
-        let mut f = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &target)?;
-    // Make the rename itself durable; not every platform exposes a
-    // directory fsync, so a failure here downgrades to best-effort.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
-}
-
-/// FNV-1a, 64-bit: tiny, dependency-free corruption detection. This is
-/// an integrity check against torn writes and bit rot, not an
-/// authentication mechanism — the boot-time capacity gate is what keeps
-/// a *forged* data-dir from hurting the server.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

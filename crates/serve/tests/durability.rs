@@ -202,6 +202,48 @@ fn corrupt_and_forged_data_dir_boots_with_quarantine() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A data-dir written before the snapshot encoding dropped its
+/// mass-kernel byte (encoding version 1) must still boot: the stale
+/// session is quarantined through the ordinary revive path, and every
+/// other session revives.
+#[test]
+fn snapshot_version_skew_quarantines_only_the_stale_session() {
+    let dir = scratch_dir("version-skew");
+    let (server, mut client) = boot_durable(&dir, 0);
+    let fresh = client.open(Algorithm::Triest, 32, Some(3), &[Pattern::Triangle]).expect("opens");
+    let stale = client.open(Algorithm::WsdH, 32, Some(4), &[Pattern::Triangle]).expect("opens");
+    let head = chain_stream(120);
+    for id in [fresh, stale] {
+        client.send_events(id, &head).expect("sends");
+        client.flush(id).expect("flushes");
+    }
+    let blob = client.snapshot(stale).expect("snapshots");
+    server.shutdown();
+
+    // Rebuild the version-1 layout of the same session: identical bytes
+    // plus the kernel byte after the config's WRS fraction (4 magic + 4
+    // version + 1 algorithm + 8 capacity + 8 seed + 1 pooling + 8
+    // fraction), under a version-1 header.
+    const KERNEL_BYTE_AT: usize = 34;
+    let mut v1 = blob[..KERNEL_BYTE_AT].to_vec();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    v1.push(1);
+    v1.extend_from_slice(&blob[KERNEL_BYTE_AT..]);
+    let store = SessionStore::open(&dir).expect("opens store");
+    store.save(stale, head.len() as u64, &v1).expect("saves stale blob");
+    drop(store);
+
+    let (rebooted, mut client2) = boot_durable(&dir, 0);
+    assert_eq!(rebooted.restored_sessions(), 1, "only the current-version session revives");
+    assert_eq!(rebooted.quarantined_files(), 1, "the version-1 session is quarantined");
+    assert_eq!(client2.flush(fresh).expect("revived session answers"), head.len() as u64);
+    assert!(client2.estimates(stale).is_err(), "stale session must not be served");
+    assert!(dir.join(format!("sess-{stale:016x}.snap.quarantined")).exists());
+
+    rebooted.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn close_durably_removes_and_clean_shutdown_persists() {
     let dir = scratch_dir("close-removes");

@@ -18,7 +18,7 @@
 //! | [`graph`] | `wsd-graph` | edges, events, adjacency, patterns, exact counts |
 //! | [`stream`] | `wsd-stream` | generators, scenarios, orderings, datasets |
 //! | [`core`] | `wsd-core` | multi-query stream sessions over WSD, GPS, GPS-A, Triest, ThinkD, WRS + the batched/parallel engine |
-//! | [`rl`] | `wsd-rl` | DDPG, replay, training, policy persistence |
+//! | [`rl`] | `wsd-rl` | DDPG, replay, environment, scenario-grid training |
 //! | [`serve`] | `wsd-serve` | sharded many-tenant session server: TCP protocol, SPSC ingestion, snapshot/restore migration |
 //!
 //! # Quickstart
@@ -91,7 +91,7 @@ pub use wsd_graph as graph;
 /// Stream substrate: generators, deletion scenarios, orderings, datasets.
 pub use wsd_stream as stream;
 
-/// Sampling algorithms: WSD and every baseline, behind `SubgraphCounter`.
+/// Sampling algorithms: WSD and every baseline, behind `StreamSession`.
 pub use wsd_core as core;
 
 /// Reinforcement learning: DDPG training of WSD-L weight policies.
@@ -103,14 +103,11 @@ pub use wsd_serve as serve;
 /// The most common imports in one place.
 pub mod prelude {
     pub use wsd_core::{
-        Algorithm, BatchDriver, CounterConfig, EdgeSampler, Ensemble, EnsembleReport, LinearPolicy,
-        PatternQuery, PolicyArtifact, PolicyMeta, PolicyRegistry, QueryId, SessionBuilder,
-        SessionEnsembleReport, SessionReport, StreamSession, SubgraphCounter, TemporalPooling,
-        WeightFn, WeightSpec,
+        Algorithm, BatchDriver, EdgeSampler, Ensemble, EnsembleReport, LinearPolicy, PatternQuery,
+        PolicyArtifact, PolicyMeta, PolicyRegistry, QueryId, SessionBuilder, SessionEnsembleReport,
+        SessionReport, StreamSession, TemporalPooling, WeightFn, WeightSpec,
     };
     pub use wsd_graph::{Adjacency, Edge, EdgeEvent, ExactCounter, Op, Pattern, Vertex};
-    pub use wsd_rl::{
-        full_grid, load_policy, save_policy, train, train_cell, GridCell, TrainerConfig,
-    };
+    pub use wsd_rl::{full_grid, train, train_cell, GridCell, TrainerConfig};
     pub use wsd_stream::{gen::GeneratorConfig, EventStream, Scenario, TruthTimeline};
 }

@@ -1,9 +1,22 @@
 //! End-to-end pipeline tests through the umbrella `wsd` crate: dataset
 //! registry → scenario → every algorithm → sane estimates.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
 use wsd::prelude::*;
 use wsd::stream::dataset;
+
+/// Runs a session counting `pattern` alone over `events`; returns the
+/// final estimate and the stored-edge count.
+fn run(
+    alg: Algorithm,
+    pattern: Pattern,
+    capacity: usize,
+    seed: u64,
+    events: &EventStream,
+) -> (f64, usize) {
+    let mut session = SessionBuilder::new(alg, capacity, seed).query(pattern).build();
+    session.process_all(events);
+    (session.report().queries[0].estimate, session.stored_edges())
+}
 
 fn small_workload(scenario: Scenario) -> (EventStream, f64) {
     let spec = dataset::by_name("cit-HE").expect("registry dataset");
@@ -29,14 +42,9 @@ fn every_algorithm_tracks_the_truth_under_light_deletion() {
     ] {
         // Mean over a few seeds keeps this robust without being slow.
         let reps = 8;
-        let mean: f64 = (0..reps)
-            .map(|s| {
-                let mut c = CounterConfig::new(Pattern::Triangle, budget, 100 + s).build(alg);
-                c.process_all(&events);
-                c.estimate()
-            })
-            .sum::<f64>()
-            / reps as f64;
+        let mean: f64 =
+            (0..reps).map(|s| run(alg, Pattern::Triangle, budget, 100 + s, &events).0).sum::<f64>()
+                / reps as f64;
         let are = (mean - truth).abs() / truth;
         assert!(
             are < 0.60,
@@ -52,10 +60,9 @@ fn every_algorithm_survives_massive_deletion() {
     let (events, _) = small_workload(Scenario::Massive { alpha: 3e-4, beta_m: 0.8 });
     let budget = events.len() / 10;
     for alg in Algorithm::paper_table_set() {
-        let mut c = CounterConfig::new(Pattern::Triangle, budget, 5).build(alg);
-        c.process_all(&events);
-        assert!(c.estimate().is_finite(), "{:?} produced a non-finite estimate", alg);
-        assert!(c.stored_edges() <= budget + 1, "{:?} exceeded its budget", alg);
+        let (estimate, stored) = run(alg, Pattern::Triangle, budget, 5, &events);
+        assert!(estimate.is_finite(), "{:?} produced a non-finite estimate", alg);
+        assert!(stored <= budget + 1, "{:?} exceeded its budget", alg);
     }
 }
 
@@ -64,16 +71,15 @@ fn patterns_other_than_triangles_work_end_to_end() {
     let (events, _) = small_workload(Scenario::default_light());
     for pattern in [Pattern::Wedge, Pattern::FourClique, Pattern::Clique(5)] {
         let truth = TruthTimeline::compute(pattern, &events).final_count() as f64;
-        let mut c = CounterConfig::new(pattern, events.len() / 5, 9).build(Algorithm::WsdH);
-        c.process_all(&events);
-        assert!(c.estimate().is_finite(), "{}", pattern.name());
+        let (estimate, _) = run(Algorithm::WsdH, pattern, events.len() / 5, 9, &events);
+        assert!(estimate.is_finite(), "{}", pattern.name());
         // Accuracy is only a fair ask where the count is large relative
         // to the pattern's sampling variance (a 5-clique instance needs
         // 9 sampled partners — single-run relative error on a count of a
         // few hundred is legitimately large).
         let variance_is_tame = truth > 1_000.0 && pattern.num_edges() <= 6;
         if variance_is_tame {
-            let are = (c.estimate() - truth).abs() / truth;
+            let are = (estimate - truth).abs() / truth;
             assert!(are < 1.5, "{}: ARE {are:.2} vs truth {truth}", pattern.name());
         }
     }
@@ -95,13 +101,11 @@ fn estimates_return_to_zero_when_everything_is_deleted() {
         Algorithm::ThinkD,
         Algorithm::Wrs,
     ] {
-        let mut c = CounterConfig::new(Pattern::Triangle, events.len() + 10, 4).build(alg);
-        c.process_all(&events);
+        let (estimate, _) = run(alg, Pattern::Triangle, events.len() + 10, 4, &events);
         assert!(
-            c.estimate().abs() < 1e-6,
-            "{:?}: expected 0 after deleting everything, got {}",
-            alg,
-            c.estimate()
+            estimate.abs() < 1e-6,
+            "{:?}: expected 0 after deleting everything, got {estimate}",
+            alg
         );
     }
 }

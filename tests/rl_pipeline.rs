@@ -2,8 +2,14 @@
 //! → deploy, and the headline sanity check that learned weights do not
 //! underperform the heuristic on the training distribution.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
 use wsd::prelude::*;
+
+/// Final triangle estimate of a single-query session over `events`.
+fn final_triangles(builder: SessionBuilder, events: &EventStream) -> f64 {
+    let mut session = builder.query(Pattern::Triangle).build();
+    session.process_all(events);
+    session.report().queries[0].estimate
+}
 
 fn category_graph(vertices: u64, seed: u64) -> Vec<Edge> {
     GeneratorConfig::HolmeKim { vertices, edges_per_vertex: 6, triad_prob: 0.6 }.generate(seed)
@@ -17,21 +23,29 @@ fn policy_roundtrips_through_disk_and_counter() {
     cfg.batch_size = 32;
     cfg.num_streams = 2;
     let report = train(&edges, Scenario::default_light(), &cfg);
-    let dir = std::env::temp_dir().join("wsd-int-tests");
+    let dir = std::env::temp_dir().join(format!("wsd-int-tests-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("roundtrip.policy");
-    save_policy(&path, &report.policy).unwrap();
-    let loaded = load_policy(&path).unwrap();
-    assert_eq!(loaded, report.policy);
-    // Both policies drive identical counters.
+    let artifact = PolicyArtifact {
+        meta: PolicyMeta {
+            pattern: Pattern::Triangle,
+            scenario: "hk-light".into(),
+            capacity: cfg.capacity as u64,
+            train_seed: cfg.seed,
+            iterations: cfg.iterations as u64,
+        },
+        policy: report.policy.clone(),
+    };
+    let path = dir.join(artifact.file_name());
+    artifact.save(&path).unwrap();
+    let loaded = PolicyArtifact::load(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(loaded, artifact);
+    // Both policies drive identical sessions.
     let events = Scenario::default_light().apply(&category_graph(800, 2), 3);
     let run = |p: LinearPolicy| {
-        let mut c =
-            CounterConfig::new(Pattern::Triangle, 200, 11).with_policy(p).build(Algorithm::WsdL);
-        c.process_all(&events);
-        c.estimate()
+        final_triangles(SessionBuilder::new(Algorithm::WsdL, 200, 11).with_policy(p), &events)
     };
-    assert_eq!(run(report.policy), run(loaded));
+    assert_eq!(run(report.policy), run(loaded.policy));
 }
 
 /// The reproduction's headline: a trained policy should not be *worse*
@@ -56,13 +70,11 @@ fn learned_policy_is_not_worse_than_heuristic() {
     let mean_are = |alg: Algorithm, policy: Option<&LinearPolicy>| {
         (0..reps)
             .map(|s| {
-                let mut c = CounterConfig::new(Pattern::Triangle, budget, 500 + s);
+                let mut builder = SessionBuilder::new(alg, budget, 500 + s);
                 if let Some(p) = policy {
-                    c = c.with_policy(p.clone());
+                    builder = builder.with_policy(p.clone());
                 }
-                let mut counter = c.build(alg);
-                counter.process_all(&events);
-                (counter.estimate() - truth).abs() / truth
+                (final_triangles(builder, &events) - truth).abs() / truth
             })
             .sum::<f64>()
             / reps as f64
@@ -77,10 +89,7 @@ fn pooling_ablation_variants_both_work() {
     let edges = category_graph(400, 30);
     let events = Scenario::default_light().apply(&edges, 31);
     for pooling in [TemporalPooling::Max, TemporalPooling::Avg] {
-        let mut c = CounterConfig::new(Pattern::Triangle, 150, 1)
-            .with_pooling(pooling)
-            .build(Algorithm::WsdL);
-        c.process_all(&events);
-        assert!(c.estimate().is_finite());
+        let builder = SessionBuilder::new(Algorithm::WsdL, 150, 1).with_pooling(pooling);
+        assert!(final_triangles(builder, &events).is_finite());
     }
 }

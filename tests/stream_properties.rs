@@ -2,7 +2,6 @@
 //! feasible streams through the public API must keep every algorithm's
 //! invariants intact.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
 use proptest::prelude::*;
 use wsd::prelude::*;
 
@@ -44,15 +43,16 @@ proptest! {
             Algorithm::ThinkD,
             Algorithm::Wrs,
         ] {
-            let mut c = CounterConfig::new(Pattern::Triangle, budget, 3).build(alg);
+            let mut s = SessionBuilder::new(alg, budget, 3).query(Pattern::Triangle).build();
+            let (q, _) = s.queries().next().unwrap();
             for &ev in &stream {
-                c.process(ev);
-                prop_assert!(c.estimate().is_finite(), "{:?} estimate diverged", alg);
+                s.process(ev);
+                prop_assert!(s.estimate(q).is_finite(), "{:?} estimate diverged", alg);
                 prop_assert!(
-                    c.stored_edges() <= budget,
+                    s.stored_edges() <= budget,
                     "{:?} exceeded budget: {} > {budget}",
                     alg,
-                    c.stored_edges()
+                    s.stored_edges()
                 );
             }
         }
@@ -75,13 +75,14 @@ proptest! {
             Algorithm::ThinkD,
             Algorithm::Wrs,
         ] {
-            let mut c = CounterConfig::new(Pattern::Triangle, 1_000, 5).build(alg);
-            c.process_all(&stream);
+            let mut s = SessionBuilder::new(alg, 1_000, 5).query(Pattern::Triangle).build();
+            s.process_all(&stream);
+            let estimate = s.report().queries[0].estimate;
             prop_assert!(
-                (c.estimate() - truth).abs() < 1e-6,
+                (estimate - truth).abs() < 1e-6,
                 "{:?}: {} vs exact {truth}",
                 alg,
-                c.estimate()
+                estimate
             );
         }
     }
