@@ -22,8 +22,8 @@
 //! across all six algorithms.
 
 use proptest::prelude::*;
-use wsd_core::{Algorithm, SessionBuilder, SessionSnapshot, StreamSession};
-use wsd_graph::{Edge, EdgeEvent, Pattern};
+use wsd_core::{Algorithm, SamplerState, SessionBuilder, SessionSnapshot, StreamSession};
+use wsd_graph::{AdjacencyLayout, Edge, EdgeEvent, Pattern};
 
 /// All six algorithm configurations the paper's grid exercises (the
 /// three WSD weight variants share one sampler implementation; WSD-H
@@ -269,5 +269,73 @@ proptest! {
         let stream = feasible_stream(&intents, algorithm != Algorithm::Gps);
         let cut = stream.len() * usize::from(cut_frac) / 100;
         run_lockstep(algorithm, capacity, seed, &stream, cut);
+    }
+}
+
+/// The three ways a forged adjacency layout can break the simple-graph
+/// structure, each built from a real one: a half-edge dropped from each
+/// of two vertices (asymmetric), one neighbour listed twice on both
+/// sides (duplicate), and a vertex with no neighbours (empty entry).
+fn forged_layouts(layout: &AdjacencyLayout) -> Vec<(&'static str, AdjacencyLayout)> {
+    let mut asymmetric = layout.clone();
+    let a =
+        asymmetric.vertices.iter().position(|(_, s)| s.len() >= 2).expect("a vertex of degree 2");
+    let (a_vertex, dropped) = {
+        let (u, slots) = &mut asymmetric.vertices[a];
+        (*u, slots.pop().expect("slot").0)
+    };
+    let (_, slots) = asymmetric
+        .vertices
+        .iter_mut()
+        .find(|(u, s)| s.len() >= 2 && *u != a_vertex && *u != dropped)
+        .expect("a second vertex of degree 2");
+    slots.pop();
+
+    let mut duplicate = layout.clone();
+    let (u, slots) = &mut duplicate.vertices[0];
+    let (u, (w, id)) = (*u, slots[0]);
+    slots.push((w, id));
+    let (_, w_slots) = duplicate.vertices.iter_mut().find(|(x, _)| *x == w).expect("reverse entry");
+    w_slots.push((u, id));
+
+    let mut empty = layout.clone();
+    let fresh = empty.vertices.iter().map(|(u, _)| *u).max().expect("vertices") + 1;
+    empty.vertices.push((fresh, Vec::new()));
+
+    vec![("asymmetric", asymmetric), ("duplicate", duplicate), ("empty entry", empty)]
+}
+
+fn sample_layout(sampler: &mut SamplerState) -> &mut AdjacencyLayout {
+    match sampler {
+        SamplerState::Wsd { sample, .. }
+        | SamplerState::Gps { sample, .. }
+        | SamplerState::GpsA { sample, .. } => &mut sample.layout,
+        SamplerState::Rp { adj, .. } | SamplerState::Wrs { adj, .. } => adj,
+    }
+}
+
+/// Restore validates the adjacency structure in every build profile: a
+/// forged layout panics (which the server's restore paths turn into an
+/// `Error` reply or a quarantined file) instead of reviving a session
+/// that runs on corrupt state. Covers both the arena-tracked (WSD) and
+/// the ID-free (Triest) adjacency.
+#[test]
+fn restore_rejects_forged_adjacency_layouts() {
+    let stream = churn_stream(12);
+    for algorithm in [Algorithm::WsdH, Algorithm::Triest] {
+        let mut session = builder_for(algorithm, 40, 3).build();
+        session.process_batch(&stream);
+        let snapshot = session.snapshot();
+        let healthy = StreamSession::restore(&snapshot);
+        assert_estimates_bit_equal(&session, &healthy, "unforged control");
+        let mut snapshot = snapshot;
+        let layout = sample_layout(&mut snapshot.sampler).clone();
+        for (forgery, forged) in forged_layouts(&layout) {
+            *sample_layout(&mut snapshot.sampler) = forged;
+            let restored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                StreamSession::restore(&snapshot)
+            }));
+            assert!(restored.is_err(), "{algorithm:?}: {forgery} layout restored");
+        }
     }
 }

@@ -11,11 +11,23 @@
 //! Neighbourhoods are stored as dense parallel arrays of
 //! `(neighbour, edge id)` in **insertion order** (cache-local iteration —
 //! the enumeration hot path walks these slices millions of times per
-//! run) with a hash index attached once a vertex grows past
-//! [`SPILL_THRESHOLD`] neighbours, keeping membership probes and
-//! insert/remove maintenance O(1) for hubs while small neighbourhoods
-//! (the overwhelming majority under reservoir budgets) stay a couple of
-//! cache lines with branch-predictable linear scans.
+//! run), in three tiers by degree:
+//!
+//! * **inline** — up to [`INLINE`] slots live in the vertex-table entry
+//!   itself. Under reservoir budgets most sampled vertices never hold
+//!   more, so creating, scanning and pruning them touches no heap
+//!   memory: no allocation, no free, no pointer chase.
+//! * **heap** — from the next neighbour on, the slots move to two heap
+//!   `Vec`s and stay there for the rest of the set's life.
+//! * **indexed** — past [`SPILL_THRESHOLD`] a hash index is attached,
+//!   keeping membership probes and insert/remove maintenance O(1) for
+//!   hubs, while smaller sets keep branch-predictable linear scans.
+//!
+//! Both storage forms keep `push` / `swap_remove` slot order, so which
+//! form a set is in never shows in emission order, edge IDs or layout
+//! snapshots. Each endpoint of an edge insert, removal or intersection
+//! costs one vertex-table lookup; the one exception is a removal by edge
+//! that empties its first endpoint, which prunes it with a second.
 //!
 //! # The galloping shadow
 //!
@@ -71,6 +83,7 @@
 use crate::edge::{Edge, Vertex};
 use crate::fxhash::FxHashMap;
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 
 /// Dense identifier of a live edge, minted by the [`Adjacency`] arena.
 ///
@@ -178,6 +191,12 @@ pub struct AdjacencyLayout {
     pub id_bound: u32,
 }
 
+/// Neighbourhood size up to which the `(neighbour, edge id)` slots are
+/// kept inline in the vertex-table entry; the next neighbour moves them
+/// to heap arrays. Three slots are what fit beside the index and shadow
+/// pointers in one 64-byte entry for both payloads.
+pub const INLINE: usize = 3;
+
 /// Neighbourhood size beyond which a hash index is attached for O(1)
 /// membership probes. Below it, linear scans over the dense array win on
 /// real hardware (no hashing, no pointer chase).
@@ -276,16 +295,125 @@ impl Shadow {
     }
 }
 
-/// One vertex's neighbourhood: dense parallel `(vertex, payload)` arrays
-/// in insertion order, plus a hash position index past
-/// [`SPILL_THRESHOLD`] and a lazy sorted shadow past
+/// The dense `(neighbour, payload)` slots of one neighbourhood, in
+/// insertion order as permuted by `swap_remove` backfills. Both forms
+/// implement the same `push` / `swap_remove` semantics, so slot order —
+/// and with it emission order, mirror slots and layout snapshots — does
+/// not depend on which form a set is in.
+#[derive(Clone, Debug)]
+enum Slots<P: IdPayload> {
+    /// Up to [`INLINE`] slots inside the vertex-table entry itself:
+    /// creating, scanning and pruning the vertex touch no heap memory.
+    Inline { len: u8, items: [Vertex; INLINE], ids: [P; INLINE] },
+    /// Parallel heap arrays, from the `INLINE + 1`-th neighbour on;
+    /// `ids[i]` is the payload of the edge to `items[i]` (for `P = ()` a
+    /// `Vec<()>` — a length with no storage). A set that moved here stays
+    /// here, as the index and the shadow do.
+    Heap { items: Vec<Vertex>, ids: Vec<P> },
+}
+
+impl<P: IdPayload> Default for Slots<P> {
+    fn default() -> Self {
+        Slots::Inline { len: 0, items: [0; INLINE], ids: [P::default(); INLINE] }
+    }
+}
+
+impl<P: IdPayload> Slots<P> {
+    /// The slots of a restored neighbourhood, verbatim, in the form its
+    /// degree calls for.
+    fn from_entries(entries: &[(Vertex, EdgeId)]) -> Self {
+        if entries.len() <= INLINE {
+            let mut slots = Self::default();
+            for &(w, id) in entries {
+                slots.push(w, P::from_id(id));
+            }
+            slots
+        } else {
+            Slots::Heap {
+                items: entries.iter().map(|&(w, _)| w).collect(),
+                ids: entries.iter().map(|&(_, id)| P::from_id(id)).collect(),
+            }
+        }
+    }
+
+    #[inline]
+    fn items(&self) -> &[Vertex] {
+        match self {
+            Slots::Inline { len, items, .. } => &items[..usize::from(*len)],
+            Slots::Heap { items, .. } => items,
+        }
+    }
+
+    #[inline]
+    fn ids(&self) -> &[P] {
+        match self {
+            Slots::Inline { len, ids, .. } => &ids[..usize::from(*len)],
+            Slots::Heap { ids, .. } => ids,
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        match self {
+            Slots::Inline { len, .. } => usize::from(*len),
+            Slots::Heap { items, .. } => items.len(),
+        }
+    }
+
+    /// Appends a slot, moving the set to the heap when the inline slots
+    /// are full.
+    #[inline]
+    fn push(&mut self, v: Vertex, id: P) {
+        match self {
+            Slots::Inline { len, items, ids } if usize::from(*len) < INLINE => {
+                items[usize::from(*len)] = v;
+                ids[usize::from(*len)] = id;
+                *len += 1;
+            }
+            Slots::Inline { items, ids, .. } => {
+                let mut heap_items = Vec::with_capacity(2 * INLINE);
+                heap_items.extend_from_slice(items);
+                heap_items.push(v);
+                let mut heap_ids = Vec::with_capacity(2 * INLINE);
+                heap_ids.extend_from_slice(ids);
+                heap_ids.push(id);
+                *self = Slots::Heap { items: heap_items, ids: heap_ids };
+            }
+            Slots::Heap { items, ids } => {
+                items.push(v);
+                ids.push(id);
+            }
+        }
+    }
+
+    /// Removes slot `pos` with `Vec::swap_remove` semantics (the last
+    /// slot moves into `pos`), returning the removed payload.
+    #[inline]
+    fn swap_remove(&mut self, pos: usize) -> P {
+        match self {
+            Slots::Inline { len, items, ids } => {
+                let n = usize::from(*len);
+                assert!(pos < n, "swap_remove of slot {pos} in a set of {n}");
+                let id = ids[pos];
+                items[pos] = items[n - 1];
+                ids[pos] = ids[n - 1];
+                *len -= 1;
+                id
+            }
+            Slots::Heap { items, ids } => {
+                items.swap_remove(pos);
+                ids.swap_remove(pos)
+            }
+        }
+    }
+}
+
+/// One vertex's neighbourhood: its dense [`Slots`], plus a hash position
+/// index past [`SPILL_THRESHOLD`] and a lazy sorted shadow past
 /// [`SHADOW_THRESHOLD`].
 #[derive(Clone, Default, Debug)]
 struct NeighborSet<P: IdPayload> {
-    items: Vec<Vertex>,
-    /// `ids[i]` is the payload of the edge `(owner, items[i])`. For
-    /// `P = ()` this is a `Vec<()>` — a length with no storage.
-    ids: Vec<P>,
+    slots: Slots<P>,
     /// vertex → slot in `items`; `Some` once spilled (kept for the rest
     /// of the set's life — churn around the threshold must not thrash).
     /// Boxed for the same reason as the shadow: the unspilled majority
@@ -306,15 +434,47 @@ struct NeighborSet<P: IdPayload> {
     shadow: Option<Box<RefCell<Shadow>>>,
 }
 
+// The set lives inline in the vertex table, so its size is what every
+// vertex lookup pays for: one cache line, whichever the payload.
+const _: () = assert!(
+    std::mem::size_of::<NeighborSet<EdgeId>>() == 64
+        && std::mem::size_of::<NeighborSet<()>>() == 64
+);
+
 impl<P: IdPayload> NeighborSet<P> {
+    /// A restored neighbourhood: the recorded slots verbatim, with the
+    /// acceleration state its degree calls for (index and shadow
+    /// attached, the shadow unbuilt).
+    fn from_entries(entries: &[(Vertex, EdgeId)]) -> Self {
+        let slots = Slots::from_entries(entries);
+        let index = (slots.len() > SPILL_THRESHOLD).then(|| {
+            Box::new(slots.items().iter().enumerate().map(|(i, &w)| (w, i as u32)).collect())
+        });
+        let shadow =
+            (slots.len() > SHADOW_THRESHOLD).then(|| Box::new(RefCell::new(Shadow::unbuilt())));
+        Self { slots, index, shadow }
+    }
+
     #[inline]
     fn len(&self) -> usize {
-        self.items.len()
+        self.slots.len()
     }
 
     #[inline]
     fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len() == 0
+    }
+
+    /// The neighbours in dense slot order.
+    #[inline]
+    fn items(&self) -> &[Vertex] {
+        self.slots.items()
+    }
+
+    /// The payloads, parallel to [`NeighborSet::items`].
+    #[inline]
+    fn ids(&self) -> &[P] {
+        self.slots.ids()
     }
 
     /// Slot of `v`, if present.
@@ -328,8 +488,9 @@ impl<P: IdPayload> NeighborSet<P> {
         match &self.index {
             Some(idx) => idx.get(&v).map(|&i| i as usize),
             None => {
-                if self.items.contains(&v) {
-                    self.items.iter().position(|&w| w == v)
+                let items = self.items();
+                if items.contains(&v) {
+                    items.iter().position(|&w| w == v)
                 } else {
                     None
                 }
@@ -343,7 +504,7 @@ impl<P: IdPayload> NeighborSet<P> {
     #[inline]
     fn find_payload(&self, v: Vertex) -> Option<P> {
         if P::TRACKED {
-            self.find(v).map(|i| self.ids[i])
+            self.find(v).map(|i| self.ids()[i])
         } else if self.contains(v) {
             Some(P::default())
         } else {
@@ -355,7 +516,20 @@ impl<P: IdPayload> NeighborSet<P> {
     fn contains(&self, v: Vertex) -> bool {
         match &self.index {
             Some(idx) => idx.contains_key(&v),
-            None => self.items.contains(&v),
+            None => self.items().contains(&v),
+        }
+    }
+
+    /// Whether some neighbour occupies two slots — corrupt state that
+    /// only a forged layout can produce. Linear past the spill threshold
+    /// (the index collapses duplicates), quadratic below it.
+    fn has_duplicate(&self) -> bool {
+        match &self.index {
+            Some(idx) => idx.len() != self.len(),
+            None => {
+                let items = self.items();
+                items.iter().enumerate().any(|(i, w)| items[..i].contains(w))
+            }
         }
     }
 
@@ -363,10 +537,9 @@ impl<P: IdPayload> NeighborSet<P> {
     fn push_unchecked(&mut self, v: Vertex, id: P) {
         debug_assert!(!self.contains(v), "push_unchecked of a present neighbour");
         if let Some(idx) = &mut self.index {
-            idx.insert(v, self.items.len() as u32);
+            idx.insert(v, self.slots.len() as u32);
         }
-        self.items.push(v);
-        self.ids.push(id);
+        self.slots.push(v, id);
         self.note_insert(v);
     }
 
@@ -378,14 +551,13 @@ impl<P: IdPayload> NeighborSet<P> {
                 if idx.contains_key(&v) {
                     return false;
                 }
-                idx.insert(v, self.items.len() as u32);
-                self.items.push(v);
-                self.ids.push(id);
+                idx.insert(v, self.slots.len() as u32);
+                self.slots.push(v, id);
                 self.note_insert(v);
                 true
             }
             None => {
-                if self.items.contains(&v) {
+                if self.items().contains(&v) {
                     return false;
                 }
                 self.push_unchecked(v, id);
@@ -400,15 +572,16 @@ impl<P: IdPayload> NeighborSet<P> {
     /// mutations).
     #[inline]
     fn note_insert(&mut self, v: Vertex) {
-        if self.index.is_none() && self.items.len() > SPILL_THRESHOLD {
+        let len = self.len();
+        if self.index.is_none() && len > SPILL_THRESHOLD {
             self.index = Some(Box::new(
-                self.items.iter().enumerate().map(|(i, &w)| (w, i as u32)).collect(),
+                self.items().iter().enumerate().map(|(i, &w)| (w, i as u32)).collect(),
             ));
         }
         match &mut self.shadow {
-            Some(sh) => sh.get_mut().log_insert(v, self.items.len()),
+            Some(sh) => sh.get_mut().log_insert(v, len),
             None => {
-                if self.items.len() > SHADOW_THRESHOLD {
+                if len > SHADOW_THRESHOLD {
                     // Attached unbuilt: the first galloped intersection
                     // pays the sort, never the mutation path.
                     self.shadow = Some(Box::new(RefCell::new(Shadow::unbuilt())));
@@ -421,14 +594,11 @@ impl<P: IdPayload> NeighborSet<P> {
     fn remove(&mut self, v: Vertex) -> Option<P> {
         let pos = match &mut self.index {
             Some(idx) => idx.remove(&v)? as usize,
-            None => self.items.iter().position(|&w| w == v)?,
+            None => self.items().iter().position(|&w| w == v)?,
         };
-        self.items.swap_remove(pos);
-        let id = self.ids.swap_remove(pos);
-        if pos < self.items.len() {
-            if let Some(idx) = &mut self.index {
-                idx.insert(self.items[pos], pos as u32);
-            }
+        let id = self.slots.swap_remove(pos);
+        if let (Some(idx), Some(&moved)) = (&mut self.index, self.slots.items().get(pos)) {
+            idx.insert(moved, pos as u32);
         }
         if let Some(sh) = &mut self.shadow {
             sh.get_mut().log_remove();
@@ -446,19 +616,13 @@ impl<P: IdPayload> NeighborSet<P> {
     /// path ran.
     fn swap_remove_at(&mut self, pos: usize) -> Option<(Vertex, P)> {
         if let Some(idx) = &mut self.index {
-            idx.remove(&self.items[pos]);
+            idx.remove(&self.slots.items()[pos]);
         }
-        self.items.swap_remove(pos);
-        self.ids.swap_remove(pos);
-        let moved = if pos < self.items.len() {
-            let w = self.items[pos];
-            if let Some(idx) = &mut self.index {
-                idx.insert(w, pos as u32);
-            }
-            Some((w, self.ids[pos]))
-        } else {
-            None
-        };
+        self.slots.swap_remove(pos);
+        let moved = self.items().get(pos).map(|&w| (w, self.ids()[pos]));
+        if let (Some(idx), Some((w, _))) = (&mut self.index, moved) {
+            idx.insert(w, pos as u32);
+        }
         if let Some(sh) = &mut self.shadow {
             sh.get_mut().log_remove();
         }
@@ -470,16 +634,11 @@ impl<P: IdPayload> NeighborSet<P> {
     /// moved the entry; `None` if `w` is no longer a neighbour.
     #[inline]
     fn verify_slot(&self, w: Vertex, slot: u32) -> Option<u32> {
-        if self.items.get(slot as usize) == Some(&w) {
+        if self.items().get(slot as usize) == Some(&w) {
             return Some(slot);
         }
         let idx = self.index.as_ref().expect("shadowed set always carries an index");
         idx.get(&w).copied()
-    }
-
-    #[inline]
-    fn as_slice(&self) -> &[Vertex] {
-        &self.items
     }
 }
 
@@ -655,53 +814,83 @@ impl<P: IdPayload> AdjacencyBase<P> {
         self.remove_impl(e).is_some()
     }
 
+    /// One vertex-table lookup per endpoint. u's is a plain `get_mut`:
+    /// the edge may be absent, and an entry on an absent key reserves
+    /// table capacity, which would move the table's growth points and so
+    /// its iteration order (warm-up replays walk it). u is therefore
+    /// pruned by key, the one case that costs a third lookup. v is
+    /// present whenever the edge is, so its entry detaches and prunes.
+    /// Prunes run u before v: the order decides the table's tombstones,
+    /// and with them its later layout.
     fn remove_impl(&mut self, e: Edge) -> Option<EdgeId> {
         let (u, v) = e.endpoints();
+        let u_set = self.adj.get_mut(&u)?;
         if P::TRACKED {
             // One find on u's side resolves the slot and the ID; the
             // mirror table hands over v's slot for free.
-            let u_set = self.adj.get_mut(&u)?;
             let u_slot = u_set.find(v)?;
-            let id = u_set.ids[u_slot].id();
+            let id = u_set.ids()[u_slot].id();
             let v_slot = self.mirror[id as usize][1] as usize;
-            self.detach(u, u_slot);
-            self.detach(v, v_slot);
+            if Self::detach(u_set, u, u_slot, &self.endpoints, &mut self.mirror) {
+                self.adj.remove(&u);
+            }
+            self.detach_present(v, v_slot);
             self.free.push(id);
             self.num_edges -= 1;
             return Some(id);
         }
-        let id = match self.adj.get_mut(&u) {
-            Some(set) => set.remove(v)?,
-            None => return None,
-        };
-        if self.adj.get(&u).is_some_and(NeighborSet::is_empty) {
+        let id = u_set.remove(v)?;
+        if u_set.is_empty() {
             self.adj.remove(&u);
         }
-        let set = self.adj.get_mut(&v).expect("adjacency symmetry violated: missing reverse entry");
-        let id2 = set.remove(u).expect("adjacency symmetry violated: missing reverse neighbour");
+        let Entry::Occupied(mut v_entry) = self.adj.entry(v) else {
+            panic!("adjacency symmetry violated: missing reverse entry");
+        };
+        let id2 = v_entry
+            .get_mut()
+            .remove(u)
+            .expect("adjacency symmetry violated: missing reverse neighbour");
         debug_assert_eq!(id, id2, "edge ID asymmetry for {e:?}");
-        if set.is_empty() {
-            self.adj.remove(&v);
+        if v_entry.get().is_empty() {
+            v_entry.remove();
         }
         self.num_edges -= 1;
         Some(id.id())
     }
 
-    /// Drops slot `pos` of `x`'s neighbour set, re-pointing the mirror
-    /// entry of whichever edge `swap_remove` backfilled into the slot
-    /// and pruning the vertex when its set empties. Tracked arenas only
-    /// (the mirror table is what makes the slot known without a find).
-    fn detach(&mut self, x: Vertex, pos: usize) {
+    /// Drops slot `pos` of `set` — `x`'s neighbourhood — re-pointing the
+    /// mirror entry of whichever edge `swap_remove` backfilled into the
+    /// slot, and returns whether the set emptied; the caller prunes `x`
+    /// through the lookup it already holds. Tracked arenas only (the
+    /// mirror table is what makes the slot known without a find).
+    fn detach(
+        set: &mut NeighborSet<P>,
+        x: Vertex,
+        pos: usize,
+        endpoints: &[Edge],
+        mirror: &mut [[u32; 2]],
+    ) -> bool {
         debug_assert!(P::TRACKED, "detach requires the arena mirror table");
-        let set = self.adj.get_mut(&x).expect("adjacency symmetry violated: missing entry");
         if let Some((_, moved)) = set.swap_remove_at(pos) {
             let m = moved.id() as usize;
             // The backfilled slot belongs to edge m's x-side: re-point
             // whichever half of its mirror entry names x.
-            let side = usize::from(self.endpoints[m].u() != x);
-            self.mirror[m][side] = pos as u32;
-        } else if set.is_empty() {
-            self.adj.remove(&x);
+            let side = usize::from(endpoints[m].u() != x);
+            mirror[m][side] = pos as u32;
+            false
+        } else {
+            set.is_empty()
+        }
+    }
+
+    /// [`AdjacencyBase::detach`] on a vertex that symmetry guarantees is
+    /// present: one entry lookup finds, detaches and prunes it.
+    fn detach_present(&mut self, x: Vertex, pos: usize) {
+        let Entry::Occupied(mut entry) = self.adj.entry(x) else {
+            panic!("adjacency symmetry violated: missing entry");
+        };
+        if Self::detach(entry.get_mut(), x, pos, &self.endpoints, &mut self.mirror) {
+            entry.remove();
         }
     }
 
@@ -730,7 +919,7 @@ impl<P: IdPayload> AdjacencyBase<P> {
     /// order is unspecified but deterministic for a given event history.
     #[inline]
     pub fn neighbor_slice(&self, x: Vertex) -> &[Vertex] {
-        self.adj.get(&x).map_or(&[], NeighborSet::as_slice)
+        self.adj.get(&x).map_or(&[], NeighborSet::items)
     }
 
     /// Iterates the neighbours of `x`.
@@ -746,7 +935,7 @@ impl<P: IdPayload> AdjacencyBase<P> {
     /// Iterates all live edges (each once, in canonical form).
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.adj.iter().flat_map(|(&u, set)| {
-            set.as_slice().iter().copied().filter(move |&v| u < v).map(move |v| Edge::new(u, v))
+            set.items().iter().copied().filter(move |&v| u < v).map(move |v| Edge::new(u, v))
         })
     }
 
@@ -775,8 +964,11 @@ impl<P: IdPayload> AdjacencyBase<P> {
         v: Vertex,
         mut f: impl FnMut(Vertex, P, P),
     ) -> (usize, usize) {
-        let (Some(nu), Some(nv)) = (self.adj.get(&u), self.adj.get(&v)) else {
-            return (self.degree(u), self.degree(v));
+        let (nu, nv) = (self.adj.get(&u), self.adj.get(&v));
+        let (Some(nu), Some(nv)) = (nu, nv) else {
+            // The lookups above already know the degrees: an absent
+            // endpoint has none.
+            return (nu.map_or(0, NeighborSet::len), nv.map_or(0, NeighborSet::len));
         };
         let u_is_small = nu.len() <= nv.len();
         let (small, large) = if u_is_small { (nu, nv) } else { (nv, nu) };
@@ -786,30 +978,32 @@ impl<P: IdPayload> AdjacencyBase<P> {
             {
                 let mut sh = ss.borrow_mut();
                 if sh.needs_refresh() {
-                    sh.rebuild(&small.items);
+                    sh.rebuild(small.items());
                 }
             }
             {
                 let mut sh = ls.borrow_mut();
                 if sh.needs_refresh() {
-                    sh.rebuild(&large.items);
+                    sh.rebuild(large.items());
                 }
             }
+            let (small_ids, large_ids) = (small.ids(), large.ids());
             gallop_common(small, ss, large, ls, |w, a, b| {
                 let (a, b) = (a as usize, b as usize);
                 if u_is_small {
-                    f(w, small.ids[a], large.ids[b]);
+                    f(w, small_ids[a], large_ids[b]);
                 } else {
-                    f(w, large.ids[b], small.ids[a]);
+                    f(w, large_ids[b], small_ids[a]);
                 }
             });
         } else {
-            for (i, &w) in small.items.iter().enumerate() {
+            let small_ids = small.ids();
+            for (i, &w) in small.items().iter().enumerate() {
                 if let Some(p) = large.find_payload(w) {
                     if u_is_small {
-                        f(w, small.ids[i], p);
+                        f(w, small_ids[i], p);
                     } else {
-                        f(w, p, small.ids[i]);
+                        f(w, p, small_ids[i]);
                     }
                 }
             }
@@ -874,10 +1068,11 @@ impl<P: IdPayload> AdjacencyBase<P> {
         let mut live_ids = std::collections::BTreeSet::new();
         for (&u, set) in &self.adj {
             assert!(!set.is_empty(), "vertex {u} retained with empty set");
-            assert_eq!(set.items.len(), set.ids.len(), "parallel array drift at {u}");
+            assert_eq!(set.items().len(), set.ids().len(), "parallel array drift at {u}");
             if let Some(idx) = &set.index {
-                assert_eq!(idx.len(), set.items.len(), "index size drift at {u}");
-                for (i, &w) in set.items.iter().enumerate() {
+                assert!(matches!(set.slots, Slots::Heap { .. }), "indexed inline set at {u}");
+                assert_eq!(idx.len(), set.len(), "index size drift at {u}");
+                for (i, &w) in set.items().iter().enumerate() {
                     assert_eq!(
                         idx.get(&w).copied(),
                         Some(i as u32),
@@ -899,7 +1094,7 @@ impl<P: IdPayload> AdjacencyBase<P> {
                     // snapshot or the pending list (staleness the other
                     // way — dead snapshot entries — is legal and
                     // verified at use).
-                    for &w in &set.items {
+                    for &w in set.items() {
                         let in_sorted = sh.sorted.binary_search_by_key(&w, |e| e.0).is_ok();
                         assert!(
                             in_sorted || sh.pending.contains(&w),
@@ -908,13 +1103,13 @@ impl<P: IdPayload> AdjacencyBase<P> {
                     }
                 }
             }
-            for (i, &v) in set.items.iter().enumerate() {
+            for (i, &v) in set.items().iter().enumerate() {
                 assert_ne!(u, v, "self-loop stored at {u}");
                 let rev = self.adj.get(&v).expect("asymmetric edge");
                 let j = rev.find(u).unwrap_or_else(|| panic!("asymmetric edge {u}-{v}"));
                 if P::TRACKED {
-                    let id = set.ids[i].id();
-                    assert_eq!(rev.ids[j].id(), id, "edge ID asymmetry on {u}-{v}");
+                    let id = set.ids()[i].id();
+                    assert_eq!(rev.ids()[j].id(), id, "edge ID asymmetry on {u}-{v}");
                     assert_eq!(
                         self.endpoints[id as usize],
                         Edge::new(u, v),
@@ -958,7 +1153,7 @@ impl<P: IdPayload> AdjacencyBase<P> {
             .adj
             .iter()
             .map(|(&u, set)| {
-                let slots = set.items.iter().zip(&set.ids).map(|(&w, &p)| (w, p.id())).collect();
+                let slots = set.items().iter().zip(set.ids()).map(|(&w, &p)| (w, p.id())).collect();
                 (u, slots)
             })
             .collect();
@@ -981,44 +1176,78 @@ impl<P: IdPayload> AdjacencyBase<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the layout is internally inconsistent (asymmetric
-    /// slots, IDs at or beyond `id_bound`).
+    /// Panics if the layout is not a simple undirected graph: a vertex
+    /// listed twice or without neighbours, a self-loop, a neighbour
+    /// listed twice, or a half-edge without its reverse. For tracked
+    /// payloads it also panics unless every ID below `id_bound` names
+    /// one edge from both of its sides or sits on the free list exactly
+    /// once. The check is O(E) and runs in release builds too: layouts
+    /// arrive in snapshot blobs, and a restore that accepted a corrupt
+    /// one would go on running on it.
     pub fn from_layout(layout: &AdjacencyLayout) -> Self {
+        // `seen[id]` marks which sides of its edge have named an ID
+        // (bit `side`, as in the mirror table), or that it is free.
+        const BOTH_SIDES: u8 = 0b11;
+        const FREE: u8 = 0b100;
         let mut adj =
             FxHashMap::with_capacity_and_hasher(layout.vertices.len(), Default::default());
         let mut half_edges = 0usize;
-        let bound = layout.id_bound as usize;
+        let bound = if P::TRACKED { layout.id_bound as usize } else { 0 };
+        if P::TRACKED {
+            // Live and free IDs partition `0..id_bound` exactly (checked
+            // in full below); counting them first also keeps a forged
+            // bound from sizing the arena tables beyond the layout.
+            let live: usize =
+                layout.vertices.iter().map(|(_, slots)| slots.len()).sum::<usize>() / 2;
+            assert_eq!(bound, live + layout.free.len(), "layout id_bound disagrees with its IDs");
+        }
         // Arena tables sized to the exact recorded bound; slots of freed
         // IDs stay at these placeholders — they are never read before
         // the ID is recycled (and rewritten) by a future insert.
-        let mut endpoints = vec![Edge::new(0, 1); if P::TRACKED { bound } else { 0 }];
-        let mut mirror = vec![[0u32; 2]; if P::TRACKED { bound } else { 0 }];
+        let mut endpoints = vec![Edge::new(0, 1); bound];
+        let mut mirror = vec![[0u32; 2]; bound];
+        let mut seen = vec![0u8; bound];
         for (u, slots) in &layout.vertices {
-            let mut set = NeighborSet::<P>::default();
-            set.items.reserve_exact(slots.len());
-            set.ids.reserve_exact(slots.len());
+            assert!(!slots.is_empty(), "adjacency layout lists vertex {u} without neighbours");
             for (slot, &(w, id)) in slots.iter().enumerate() {
                 assert_ne!(*u, w, "self-loop in adjacency layout");
-                set.items.push(w);
-                set.ids.push(P::from_id(id));
                 if P::TRACKED {
                     assert!((id as usize) < bound, "layout edge ID {id} beyond id_bound");
-                    endpoints[id as usize] = Edge::new(*u, w);
-                    mirror[id as usize][usize::from(*u > w)] = slot as u32;
+                    let (id, side, e) = (id as usize, usize::from(*u > w), Edge::new(*u, w));
+                    if seen[id] == 0 {
+                        endpoints[id] = e;
+                    }
+                    assert_eq!(endpoints[id], e, "layout edge ID {id} names two edges");
+                    assert_eq!(seen[id] & (1 << side), 0, "layout edge ID {id} repeats a side");
+                    seen[id] |= 1 << side;
+                    mirror[id][side] = slot as u32;
                 }
             }
-            if set.items.len() > SPILL_THRESHOLD {
-                set.index = Some(Box::new(
-                    set.items.iter().enumerate().map(|(i, &w)| (w, i as u32)).collect(),
-                ));
-            }
-            if set.items.len() > SHADOW_THRESHOLD {
-                set.shadow = Some(Box::new(RefCell::new(Shadow::unbuilt())));
-            }
-            half_edges += set.items.len();
-            adj.insert(*u, set);
+            let set = NeighborSet::<P>::from_entries(slots);
+            assert!(!set.has_duplicate(), "adjacency layout lists a neighbour of {u} twice");
+            half_edges += set.len();
+            assert!(adj.insert(*u, set).is_none(), "adjacency layout lists vertex {u} twice");
         }
-        assert_eq!(half_edges % 2, 0, "asymmetric adjacency layout");
+        if P::TRACKED {
+            for &id in &layout.free {
+                assert!((id as usize) < bound, "free edge ID {id} beyond id_bound");
+                assert_eq!(seen[id as usize], 0, "free edge ID {id} is live or listed twice");
+                seen[id as usize] = FREE;
+            }
+            if let Some(id) = seen.iter().position(|&s| s != BOTH_SIDES && s != FREE) {
+                panic!("layout edge ID {id} is neither a whole edge nor free");
+            }
+        } else {
+            // No IDs pair the halves up: look each reverse half up.
+            for (&u, set) in &adj {
+                for &w in set.items() {
+                    assert!(
+                        adj.get(&w).is_some_and(|rev| rev.contains(u)),
+                        "asymmetric adjacency layout: {u}-{w} has no reverse"
+                    );
+                }
+            }
+        }
         let restored = Self {
             adj,
             num_edges: half_edges / 2,
@@ -1078,7 +1307,7 @@ fn gallop_common<P: IdPayload>(
         hits.sort_unstable();
         hits.dedup();
         for &(a, b) in &hits {
-            hit(small.items[a as usize], a, b);
+            hit(small.items()[a as usize], a, b);
         }
         cell.set(hits);
     });
@@ -1108,7 +1337,8 @@ impl Adjacency {
 
     /// Removes a live edge by its arena ID — the reservoir eviction
     /// path — returning its endpoints. *Find-free*: both neighbour-set
-    /// slots come straight from the mirror table.
+    /// slots come straight from the mirror table, and each endpoint
+    /// costs one vertex-table lookup, pruning included.
     ///
     /// # Panics
     ///
@@ -1120,13 +1350,20 @@ impl Adjacency {
         let e = self.endpoints[id as usize];
         let (u, v) = e.endpoints();
         let [u_slot, v_slot] = self.mirror[id as usize];
+        // The stale-ID cross-check rides on u's lookup: a live ID's
+        // u-side slot names v.
+        let Entry::Occupied(mut u_entry) = self.adj.entry(u) else {
+            panic!("remove_by_id of a stale edge ID");
+        };
         assert_eq!(
-            self.adj.get(&u).and_then(|s| s.items.get(u_slot as usize)),
+            u_entry.get().items().get(u_slot as usize),
             Some(&v),
             "remove_by_id of a stale edge ID"
         );
-        self.detach(u, u_slot as usize);
-        self.detach(v, v_slot as usize);
+        if Self::detach(u_entry.get_mut(), u, u_slot as usize, &self.endpoints, &mut self.mirror) {
+            u_entry.remove();
+        }
+        self.detach_present(v, v_slot as usize);
         self.free.push(id);
         self.num_edges -= 1;
         e
@@ -1147,8 +1384,7 @@ impl Adjacency {
         if a == b {
             return None;
         }
-        let set = self.adj.get(&a)?;
-        set.find(b).map(|i| set.ids[i])
+        self.adj.get(&a)?.find_payload(b)
     }
 
     /// The endpoints of a live edge ID.
@@ -1164,7 +1400,7 @@ impl Adjacency {
     /// parallel dense slices (`ids[i]` is the ID of `(x, vertices[i])`).
     #[inline]
     pub fn neighbor_entries(&self, x: Vertex) -> (&[Vertex], &[EdgeId]) {
-        self.adj.get(&x).map_or((&[], &[]), |s| (&s.items, &s.ids))
+        self.adj.get(&x).map_or((&[], &[]), |s| (s.items(), s.ids()))
     }
 
     /// Calls `f(w, id(u,w), id(v,w))` for each common neighbour `w` of
@@ -1238,8 +1474,7 @@ impl Neighborhood<'_, EdgeId> {
     /// The arena ID of the edge to `v`, if `v` is a neighbour.
     #[inline]
     pub fn id_of(&self, v: Vertex) -> Option<EdgeId> {
-        let s = self.0?;
-        s.find(v).map(|i| s.ids[i])
+        self.0?.find_payload(v)
     }
 }
 
@@ -1800,6 +2035,224 @@ mod tests {
             lr.check_invariants();
             prop_assert_eq!(&lr.layout_snapshot(), &lean_layout);
             prop_assert_eq!(lr.num_edges(), lean.num_edges());
+        }
+    }
+
+    /// Slot-order reference model: one plain `Vec<(Vertex, EdgeId)>` per
+    /// vertex driven by `push` / `swap_remove`, with a LIFO free list —
+    /// the layout the adjacency must reproduce exactly, whichever
+    /// storage form and acceleration tier each set is in. Untracked
+    /// models mint no IDs (every slot carries 0), as the ID-free
+    /// adjacency's layouts do.
+    #[derive(Default)]
+    struct SlotModel {
+        tracked: bool,
+        slots: std::collections::BTreeMap<Vertex, Vec<(Vertex, EdgeId)>>,
+        free: Vec<EdgeId>,
+        id_bound: u32,
+    }
+
+    impl SlotModel {
+        fn insert(&mut self, e: Edge) -> Option<EdgeId> {
+            let (u, v) = e.endpoints();
+            if self.slots.get(&u).is_some_and(|s| s.iter().any(|&(w, _)| w == v)) {
+                return None;
+            }
+            let id = match (self.tracked, self.free.pop()) {
+                (false, _) => 0,
+                (true, Some(id)) => id,
+                (true, None) => {
+                    self.id_bound += 1;
+                    self.id_bound - 1
+                }
+            };
+            self.slots.entry(u).or_default().push((v, id));
+            self.slots.entry(v).or_default().push((u, id));
+            Some(id)
+        }
+
+        fn remove(&mut self, e: Edge) -> Option<EdgeId> {
+            let (u, v) = e.endpoints();
+            let id = self.detach(u, v)?;
+            self.detach(v, u).expect("model symmetry");
+            if self.tracked {
+                self.free.push(id);
+            }
+            Some(id)
+        }
+
+        fn detach(&mut self, x: Vertex, y: Vertex) -> Option<EdgeId> {
+            let set = self.slots.get_mut(&x)?;
+            let pos = set.iter().position(|&(w, _)| w == y)?;
+            let (_, id) = set.swap_remove(pos);
+            if set.is_empty() {
+                self.slots.remove(&x);
+            }
+            Some(id)
+        }
+
+        fn layout(&self) -> AdjacencyLayout {
+            AdjacencyLayout {
+                vertices: self.slots.iter().map(|(&u, s)| (u, s.clone())).collect(),
+                free: self.free.clone(),
+                id_bound: self.id_bound,
+            }
+        }
+    }
+
+    /// A tracked and an ID-free adjacency with their slot models, driven
+    /// in lockstep; every operation compares both layouts exactly.
+    struct SlotTwins {
+        g: Adjacency,
+        lean: VertexAdjacency,
+        model: SlotModel,
+        lean_model: SlotModel,
+    }
+
+    impl Default for SlotTwins {
+        fn default() -> Self {
+            Self {
+                g: Adjacency::new(),
+                lean: VertexAdjacency::new(),
+                model: SlotModel { tracked: true, ..SlotModel::default() },
+                lean_model: SlotModel::default(),
+            }
+        }
+    }
+
+    impl SlotTwins {
+        fn insert(&mut self, e: Edge) {
+            assert_eq!(self.g.insert_full(e), self.model.insert(e), "insert of {e:?}");
+            assert_eq!(self.lean.insert(e), self.lean_model.insert(e).is_some());
+            self.check();
+        }
+
+        /// Removes `e` by arena ID when `by_id` and the edge is live,
+        /// by edge otherwise.
+        fn remove(&mut self, e: Edge, by_id: bool) {
+            let want = self.model.remove(e);
+            let got = match want {
+                Some(id) if by_id => {
+                    assert_eq!(self.g.remove_by_id(id), e);
+                    Some(id)
+                }
+                _ => self.g.remove_full(e),
+            };
+            assert_eq!(got, want, "removal of {e:?}");
+            assert_eq!(self.lean.remove(e), self.lean_model.remove(e).is_some());
+            self.check();
+        }
+
+        fn check(&self) {
+            assert_eq!(self.g.layout_snapshot(), self.model.layout());
+            assert_eq!(self.lean.layout_snapshot(), self.lean_model.layout());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Slot order, per-slot IDs and the free list match the
+        /// push/swap_remove model exactly after every operation, for the
+        /// tracked and the ID-free adjacency. Each wave grows or shrinks
+        /// one of four hubs over vertices `0..40`, so hub degrees swing
+        /// across [`SPILL_THRESHOLD`] and [`SHADOW_THRESHOLD`] and the
+        /// other vertices' degrees (up to four hubs) across [`INLINE`],
+        /// in both directions; shrinking waves mix `remove_by_id` and
+        /// `remove_full`, and a final drain empties the graph. The
+        /// set-level proptests above compare edge sets; slot order is
+        /// what keeps the goldens stable, and this pins it.
+        #[test]
+        fn prop_slot_order_matches_push_swap_remove_model(
+            waves in proptest::collection::vec(
+                (
+                    any::<bool>(),
+                    0u64..4,
+                    proptest::collection::vec((0u64..40, any::<bool>()), 16..96),
+                ),
+                1..8,
+            ),
+        ) {
+            let mut t = SlotTwins::default();
+            for (grow, hub, ops) in waves {
+                for (other, by_id) in ops {
+                    let Some(e) = Edge::try_new(hub, other) else { continue };
+                    if grow {
+                        t.insert(e);
+                    } else {
+                        t.remove(e, by_id);
+                    }
+                }
+            }
+            t.g.check_invariants();
+            t.lean.check_invariants();
+            let mut live: Vec<Edge> = t.g.edges().collect();
+            live.sort_unstable();
+            for (i, e) in live.into_iter().enumerate() {
+                t.remove(e, i % 2 == 0);
+            }
+            prop_assert_eq!(t.g.num_vertices(), 0);
+        }
+    }
+
+    fn forge(layout: &AdjacencyLayout, edit: impl FnOnce(&mut AdjacencyLayout)) -> AdjacencyLayout {
+        let mut forged = layout.clone();
+        edit(&mut forged);
+        forged
+    }
+
+    /// A forged layout — asymmetric, with a duplicate neighbour, with an
+    /// empty or repeated vertex entry, or (tracked) with IDs that do not
+    /// pair up — panics at restore in every build profile, for both
+    /// payloads.
+    #[test]
+    fn from_layout_rejects_forged_layouts() {
+        let mut g = Adjacency::new();
+        let mut lean = VertexAdjacency::new();
+        for (a, b) in [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (1, 6)] {
+            g.insert(Edge::new(a, b));
+            lean.insert(Edge::new(a, b));
+        }
+        g.remove(Edge::new(1, 6));
+        lean.remove(Edge::new(1, 6));
+        // Vertex 1's slots are [(2, 0), (3, 1)], vertex 4's [(3, 3), (5, 4)]
+        // (IDs all 0 in the ID-free layout); ID 5 is free.
+        let structural = |l: &AdjacencyLayout| {
+            vec![
+                (
+                    "asymmetric",
+                    forge(l, |l| {
+                        l.vertices[0].1.pop();
+                        l.vertices[3].1.pop();
+                    }),
+                ),
+                (
+                    "duplicate",
+                    forge(l, |l| {
+                        l.vertices[0].1.push((2, 0));
+                        l.vertices[1].1.push((1, 0));
+                    }),
+                ),
+                ("empty entry", forge(l, |l| l.vertices.push((9, Vec::new())))),
+                ("repeated vertex", forge(l, |l| l.vertices.push(l.vertices[4].clone()))),
+            ]
+        };
+        let layout = g.layout_snapshot();
+        assert_eq!(Adjacency::from_layout(&layout).layout_snapshot(), layout);
+        let mut tracked = structural(&layout);
+        tracked.extend([
+            ("ID naming two edges", forge(&layout, |l| l.vertices[0].1[0].1 = 1)),
+            ("ID neither live nor free", forge(&layout, |l| l.free.clear())),
+            ("live ID on the free list", forge(&layout, |l| l.free.push(0))),
+            ("inflated id_bound", forge(&layout, |l| l.id_bound = u32::MAX)),
+        ]);
+        for (forgery, forged) in &tracked {
+            let restored = std::panic::catch_unwind(|| Adjacency::from_layout(forged));
+            assert!(restored.is_err(), "tracked {forgery} layout restored");
+        }
+        for (forgery, forged) in &structural(&lean.layout_snapshot()) {
+            let restored = std::panic::catch_unwind(|| VertexAdjacency::from_layout(forged));
+            assert!(restored.is_err(), "ID-free {forgery} layout restored");
         }
     }
 

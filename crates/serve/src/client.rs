@@ -14,8 +14,8 @@ use wsd_core::{Algorithm, SnapshotError, WeightSpec};
 use wsd_graph::{EdgeEvent, Pattern};
 
 use crate::protocol::{
-    read_frame, write_frame, Checkpoint, Reply, Request, SessionEstimates, StatsReport,
-    CHECKPOINT_OPCODE,
+    encode_events_request, read_frame, write_frame, Checkpoint, Reply, Request, SessionEstimates,
+    StatsReport, CHECKPOINT_OPCODE,
 };
 
 /// Client-side failure.
@@ -63,6 +63,8 @@ impl From<SnapshotError> for ClientError {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// Outgoing frame buffer, reused across requests.
+    frame: Vec<u8>,
     checkpoints: VecDeque<Checkpoint>,
 }
 
@@ -72,11 +74,17 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
-        Ok(Client { reader: BufReader::new(stream), writer, checkpoints: VecDeque::new() })
+        Ok(Client {
+            reader: BufReader::new(stream),
+            writer,
+            frame: Vec::new(),
+            checkpoints: VecDeque::new(),
+        })
     }
 
     fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        write_frame(&mut self.writer, &request.encode())?;
+        let payload = request.encode();
+        write_frame(&mut self.writer, &mut self.frame, |buf| buf.extend_from_slice(&payload))?;
         Ok(())
     }
 
@@ -111,9 +119,15 @@ impl Client {
         }
     }
 
-    /// Streams an event batch (fire-and-forget; no reply).
+    /// Streams an event batch (fire-and-forget; no reply). The batch is
+    /// encoded from the borrowed slice into the connection's reused
+    /// frame buffer: no copy of the events, no per-frame allocation once
+    /// the buffer has grown to the batch size.
     pub fn send_events(&mut self, session: u64, events: &[EdgeEvent]) -> Result<(), ClientError> {
-        self.send(&Request::Events { session, events: events.to_vec() })
+        write_frame(&mut self.writer, &mut self.frame, |buf| {
+            encode_events_request(session, events, buf)
+        })?;
+        Ok(())
     }
 
     /// Barrier: returns once every previously sent event is applied.

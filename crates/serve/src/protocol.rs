@@ -32,15 +32,41 @@ pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 /// Opcode of unsolicited checkpoint push frames.
 pub const CHECKPOINT_OPCODE: u8 = 0xC0;
 
-/// Writes one length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
+/// Writes one length-prefixed frame whose payload `fill` appends to
+/// `frame`, a buffer the caller reuses across frames (it is cleared
+/// first).
+///
+/// The length prefix and the payload leave in one `write_all`, so on an
+/// unbuffered `TCP_NODELAY` socket a frame costs one syscall and, when
+/// small, one TCP segment, not two of each.
+pub fn write_frame(
+    w: &mut impl Write,
+    frame: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    frame.clear();
+    frame.extend_from_slice(&[0; 4]);
+    fill(frame);
+    let len = u32::try_from(frame.len() - 4)
         .ok()
         .filter(|&n| n <= MAX_FRAME_BYTES)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    w.write_all(frame)?;
     w.flush()
+}
+
+/// Appends the payload of a [`Request::Events`] frame to `out`, encoding
+/// straight from the borrowed `events`: the one encoding of the frame,
+/// shared by [`Request::encode`] and the client's copy-free
+/// [`crate::Client::send_events`].
+pub(crate) fn encode_events_request(session: u64, events: &[EdgeEvent], out: &mut Vec<u8>) {
+    out.reserve(1 + 8 + events.len() * wire::EVENT_WIRE_BYTES);
+    out.push(0x02);
+    out.extend_from_slice(&session.to_le_bytes());
+    for &ev in events {
+        wire::encode_event(ev, out);
+    }
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` on clean EOF at a frame
@@ -389,9 +415,9 @@ impl Request {
                 }
             }
             Request::Events { session, events } => {
-                w.put_u8(0x02);
-                w.put_u64(*session);
-                w.put_bytes(&wire::encode_events(events));
+                let mut out = Vec::new();
+                encode_events_request(*session, events, &mut out);
+                return out;
             }
             Request::Estimates { session } => {
                 w.put_u8(0x03);
@@ -771,8 +797,11 @@ mod tests {
     #[test]
     fn frames_round_trip_over_a_byte_stream() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &Request::Stats.encode()).expect("writes");
-        write_frame(&mut buf, &Reply::Ok.encode()).expect("writes");
+        let mut frame = Vec::new();
+        write_frame(&mut buf, &mut frame, |b| b.extend_from_slice(&Request::Stats.encode()))
+            .expect("writes");
+        write_frame(&mut buf, &mut frame, |b| b.extend_from_slice(&Reply::Ok.encode()))
+            .expect("writes");
         let mut cursor = io::Cursor::new(buf);
         let first = read_frame(&mut cursor).expect("reads").expect("frame");
         assert_eq!(Request::decode(&first).expect("decodes"), Request::Stats);
@@ -781,10 +810,59 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).expect("clean EOF"), None);
     }
 
+    /// A writer that records every `write` call, as an unbuffered socket
+    /// turns each into a syscall.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let events = vec![EdgeEvent::insert(Edge::new(1, 2)), EdgeEvent::delete(Edge::new(5, 3))];
+        let request = Request::Events { session: 11, events: events.clone() };
+        let mut w = CountingWriter::default();
+        let mut frame = Vec::new();
+        write_frame(&mut w, &mut frame, |buf| buf.extend_from_slice(&Reply::Ok.encode()))
+            .expect("writes");
+        assert_eq!(w.writes, 1);
+        // The borrowed-slice encoding into the reused buffer is the same
+        // frame as encoding the owned request.
+        for _ in 0..2 {
+            write_frame(&mut w, &mut frame, |buf| encode_events_request(11, &events, buf))
+                .expect("writes");
+        }
+        assert_eq!(w.writes, 3);
+        let mut cursor = io::Cursor::new(w.bytes);
+        assert_eq!(read_frame(&mut cursor).expect("reads"), Some(Reply::Ok.encode()));
+        for _ in 0..2 {
+            let payload = read_frame(&mut cursor).expect("reads").expect("frame");
+            assert_eq!(payload, request.encode());
+            assert_eq!(Request::decode(&payload).expect("decodes"), request);
+        }
+        assert_eq!(read_frame(&mut cursor).expect("clean EOF"), None);
+    }
+
     #[test]
     fn torn_length_prefix_is_an_error_not_a_clean_eof() {
         let mut framed = Vec::new();
-        write_frame(&mut framed, &Request::Stats.encode()).expect("writes");
+        write_frame(&mut framed, &mut Vec::new(), |b| {
+            b.extend_from_slice(&Request::Stats.encode())
+        })
+        .expect("writes");
         for cut in 1..4 {
             let mut cursor = io::Cursor::new(&framed[..cut]);
             let err = read_frame(&mut cursor).expect_err("torn prefix");

@@ -62,8 +62,12 @@ impl ConnWriter {
     pub(crate) fn spawn(mut stream: TcpStream) -> Self {
         let (frames, drain) = mpsc::sync_channel::<Vec<u8>>(OUTBOUND_QUEUE_FRAMES);
         thread::spawn(move || {
+            let mut buf = Vec::new();
             while let Ok(frame) = drain.recv() {
-                if protocol::write_frame(&mut stream, &frame).is_err() {
+                let framed = protocol::write_frame(&mut stream, &mut buf, |buf| {
+                    buf.extend_from_slice(&frame);
+                });
+                if framed.is_err() {
                     break;
                 }
             }

@@ -6,7 +6,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use wsd_core::{Algorithm, SessionBuilder, SessionSnapshot, StreamSession};
+use wsd_core::{Algorithm, SamplerState, SessionBuilder, SessionSnapshot, StreamSession};
 use wsd_graph::{Edge, EdgeEvent, Pattern};
 use wsd_serve::store::SessionStore;
 use wsd_serve::{serve, Client, RunningServer, ServerConfig};
@@ -296,5 +296,50 @@ fn persisted_blob_is_the_canonical_snapshot() {
     let snapshot = SessionSnapshot::decode(&persisted.blob).expect("decodes");
     let revived = StreamSession::restore(&snapshot);
     assert_eq!(revived.events(), 50);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A well-formed, correctly checksummed session file whose adjacency
+/// layout was forged — one half-edge dropped from each of two vertices
+/// — must be quarantined at boot by the restore-time structure check in
+/// every build profile, while the healthy file beside it revives.
+#[test]
+fn forged_adjacency_layout_is_quarantined_at_boot() {
+    let dir = scratch_dir("forged-layout");
+    let (server, mut client) = boot_durable(&dir, 0);
+    // A K8 clique fits the capacity whole, so every sampled vertex has
+    // degree 7.
+    let clique: Vec<EdgeEvent> = (0..8u64)
+        .flat_map(|a| ((a + 1)..8).map(move |b| EdgeEvent::insert(Edge::new(a, b))))
+        .collect();
+    let healthy = client.open(Algorithm::WsdH, 64, Some(1), &[Pattern::Triangle]).expect("opens");
+    let victim = client.open(Algorithm::WsdH, 64, Some(2), &[Pattern::Triangle]).expect("opens");
+    for id in [healthy, victim] {
+        client.send_events(id, &clique).expect("sends");
+        client.flush(id).expect("flushes");
+    }
+    let blob = client.snapshot(victim).expect("snapshots");
+    server.shutdown();
+
+    let mut forged = SessionSnapshot::decode(&blob).expect("decodes");
+    let SamplerState::Wsd { sample, .. } = &mut forged.sampler else {
+        panic!("WSD-H snapshots carry a WSD sampler state");
+    };
+    let vertices = &mut sample.layout.vertices;
+    let (dropped, _) = vertices[0].1.pop().expect("slot");
+    let other = if dropped == vertices[1].0 { 2 } else { 1 };
+    vertices[other].1.pop().expect("slot");
+    let store = SessionStore::open(&dir).expect("opens store");
+    store.save(victim, clique.len() as u64, &forged.encode()).expect("saves forged blob");
+    drop(store);
+
+    let (rebooted, mut client2) = boot_durable(&dir, 0);
+    assert_eq!(rebooted.restored_sessions(), 1, "only the healthy session revives");
+    assert_eq!(rebooted.quarantined_files(), 1, "exactly the forged file is quarantined");
+    assert!(dir.join(format!("sess-{victim:016x}.snap.quarantined")).exists());
+    assert!(client2.estimates(victim).is_err(), "the forged session must not be served");
+    assert_eq!(client2.flush(healthy).expect("healthy session answers"), clique.len() as u64);
+
+    rebooted.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }
