@@ -3,11 +3,13 @@
 //! (§V-B(2)). Each iteration processes a full fully-dynamic stream with
 //! a fresh single-query session.
 //!
-//! The engine-layer cases measure the two claims of the batched/parallel
-//! refactor directly rather than asserting them:
+//! The engine-layer cases measure two engine costs directly rather than
+//! asserting them:
 //!
 //! * `batched_vs_sequential/*` — the same session fed per-event vs
 //!   through `process_batch` (via `BatchDriver`), for every algorithm.
+//!   Both run the same per-event admission path; the batched case only
+//!   saves the per-event virtual call into the sampler.
 //! * `ensemble_scaling/*` — 8 independently seeded replicas executed on
 //!   1/2/4 worker threads; on multi-core hardware the 4-thread case
 //!   should complete the same work in well under ⅔ the 1-thread time

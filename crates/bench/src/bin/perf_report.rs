@@ -15,7 +15,7 @@
 //!   *zero* attached queries on the same two streams: the
 //!   admission/eviction/reservoir-maintenance hot path in isolation,
 //!   the direct measurement surface for reservoir-path optimisations
-//!   (run-partitioned admission plans, SoA heap/sample writes);
+//!   (such as the SoA heap/sample writes);
 //! * `weight-grid-ba` / `weight-grid-hub` — the weighted sampler's
 //!   zero-query admission path under the three weight surfaces: the
 //!   checked-in learned `LinearPolicy` (WSD-L), `HeuristicWeight`

@@ -21,6 +21,7 @@
 //! See EXPERIMENTS.md at the workspace root for the experiment ↔ binary
 //! index and recorded results.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -46,8 +46,6 @@ pub struct GpsSampler {
     state_buf: StateVector,
     weight_fn: Box<dyn WeightFn>,
     rng: SmallRng,
-    /// Pre-drawn `u` variates for batched processing (reused scratch).
-    u_buf: Vec<f64>,
     /// Resolved state-observation mode of the weight function.
     weight_mode: WeightMode,
 }
@@ -84,7 +82,6 @@ impl GpsSampler {
             state_buf: StateVector::empty(),
             weight_fn,
             rng: SmallRng::seed_from_u64(seed),
-            u_buf: Vec::new(),
             weight_mode,
         }
     }
@@ -115,9 +112,9 @@ impl GpsSampler {
     /// every query when the weight observation rides a plan level
     /// (fused weight query or a count-blind `Affine(0, b)` weight);
     /// otherwise the per-query passes run unchanged.
-    // inline(always): this was the inline first half of `insert_with_u`
-    // before the admission plan split it out; keep it inlined so both
-    // admission paths compile to the pre-split code.
+    // inline(always): this is the first half of `insert`, split out for
+    // readability only; keep it inlined so the per-insertion path
+    // compiles as one body.
     #[inline(always)]
     fn observe(&mut self, e: Edge, ctx: QueryCtx<'_>) -> f64 {
         let QueryCtx { queries, scratch, plan } = ctx;
@@ -158,21 +155,10 @@ impl GpsSampler {
         }
     }
 
-    /// Non-full insertion with the admission pre-resolved by the batch's
-    /// fill prefix: observe, rank, admit — no capacity branch, no
-    /// eviction probe. Only valid while the queue has free slots, where
-    /// it is exactly [`GpsSampler::insert_with_u`] (a non-full GPS
-    /// queue admits unconditionally — there is no threshold test).
-    fn insert_admit_unconditional(&mut self, e: Edge, u: f64, ctx: QueryCtx<'_>) {
-        let w = self.observe(e, ctx);
-        let r = rank(w, u);
-        debug_assert!(self.heap.len() < self.capacity, "not in the fill phase");
-        let id = self.sample.insert(e, EdgeMeta { weight: w, time: self.t });
-        self.heap.push(id, r);
-    }
-
-    /// Insertion with an externally drawn `u` (batched path).
-    fn insert_with_u(&mut self, e: Edge, u: f64, ctx: QueryCtx<'_>) {
+    /// A GPS insertion: observe, rank, then admit into a non-full queue
+    /// or contest the queue minimum.
+    fn insert(&mut self, e: Edge, ctx: QueryCtx<'_>) {
+        let u = draw_u(&mut self.rng);
         let w = self.observe(e, ctx);
         let r = rank(w, u);
         if self.heap.len() < self.capacity {
@@ -199,49 +185,13 @@ impl EdgeSampler for GpsSampler {
     /// (paper Example 1 shows it is biased under deletions).
     fn process(&mut self, ev: EdgeEvent, ctx: QueryCtx<'_>) {
         match ev.op {
-            Op::Insert => {
-                let u = draw_u(&mut self.rng);
-                self.insert_with_u(ev.edge, u, ctx);
-            }
+            Op::Insert => self.insert(ev.edge, ctx),
             Op::Delete => panic!(
                 "GPS cannot process deletion events (paper §III-A); \
                  use GPS-A or WSD for fully dynamic streams"
             ),
         }
         self.t += 1;
-    }
-
-    /// Batched path: insertion-only batches pre-draw all `u` variates in
-    /// one RNG loop, then split at the admission plan's fill boundary —
-    /// the queue's free slots admit unconditionally (insertion-only GPS
-    /// never frees a slot, so the boundary is exact), skipping the
-    /// capacity branch and eviction probe per event; the remainder runs
-    /// the full threshold cascade. A batch containing a deletion falls
-    /// back to the sequential loop so the panic fires at exactly the
-    /// same event.
-    fn process_batch(&mut self, batch: &[EdgeEvent], mut ctx: QueryCtx<'_>) {
-        if !batch.iter().all(EdgeEvent::is_insert) {
-            for &ev in batch {
-                self.process(ev, ctx.reborrow());
-            }
-            return;
-        }
-        self.u_buf.clear();
-        self.u_buf.reserve(batch.len());
-        for _ in 0..batch.len() {
-            self.u_buf.push(draw_u(&mut self.rng));
-        }
-        let fill = (self.capacity - self.heap.len()).min(batch.len());
-        for (i, &ev) in batch[..fill].iter().enumerate() {
-            let u = self.u_buf[i];
-            self.insert_admit_unconditional(ev.edge, u, ctx.reborrow());
-            self.t += 1;
-        }
-        for (i, &ev) in batch[fill..].iter().enumerate() {
-            let u = self.u_buf[fill + i];
-            self.insert_with_u(ev.edge, u, ctx.reborrow());
-            self.t += 1;
-        }
     }
 
     fn query_estimate(&self, query: &PatternQuery) -> f64 {
@@ -264,14 +214,8 @@ impl EdgeSampler for GpsSampler {
         &self.display_name
     }
 
-    fn assert_capacity_for(&self, pattern: Pattern) {
-        assert!(
-            self.capacity >= pattern.num_edges(),
-            "reservoir capacity M = {} must be ≥ |H| = {} of {}",
-            self.capacity,
-            pattern.num_edges(),
-            pattern.name()
-        );
+    fn pattern_budget(&self) -> usize {
+        self.capacity
     }
 
     fn snapshot_state(&self) -> SamplerState {

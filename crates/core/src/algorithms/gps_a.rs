@@ -65,8 +65,6 @@ pub struct GpsASampler {
     state_buf: StateVector,
     weight_fn: Box<dyn WeightFn>,
     rng: SmallRng,
-    /// Pre-drawn `u` variates for batched processing (reused scratch).
-    u_buf: Vec<f64>,
     /// Resolved state-observation mode of the weight function.
     weight_mode: WeightMode,
 }
@@ -107,7 +105,6 @@ impl GpsASampler {
             state_buf: StateVector::empty(),
             weight_fn,
             rng: SmallRng::seed_from_u64(seed),
-            u_buf: Vec::new(),
             weight_mode,
         }
     }
@@ -166,9 +163,9 @@ impl GpsASampler {
     /// serves every query when the weight observation rides a plan
     /// level (fused weight query or a count-blind `Affine(0, b)`
     /// weight); otherwise the per-query passes run unchanged.
-    // inline(always): this was the inline first half of `insert_with_u`
-    // before the admission plan split it out; keep it inlined so both
-    // admission paths compile to the pre-split code.
+    // inline(always): this is the first half of `insert`, split out for
+    // readability only; keep it inlined so the per-insertion path
+    // compiles as one body.
     #[inline(always)]
     fn observe(&mut self, e: Edge, ctx: QueryCtx<'_>) -> f64 {
         let QueryCtx { queries, scratch, plan } = ctx;
@@ -209,29 +206,10 @@ impl GpsASampler {
         }
     }
 
-    /// Number of upcoming insertions guaranteed to be admitted
-    /// regardless of their rank — the batched path's per-run *admission
-    /// plan*. A non-full queue admits unconditionally (no threshold
-    /// test), and only admissions grow the queue (deletions tag ghosts
-    /// in place), so the guarantee holds for exactly the free slots.
-    #[inline]
-    fn guaranteed_admissions(&self) -> usize {
-        self.capacity - self.heap.len()
-    }
-
-    /// Non-full insertion with the admission pre-resolved by the run
-    /// plan: observe, rank, admit — no capacity branch, no eviction
-    /// probe. Only valid while [`GpsASampler::guaranteed_admissions`]
-    /// is positive, where it is exactly [`GpsASampler::insert_with_u`].
-    fn insert_admit_unconditional(&mut self, e: Edge, u: f64, ctx: QueryCtx<'_>) {
-        let w = self.observe(e, ctx);
-        let r = rank(w, u);
-        debug_assert!(self.heap.len() < self.capacity, "not in the fill phase");
-        self.admit(e, w, r);
-    }
-
-    /// Insertion with an externally drawn `u` (batched path).
-    fn insert_with_u(&mut self, e: Edge, u: f64, ctx: QueryCtx<'_>) {
+    /// A GPS-A insertion: observe, rank, then admit into a non-full
+    /// queue or contest the queue minimum (whose victim may be a ghost).
+    fn insert(&mut self, e: Edge, ctx: QueryCtx<'_>) {
+        let u = draw_u(&mut self.rng);
         let w = self.observe(e, ctx);
         let r = rank(w, u);
         if self.heap.len() < self.capacity {
@@ -331,22 +309,10 @@ impl GpsASampler {
 impl EdgeSampler for GpsASampler {
     fn process(&mut self, ev: EdgeEvent, ctx: QueryCtx<'_>) {
         match ev.op {
-            Op::Insert => {
-                let u = draw_u(&mut self.rng);
-                self.insert_with_u(ev.edge, u, ctx);
-            }
+            Op::Insert => self.insert(ev.edge, ctx),
             Op::Delete => self.delete(ev.edge, ctx),
         }
         self.t += 1;
-    }
-
-    /// Batched path: as with WSD, exactly one `u` per insertion and none
-    /// per deletion — all variates for the batch are pre-drawn in one
-    /// RNG loop, preserving the sequential stream bit-for-bit — and the
-    /// events are partitioned into same-op runs against the non-full
-    /// admission plan (see `GpsASampler::guaranteed_admissions`).
-    fn process_batch(&mut self, batch: &[EdgeEvent], mut ctx: QueryCtx<'_>) {
-        crate::algorithms::predrawn_batch!(self, batch, ctx);
     }
 
     fn query_estimate(&self, query: &PatternQuery) -> f64 {
@@ -369,14 +335,8 @@ impl EdgeSampler for GpsASampler {
         &self.display_name
     }
 
-    fn assert_capacity_for(&self, pattern: Pattern) {
-        assert!(
-            self.capacity >= pattern.num_edges(),
-            "reservoir capacity M = {} must be ≥ |H| = {} of {}",
-            self.capacity,
-            pattern.num_edges(),
-            pattern.name()
-        );
+    fn pattern_budget(&self) -> usize {
+        self.capacity
     }
 
     fn snapshot_state(&self) -> SamplerState {

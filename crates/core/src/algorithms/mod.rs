@@ -258,98 +258,3 @@ pub(crate) fn observe_queries_layered(
         }
     }
 }
-
-/// Shared batched-loop skeleton of the weighted samplers (WSD, GPS-A):
-/// exactly one `u ∈ (0, 1]` is consumed per insertion and none per
-/// deletion, so all variates for the batch are pre-drawn in one RNG
-/// loop — same stream as sequential processing, bit-for-bit. The batch
-/// is then partitioned into same-op **runs** resolved against a per-run
-/// *admission plan*: the sampler's `guaranteed_admissions()` reports
-/// how many upcoming insertions are admitted regardless of their rank
-/// (WSD while `τp == 0`, GPS-A while non-full), and that prefix of each
-/// insertion run executes the branch-free `insert_admit_unconditional`
-/// (observe → rank → admit, no threshold compare, no capacity branch);
-/// deletion runs loop `delete` without re-testing the op per event.
-/// Everything outside a plan falls through to the full `insert_with_u`
-/// cascade, keeping estimates, reservoir contents and RNG stream
-/// bit-identical to sequential processing.
-///
-/// A macro rather than a function because the fast path and the
-/// dispatch both need disjoint `&mut self` access (rng + scratch buffer
-/// + sampler state), which closures cannot express.
-macro_rules! predrawn_batch {
-    ($self:ident, $batch:ident, $ctx:ident) => {{
-        let insertions = $batch.iter().filter(|ev| ev.is_insert()).count();
-        $self.u_buf.clear();
-        $self.u_buf.reserve(insertions);
-        for _ in 0..insertions {
-            $self.u_buf.push($crate::rank::draw_u(&mut $self.rng));
-        }
-        let mut next_u = 0;
-        let mut i = 0;
-        while i < $batch.len() {
-            if $batch[i].is_insert() {
-                let guaranteed = $self.guaranteed_admissions();
-                let run_len =
-                    $batch[i..].iter().take(guaranteed).take_while(|ev| ev.is_insert()).count();
-                if run_len > 0 {
-                    for &ev in &$batch[i..i + run_len] {
-                        let u = $self.u_buf[next_u];
-                        next_u += 1;
-                        $self.insert_admit_unconditional(ev.edge, u, $ctx.reborrow());
-                        $self.t += 1;
-                    }
-                    i += run_len;
-                } else {
-                    let u = $self.u_buf[next_u];
-                    next_u += 1;
-                    $self.insert_with_u($batch[i].edge, u, $ctx.reborrow());
-                    $self.t += 1;
-                    i += 1;
-                }
-            } else {
-                let run_len = $batch[i..].iter().take_while(|ev| !ev.is_insert()).count();
-                for &ev in &$batch[i..i + run_len] {
-                    $self.delete(ev.edge, $ctx.reborrow());
-                    $self.t += 1;
-                }
-                i += run_len;
-            }
-        }
-    }};
-}
-
-/// Shared batched-loop skeleton of the random-pairing samplers (Triest,
-/// ThinkD): insertion runs inside the reservoir's RNG-free fill phase
-/// (`guaranteed_admissions() > 0`) are resolved as one run up front —
-/// `$fast` handles each edge's estimator/adjacency side in a tight loop
-/// with no per-event op or capacity test, then one
-/// [`RpReservoir::admit_run`](crate::reservoir::RpReservoir::admit_run)
-/// admits the whole run into the reservoir (which nothing inside the
-/// run reads, so deferring its bookkeeping is exact). Everything else
-/// falls through to the sequential `process`, keeping estimates and RNG
-/// stream bit-identical.
-macro_rules! rp_fill_batch {
-    ($self:ident, $batch:ident, $ctx:ident, |$e:ident| $fast:block) => {{
-        let mut i = 0;
-        while i < $batch.len() {
-            if $batch[i].is_insert() {
-                let fill = $self.reservoir.guaranteed_admissions();
-                let run_len = $batch[i..].iter().take(fill).take_while(|ev| ev.is_insert()).count();
-                if run_len > 0 {
-                    for &ev in &$batch[i..i + run_len] {
-                        let $e = ev.edge;
-                        $fast
-                    }
-                    $self.reservoir.admit_run($batch[i..i + run_len].iter().map(|ev| ev.edge));
-                    i += run_len;
-                    continue;
-                }
-            }
-            $self.process($batch[i], $ctx.reborrow());
-            i += 1;
-        }
-    }};
-}
-
-pub(crate) use {predrawn_batch, rp_fill_batch};

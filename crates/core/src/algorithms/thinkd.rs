@@ -26,7 +26,7 @@ use crate::snapshot::{RpState, SamplerState};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wsd_graph::patterns::EnumScratch;
-use wsd_graph::{Edge, EdgeEvent, Op, Pattern, VertexAdjacency};
+use wsd_graph::{Edge, EdgeEvent, Op, VertexAdjacency};
 
 /// The ThinkD (accurate variant) sampling layer.
 pub struct ThinkDSampler {
@@ -136,45 +136,6 @@ impl EdgeSampler for ThinkDSampler {
         }
     }
 
-    /// Batched path. As with Triest, random pairing's draw count is
-    /// data-dependent, but fill-phase insertion runs (free slots, no
-    /// uncompensated deletions) are RNG-free: the sample then holds the
-    /// whole population (`s == n`, all inclusion probabilities exactly
-    /// 1), so the update-then-admit pair collapses to exact count
-    /// increments plus one run-level [`RpReservoir::admit_run`] after
-    /// the per-edge loop (the counting reads only the adjacency, so
-    /// deferring the reservoir bookkeeping is exact).
-    fn process_batch(&mut self, batch: &[EdgeEvent], mut ctx: QueryCtx<'_>) {
-        crate::algorithms::rp_fill_batch!(self, batch, ctx, |e| {
-            // Fill phase ⇒ s == n ⇒ Π (n−i)/(s−i) = 1 exactly (both
-            // counters lag equally until the run-level admission).
-            debug_assert_eq!(self.reservoir.len() as u64, self.reservoir.population());
-            {
-                let QueryCtx { queries, scratch, plan } = ctx.reborrow();
-                match plan {
-                    Some(plan) => {
-                        let counts = plan.levels().count_completed(&self.adj, e, scratch);
-                        for (j, q) in queries.iter_mut().enumerate() {
-                            let found = counts[plan.level_of(j)];
-                            if found > 0 {
-                                q.estimate += found as f64;
-                            }
-                        }
-                    }
-                    None => {
-                        for q in queries.iter_mut() {
-                            let found = q.pattern.count_completed(&self.adj, e, scratch);
-                            if found > 0 {
-                                q.estimate += found as f64;
-                            }
-                        }
-                    }
-                }
-            }
-            self.adj.insert(e);
-        });
-    }
-
     fn query_estimate(&self, query: &PatternQuery) -> f64 {
         query.estimate
     }
@@ -203,14 +164,8 @@ impl EdgeSampler for ThinkDSampler {
         "ThinkD"
     }
 
-    fn assert_capacity_for(&self, pattern: Pattern) {
-        assert!(
-            self.reservoir.capacity() >= pattern.num_edges(),
-            "reservoir capacity M = {} must be ≥ |H| = {} of {}",
-            self.reservoir.capacity(),
-            pattern.num_edges(),
-            pattern.name()
-        );
+    fn pattern_budget(&self) -> usize {
+        self.reservoir.capacity()
     }
 
     fn snapshot_state(&self) -> SamplerState {
@@ -241,6 +196,7 @@ impl EdgeSampler for ThinkDSampler {
 mod tests {
     use super::*;
     use crate::session::OneQuery;
+    use wsd_graph::Pattern;
 
     fn thinkd(pattern: Pattern, capacity: usize, seed: u64) -> OneQuery<ThinkDSampler> {
         OneQuery::new(ThinkDSampler::new(capacity, seed), pattern)

@@ -27,7 +27,7 @@ use crate::snapshot::{RpState, SamplerState};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wsd_graph::patterns::EnumScratch;
-use wsd_graph::{Edge, EdgeEvent, Op, Pattern, VertexAdjacency};
+use wsd_graph::{Edge, EdgeEvent, Op, VertexAdjacency};
 
 /// The Triest-FD sampling layer: a random-pairing uniform reservoir
 /// plus the sampled adjacency, maintaining each attached query's
@@ -119,23 +119,6 @@ impl EdgeSampler for TriestSampler {
         }
     }
 
-    /// Batched path. Random pairing draws a data-dependent number of
-    /// variates per offer, so draws cannot be hoisted wholesale — but
-    /// the *fill phase* (free slots, no uncompensated deletions) admits
-    /// every offer without touching the RNG. Insertion runs inside that
-    /// phase are resolved as one run up front: the per-edge loop only
-    /// touches τ and the adjacency, then one
-    /// [`RpReservoir::admit_run`] admits the whole run (nothing inside
-    /// the run reads the reservoir, so the deferral is exact).
-    /// Everything else falls through to the per-event logic, keeping
-    /// the estimates and RNG stream bit-identical to sequential
-    /// processing.
-    fn process_batch(&mut self, batch: &[EdgeEvent], mut ctx: QueryCtx<'_>) {
-        crate::algorithms::rp_fill_batch!(self, batch, ctx, |e| {
-            self.add_to_sample(e, ctx.reborrow());
-        });
-    }
-
     fn query_estimate(&self, query: &PatternQuery) -> f64 {
         let m = query.pattern.num_edges() as u64;
         let s = self.reservoir.len() as u64;
@@ -168,14 +151,8 @@ impl EdgeSampler for TriestSampler {
         "Triest"
     }
 
-    fn assert_capacity_for(&self, pattern: Pattern) {
-        assert!(
-            self.reservoir.capacity() >= pattern.num_edges(),
-            "reservoir capacity M = {} must be ≥ |H| = {} of {}",
-            self.reservoir.capacity(),
-            pattern.num_edges(),
-            pattern.name()
-        );
+    fn pattern_budget(&self) -> usize {
+        self.reservoir.capacity()
     }
 
     fn snapshot_state(&self) -> SamplerState {
@@ -206,6 +183,7 @@ impl EdgeSampler for TriestSampler {
 mod tests {
     use super::*;
     use crate::session::OneQuery;
+    use wsd_graph::Pattern;
 
     fn triest(pattern: Pattern, capacity: usize, seed: u64) -> OneQuery<TriestSampler> {
         OneQuery::new(TriestSampler::new(capacity, seed), pattern)

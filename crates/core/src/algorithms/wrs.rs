@@ -44,7 +44,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use wsd_graph::patterns::EnumScratch;
-use wsd_graph::{Adjacency, Edge, EdgeEvent, LayeredLevels, Op, Pattern};
+use wsd_graph::{Adjacency, Edge, EdgeEvent, LayeredLevels, Op};
 
 /// Default waiting-room fraction of the budget (the WRS paper's default).
 pub const DEFAULT_WAITING_ROOM_FRACTION: f64 = 0.1;
@@ -368,60 +368,6 @@ impl EdgeSampler for WrsSampler {
         }
     }
 
-    /// Batched path. While the waiting room has free slots an insertion
-    /// touches neither the reservoir nor the RNG, so insertion runs are
-    /// resolved as one *room-admission run* up front: the overflow
-    /// branch, reservoir size/population reads (loop-invariant — the
-    /// reservoir is untouched), the stamp-array resize (bounded by the
-    /// arena's ID bound plus the run length) and the admission-sequence
-    /// counter are all hoisted out of the loop, the per-edge loop writes
-    /// only the estimator update, the adjacency insert and the stamp
-    /// (consecutive sequences — stamps must land before later events in
-    /// the run enumerate the edge as a partner), and the FIFO (which
-    /// nothing inside the run reads) takes the whole run in one extend.
-    fn process_batch(&mut self, batch: &[EdgeEvent], mut ctx: QueryCtx<'_>) {
-        let mut i = 0;
-        while i < batch.len() {
-            if batch[i].is_insert() {
-                let free = self.room_capacity.saturating_sub(self.room_len);
-                let run_len = batch[i..].iter().take(free).take_while(|ev| ev.is_insert()).count();
-                if run_len > 0 {
-                    let s = self.reservoir.len() as u64;
-                    let n_r = self.reservoir.population();
-                    // Every ID the run can assign is below the current
-                    // bound plus one fresh ID per admission.
-                    let need = self.adj.id_bound() + run_len;
-                    if need > self.room_seq.len() {
-                        self.room_seq.resize(need, 0);
-                    }
-                    let base = self.next_seq;
-                    for (j, ev) in batch[i..i + run_len].iter().enumerate() {
-                        let e = ev.edge;
-                        self.update_queries(ctx.reborrow(), e, 1.0, s, n_r);
-                        let id = self
-                            .adj
-                            .insert_full(e)
-                            .or_else(|| self.adj.edge_id(e))
-                            .expect("edge is live");
-                        self.room_seq[id as usize] = base + j as u64;
-                    }
-                    self.room_fifo.extend(
-                        batch[i..i + run_len]
-                            .iter()
-                            .enumerate()
-                            .map(|(j, ev)| (ev.edge, base + j as u64)),
-                    );
-                    self.next_seq = base + run_len as u64;
-                    self.room_len += run_len;
-                    i += run_len;
-                    continue;
-                }
-            }
-            self.process(batch[i], ctx.reborrow());
-            i += 1;
-        }
-    }
-
     fn query_estimate(&self, query: &PatternQuery) -> f64 {
         query.estimate
     }
@@ -498,14 +444,8 @@ impl EdgeSampler for WrsSampler {
         "WRS"
     }
 
-    fn assert_capacity_for(&self, pattern: Pattern) {
-        assert!(
-            self.reservoir.capacity() >= pattern.num_edges(),
-            "WRS reservoir part ({}) must be ≥ |H| = {} of {}",
-            self.reservoir.capacity(),
-            pattern.num_edges(),
-            pattern.name()
-        );
+    fn pattern_budget(&self) -> usize {
+        self.reservoir.capacity()
     }
 
     fn snapshot_state(&self) -> SamplerState {
@@ -561,6 +501,7 @@ impl EdgeSampler for WrsSampler {
 mod tests {
     use super::*;
     use crate::session::OneQuery;
+    use wsd_graph::Pattern;
 
     fn wrs(pattern: Pattern, capacity: usize, fraction: f64, seed: u64) -> OneQuery<WrsSampler> {
         OneQuery::new(WrsSampler::with_fraction(capacity, fraction, seed), pattern)

@@ -79,8 +79,6 @@ pub struct WsdSampler {
     state_buf: StateVector,
     weight_fn: Box<dyn WeightFn>,
     rng: SmallRng,
-    /// Pre-drawn `u` variates for batched processing (reused scratch).
-    u_buf: Vec<f64>,
     /// Resolved state-observation mode (kept in sync with the weight
     /// function and observer).
     weight_mode: WeightMode,
@@ -128,7 +126,6 @@ impl WsdSampler {
             state_buf: StateVector::empty(),
             weight_fn,
             rng: SmallRng::seed_from_u64(seed),
-            u_buf: Vec::new(),
             weight_mode,
             observer: None,
         }
@@ -175,9 +172,9 @@ impl WsdSampler {
     /// observation itself rides a plan level — a fused query counts the
     /// weight pattern, or the weight ignores the instance count
     /// (`Affine(0, b)`).
-    // inline(always): this was the inline first half of `insert_with_u`
-    // before the admission plan split it out; keep it inlined so both
-    // admission paths compile to the pre-split code.
+    // inline(always): this is the first half of `insert`, split out for
+    // readability only; keep it inlined so the per-insertion path
+    // compiles as one body.
     #[inline(always)]
     fn observe(&mut self, e: Edge, ctx: QueryCtx<'_>) -> f64 {
         let QueryCtx { queries, scratch, plan } = ctx;
@@ -218,39 +215,9 @@ impl WsdSampler {
         }
     }
 
-    /// Number of upcoming insertions guaranteed to be admitted by
-    /// Case 1 regardless of their rank — the batched path's per-run
-    /// *admission plan*. While `τp == 0` every rank clears the bar
-    /// (`w > 0` and `u ∈ (0, 1]` force `r > 0`), and Case-1 admissions
-    /// touch neither threshold, so the guarantee holds for exactly the
-    /// free slots. Once the reservoir has filled, `τp` is positive
-    /// forever (Case 2 sets it to a reservoir minimum rank and Case 3
-    /// retains it) and no admission is unconditional.
-    #[inline]
-    fn guaranteed_admissions(&self) -> usize {
-        if self.tau_p == 0.0 {
-            self.capacity - self.heap.len()
-        } else {
-            0
-        }
-    }
-
-    /// Case-1 insertion with the admission test pre-resolved by the run
-    /// plan: observe, rank, admit — no threshold compare, no capacity
-    /// branch. Only valid while [`WsdSampler::guaranteed_admissions`]
-    /// is positive, where it is exactly [`WsdSampler::insert_with_u`].
-    fn insert_admit_unconditional(&mut self, e: Edge, u: f64, ctx: QueryCtx<'_>) {
-        let w = self.observe(e, ctx);
-        debug_assert!(w > 0.0 && w.is_finite(), "weight function must be positive/finite");
-        let r = rank(w, u);
-        debug_assert!(self.heap.len() < self.capacity && r > self.tau_p, "not in the fill phase");
-        self.admit(e, w, r);
-    }
-
-    /// Insertion with an externally drawn `u ∈ (0, 1]` — the batched
-    /// path pre-draws one variate per insertion (in event order, so the
-    /// RNG stream is identical to sequential processing).
-    fn insert_with_u(&mut self, e: Edge, u: f64, ctx: QueryCtx<'_>) {
+    /// Algorithm 1 for an insertion: observe, rank, then Cases 1–2.
+    fn insert(&mut self, e: Edge, ctx: QueryCtx<'_>) {
+        let u = draw_u(&mut self.rng);
         let w = self.observe(e, ctx);
         debug_assert!(w > 0.0 && w.is_finite(), "weight function must be positive/finite");
         let r = rank(w, u);
@@ -258,7 +225,8 @@ impl WsdSampler {
         if self.heap.len() < self.capacity {
             // Case 1: τp and τq are retained.
             if r > self.tau_p {
-                self.admit(e, w, r);
+                let id = self.sample.insert(e, EdgeMeta { weight: w, time: self.t });
+                self.heap.push(id, r);
             }
         } else {
             let (victim, min_rank) = self.heap.peek_min().expect("full reservoir is non-empty");
@@ -279,11 +247,6 @@ impl WsdSampler {
             }
             // Case 2.3: discard silently.
         }
-    }
-
-    fn admit(&mut self, e: Edge, w: f64, r: f64) {
-        let id = self.sample.insert(e, EdgeMeta { weight: w, time: self.t });
-        self.heap.push(id, r);
     }
 
     fn delete(&mut self, e: Edge, ctx: QueryCtx<'_>) {
@@ -323,24 +286,10 @@ impl WsdSampler {
 impl EdgeSampler for WsdSampler {
     fn process(&mut self, ev: EdgeEvent, ctx: QueryCtx<'_>) {
         match ev.op {
-            Op::Insert => {
-                let u = draw_u(&mut self.rng);
-                self.insert_with_u(ev.edge, u, ctx);
-            }
+            Op::Insert => self.insert(ev.edge, ctx),
             Op::Delete => self.delete(ev.edge, ctx),
         }
         self.t += 1;
-    }
-
-    /// Batched path: exactly one `u` variate is consumed per insertion
-    /// and none per deletion, so all draws for the batch are made in
-    /// one tight RNG loop up front — same stream, same estimates — and
-    /// the events are partitioned into same-op runs resolved against
-    /// the `τp == 0` admission plan (see
-    /// `WsdSampler::guaranteed_admissions`): planned insertion runs
-    /// skip the whole Case-1/Case-2 branch cascade per event.
-    fn process_batch(&mut self, batch: &[EdgeEvent], mut ctx: QueryCtx<'_>) {
-        crate::algorithms::predrawn_batch!(self, batch, ctx);
     }
 
     fn query_estimate(&self, query: &PatternQuery) -> f64 {
@@ -363,14 +312,8 @@ impl EdgeSampler for WsdSampler {
         &self.display_name
     }
 
-    fn assert_capacity_for(&self, pattern: Pattern) {
-        assert!(
-            self.capacity >= pattern.num_edges(),
-            "reservoir capacity M = {} must be ≥ |H| = {} of {}",
-            self.capacity,
-            pattern.num_edges(),
-            pattern.name()
-        );
+    fn pattern_budget(&self) -> usize {
+        self.capacity
     }
 
     fn snapshot_state(&self) -> SamplerState {

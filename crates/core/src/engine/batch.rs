@@ -3,20 +3,19 @@
 use crate::session::StreamSession;
 use wsd_graph::EdgeEvent;
 
-/// Default ingestion batch size.
-///
-/// Large enough to amortise per-batch costs (RNG pre-draws, dispatch),
-/// small enough that pre-drawn variate buffers stay cache-resident.
+/// Default ingestion batch size: the chunk between two
+/// [`BatchDriver::run_session_with_checkpoints`] callbacks, large
+/// enough that the per-batch virtual dispatch into the sampler is
+/// negligible.
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
 
 /// Drives a [`StreamSession`] over a stream in fixed-size batches.
 ///
-/// Each batch goes through [`StreamSession::process_batch`], which is
-/// **bit-identical** to per-event processing (the equivalence is
-/// asserted by the `admission_equivalence` differential suite for every
-/// algorithm) but resolves admission at run granularity: variates are
-/// pre-drawn per batch, and each sampler's admission plan admits whole
-/// insertion runs through a branch-free reservoir write path.
+/// Each batch goes through [`StreamSession::process_batch`], which runs
+/// the sampler's per-event admission path over the batch, so the
+/// outcome is **bit-identical** to per-event processing whatever the
+/// batch size (the `batch_equivalence` suite pins this for every
+/// algorithm). The batch size only sets where checkpoints can fall.
 #[derive(Copy, Clone, Debug)]
 pub struct BatchDriver {
     batch_size: usize,

@@ -7,9 +7,9 @@
 //! system on top of [`StreamSession`](crate::StreamSession):
 //!
 //! * [`BatchDriver`] feeds a stream to a session
-//!   ([`BatchDriver::run_session`]) in fixed-size batches, letting each
-//!   algorithm amortise RNG draws, dispatch and bookkeeping across the
-//!   batch.
+//!   ([`BatchDriver::run_session`]) in fixed-size batches, one virtual
+//!   call into the sampler per batch rather than per event, with an
+//!   optional checkpoint callback between batches.
 //! * [`Ensemble`] executes N independently seeded replicas of a session
 //!   ([`Ensemble::run_sessions`]) over the same stream on a thread pool
 //!   and merges their unbiased estimates into a mean with variance and

@@ -44,30 +44,6 @@
 //! per event (see [`LayeredPlan`]), bit-identical to the per-query
 //! passes it replaces.
 //!
-//! # Batched admission
-//!
-//! [`EdgeSampler::process_batch`] is not a loop over
-//! [`EdgeSampler::process`]: each sampler resolves admission for whole
-//! *runs* of events up front. The weighted samplers pre-draw one
-//! admission variate per insertion in event order, then split the
-//! batch at the sampler's **admission plan** boundary — the count of
-//! consecutive insertions that are provably admitted before any
-//! threshold or eviction test can fire (WSD: free slots while
-//! `τ_p = 0`; GPS/GPS-A: free slots, a non-full queue admits
-//! unconditionally) — running the planned prefix through a
-//! branch-free unconditional-admit path. The uniform reservoirs admit
-//! fill-phase insertion runs with one run-level reservoir write
-//! ([`reservoir::RpReservoir::admit_run`]), and the WRS waiting room
-//! batches its FIFO/sequence bookkeeping per free-room run. Underneath,
-//! the reservoir heap and the sampled graph's per-edge metadata are
-//! laid out as parallel arrays (structure-of-arrays), and reservoir
-//! eviction removes edges by arena ID through the adjacency's mirror
-//! table without any neighbour-set search. All of it is **bit-identical
-//! to per-event processing** — same RNG stream, same reservoir slot
-//! orders, same estimates — pinned by the
-//! `admission_equivalence` differential suite (both paths in lockstep,
-//! batch sizes down to 1).
-//!
 //! # Example
 //!
 //! One WSD-H sampler pass answering the paper's whole pattern grid:
@@ -111,8 +87,8 @@ pub use config::Algorithm;
 pub use engine::{BatchDriver, Ensemble, EnsembleReport, SessionEnsembleReport};
 pub use policy::{PolicyArtifact, PolicyError, PolicyMeta, PolicyRegistry};
 pub use session::{
-    EdgeSampler, LayeredPlan, PatternQuery, QueryCheckpoint, QueryCtx, QueryId, QueryReport,
-    SessionBuilder, SessionReport, StreamSession, WeightSwapError,
+    AttachError, EdgeSampler, LayeredPlan, PatternQuery, QueryCheckpoint, QueryCtx, QueryId,
+    QueryReport, SessionBuilder, SessionReport, StreamSession, WeightSwapError,
 };
 pub use snapshot::{
     fnv1a64, write_file_atomic, ByteReader, ByteWriter, QuerySnapshot, SamplerState, SessionConfig,

@@ -28,7 +28,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::snapshot::{
-    fnv1a64, get_pattern, put_pattern, write_file_atomic, ByteReader, ByteWriter, SnapshotError,
+    fnv1a64, get_pattern, get_policy, put_pattern, put_policy, write_file_atomic, ByteReader,
+    ByteWriter, PolicyDecodeError, SnapshotError,
 };
 use crate::weight::{HeuristicWeight, LinearPolicy, WeightFn};
 use wsd_graph::Pattern;
@@ -106,6 +107,15 @@ impl From<SnapshotError> for PolicyError {
     }
 }
 
+impl From<PolicyDecodeError> for PolicyError {
+    fn from(e: PolicyDecodeError) -> Self {
+        match e {
+            PolicyDecodeError::Codec(e) => PolicyError::Codec(e),
+            PolicyDecodeError::NonFinite(field) => PolicyError::NonFinite { field },
+        }
+    }
+}
+
 /// Provenance metadata carried by every artifact: what the policy was
 /// trained for and under which budget, so registry lookups and accuracy
 /// gates can pair artifacts with matching evaluation cells.
@@ -134,33 +144,6 @@ pub struct PolicyArtifact {
     pub policy: LinearPolicy,
 }
 
-fn put_f64_vec(w: &mut ByteWriter, xs: &[f64]) {
-    w.put_len(xs.len());
-    for &x in xs {
-        w.put_f64(x);
-    }
-}
-
-fn get_finite_vec(
-    r: &mut ByteReader<'_>,
-    field: &'static str,
-    expected_len: usize,
-) -> Result<Vec<f64>, PolicyError> {
-    let n = r.get_len()?;
-    if n != expected_len {
-        return Err(PolicyError::Codec(SnapshotError::Invalid("parameter block length")));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let x = r.get_f64()?;
-        if !x.is_finite() {
-            return Err(PolicyError::NonFinite { field });
-        }
-        out.push(x);
-    }
-    Ok(out)
-}
-
 impl PolicyArtifact {
     /// Serialises the artifact into a self-contained, checksummed blob.
     pub fn encode(&self) -> Vec<u8> {
@@ -173,10 +156,7 @@ impl PolicyArtifact {
         w.put_u64(self.meta.capacity);
         w.put_u64(self.meta.train_seed);
         w.put_u64(self.meta.iterations);
-        put_f64_vec(&mut w, &self.policy.w);
-        w.put_f64(self.policy.b);
-        put_f64_vec(&mut w, self.policy.norm.mean());
-        put_f64_vec(&mut w, self.policy.norm.std());
+        put_policy(&mut w, &self.policy);
         let mut bytes = w.into_bytes();
         let check = fnv1a64(&bytes);
         bytes.extend_from_slice(&check.to_le_bytes());
@@ -207,34 +187,15 @@ impl PolicyArtifact {
         let capacity = r.get_u64()?;
         let train_seed = r.get_u64()?;
         let iterations = r.get_u64()?;
-        let dim = pattern.num_edges() + 3;
-        let got = {
-            // Peek the stored weight-vector length before enforcing it,
-            // so a mismatched artifact reports its own dimension.
-            let mut peek = ByteReader::new(r.take(8)?);
-            peek.get_u64()? as usize
-        };
-        if got != dim {
-            return Err(PolicyError::DimensionMismatch { expected: dim, got });
-        }
-        let mut w = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            let x = r.get_f64()?;
-            if !x.is_finite() {
-                return Err(PolicyError::NonFinite { field: "weight" });
-            }
-            w.push(x);
-        }
-        let b = r.get_f64()?;
-        if !b.is_finite() {
-            return Err(PolicyError::NonFinite { field: "bias" });
-        }
-        let mean = get_finite_vec(&mut r, "mean", dim)?;
-        let std = get_finite_vec(&mut r, "std", dim)?;
+        let policy = get_policy(&mut r)?;
         r.finish()?;
+        let dim = pattern.num_edges() + 3;
+        if policy.dim() != dim {
+            return Err(PolicyError::DimensionMismatch { expected: dim, got: policy.dim() });
+        }
         Ok(PolicyArtifact {
             meta: PolicyMeta { pattern, scenario, capacity, train_seed, iterations },
-            policy: LinearPolicy::new(w, b, crate::weight::FeatureNorm::new(mean, std)),
+            policy,
         })
     }
 

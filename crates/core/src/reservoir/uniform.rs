@@ -100,53 +100,6 @@ impl RpReservoir {
         self.edges.iter().copied()
     }
 
-    /// Number of upcoming offers guaranteed to be admitted *without
-    /// consuming randomness*: the classic fill phase (no uncompensated
-    /// deletions, free slots). The batched samplers use this to process
-    /// fill-phase insertion runs in a tight branch-free loop; once it
-    /// returns 0, every subsequent offer may draw from the RNG and must
-    /// go through [`RpReservoir::offer`].
-    #[inline]
-    pub fn guaranteed_admissions(&self) -> usize {
-        if self.d_in + self.d_out == 0 {
-            self.capacity - self.edges.len()
-        } else {
-            0
-        }
-    }
-
-    /// Admits `e` unconditionally, bypassing the admission branches.
-    ///
-    /// Only valid while [`RpReservoir::guaranteed_admissions`] is
-    /// positive, where it is exactly equivalent to
-    /// [`RpReservoir::offer`] returning [`Admission::Added`] (no RNG
-    /// draw happens on that path either).
-    #[inline]
-    pub fn admit_unconditional(&mut self, e: Edge) {
-        debug_assert!(self.guaranteed_admissions() > 0, "not in the fill phase");
-        debug_assert!(!self.contains(e), "offer of an edge already in the sample");
-        self.population += 1;
-        self.insert_raw(e);
-    }
-
-    /// Admits a whole run of edges unconditionally — the batched
-    /// fill-phase analogue of repeated
-    /// [`RpReservoir::admit_unconditional`] calls (bit-identical: no
-    /// RNG draw happens on either path, and the sample's slot order is
-    /// the same). The run length must not exceed
-    /// [`RpReservoir::guaranteed_admissions`].
-    #[inline]
-    pub fn admit_run(&mut self, edges: impl ExactSizeIterator<Item = Edge>) {
-        debug_assert!(self.guaranteed_admissions() >= edges.len(), "run exceeds the fill phase");
-        self.population += edges.len() as u64;
-        let base = self.edges.len();
-        for (k, e) in edges.enumerate() {
-            debug_assert!(!self.pos.contains_key(&e), "offer of an edge already in the sample");
-            self.edges.push(e);
-            self.pos.insert(e, base + k);
-        }
-    }
-
     /// Processes an insertion event, returning what happened to the edge.
     ///
     /// The caller is responsible for updating any auxiliary structures

@@ -241,6 +241,51 @@ impl std::fmt::Display for WeightSwapError {
 
 impl std::error::Error for WeightSwapError {}
 
+/// Why a pattern cannot be attached to a session (see
+/// [`StreamSession::check_attach`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum AttachError {
+    /// The pattern is invalid: a clique order [`Pattern::validate`]
+    /// rejects.
+    InvalidPattern(String),
+    /// One instance of the pattern has more edges than the sampler's
+    /// budget holds (the unbiasedness theorems require `M ≥ |H|`).
+    OverBudget {
+        /// The rejected pattern.
+        pattern: Pattern,
+        /// The sampler's [`EdgeSampler::pattern_budget`].
+        budget: usize,
+    },
+}
+
+impl AttachError {
+    /// The one attach-time check: `pattern` must be valid and fit
+    /// `budget`.
+    fn check(pattern: Pattern, budget: usize) -> Result<(), AttachError> {
+        pattern.validate().map_err(AttachError::InvalidPattern)?;
+        if budget < pattern.num_edges() {
+            return Err(AttachError::OverBudget { pattern, budget });
+        }
+        Ok(())
+    }
+}
+
+impl std::fmt::Display for AttachError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AttachError::InvalidPattern(reason) => write!(f, "invalid pattern: {reason}"),
+            AttachError::OverBudget { pattern, budget } => write!(
+                f,
+                "reservoir capacity {budget} must be ≥ |H| = {} of {}",
+                pattern.num_edges(),
+                pattern.name()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for AttachError {}
+
 /// The sampling layer of a [`StreamSession`]: one algorithm's
 /// admission / eviction / room logic, owning the reservoir and the
 /// sampled adjacency, and feeding every attached [`PatternQuery`]'s
@@ -260,10 +305,12 @@ pub trait EdgeSampler: Send {
     /// per-query enumeration passes).
     fn process(&mut self, ev: EdgeEvent, ctx: QueryCtx<'_>);
 
-    /// Processes a batch of consecutive events. Semantically identical
-    /// to per-event [`EdgeSampler::process`] — same estimates, sample
-    /// and RNG stream, bit for bit — but free to amortise per-event
-    /// overheads (RNG pre-draws, run splitting, invariant hoisting).
+    /// Processes a batch of consecutive events: a loop over
+    /// [`EdgeSampler::process`], so the outcome is the per-event one bit
+    /// for bit. Samplers do not override it — each keeps the one
+    /// per-event admission path the paper describes. Called through a
+    /// `dyn EdgeSampler`, the loop costs one virtual call per batch and
+    /// makes a static `process` call per event.
     fn process_batch(&mut self, batch: &[EdgeEvent], mut ctx: QueryCtx<'_>) {
         for &ev in batch {
             self.process(ev, ctx.reborrow());
@@ -305,14 +352,11 @@ pub trait EdgeSampler: Send {
     /// Algorithm display name (e.g. `WSD-H`, `Triest`).
     fn name(&self) -> &str;
 
-    /// Asserts that the sampler's memory budget can support counting
-    /// `pattern` (the unbiasedness theorems require the reservoir to
-    /// hold at least `|H|` edges).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the budget is too small for the pattern.
-    fn assert_capacity_for(&self, pattern: Pattern);
+    /// The memory budget the unbiasedness theorems compare with `|H|`:
+    /// how many edges the reservoir holds (for WRS, its reservoir part).
+    /// [`StreamSession::check_attach`] refuses a pattern with more edges
+    /// than this.
+    fn pattern_budget(&self) -> usize;
 
     /// Captures the sampler's complete dynamic state — reservoir slot
     /// orders verbatim, sampled adjacency as a canonical layout, RNG
@@ -751,8 +795,10 @@ impl StreamSession {
         self.events += 1;
     }
 
-    /// Processes a batch of consecutive events (bit-identical to
-    /// per-event processing, with per-event overheads amortised).
+    /// Processes a batch of consecutive events, bit-identical to
+    /// calling [`StreamSession::process`] on each (see
+    /// [`EdgeSampler::process_batch`]); the batch only saves the
+    /// per-event virtual call into the sampler.
     pub fn process_batch(&mut self, batch: &[EdgeEvent]) {
         self.sampler.process_batch(
             batch,
@@ -771,6 +817,18 @@ impl StreamSession {
         crate::engine::BatchDriver::new().run_session(self, stream);
     }
 
+    /// Whether [`StreamSession::attach`] accepts `pattern`: it must be
+    /// valid and fit the sampler's [`EdgeSampler::pattern_budget`].
+    /// Callers holding untrusted patterns (a server) check first, so a
+    /// bad request becomes an error instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// The [`AttachError`] `attach` would panic with.
+    pub fn check_attach(&self, pattern: Pattern) -> Result<(), AttachError> {
+        AttachError::check(pattern, self.sampler.pattern_budget())
+    }
+
     /// Attaches a new query mid-stream. The query warms up by
     /// enumerating the pattern instances inside the current sample once
     /// (see [`EdgeSampler::warm_start`]), then tracks every subsequent
@@ -779,9 +837,9 @@ impl StreamSession {
     ///
     /// # Panics
     ///
-    /// Panics if the sampler's budget cannot support the pattern.
+    /// Panics if [`StreamSession::check_attach`] rejects the pattern.
     pub fn attach(&mut self, pattern: Pattern) -> QueryId {
-        self.sampler.assert_capacity_for(pattern);
+        self.check_attach(pattern).unwrap_or_else(|e| panic!("{e}"));
         let mut query = PatternQuery::new(pattern);
         self.sampler.warm_start(&mut query, &mut self.scratch);
         let id = QueryId { session: self.token, index: self.handles.len() };
@@ -800,11 +858,11 @@ impl StreamSession {
     ///
     /// # Panics
     ///
-    /// Panics if the sampler's budget cannot support one of the
+    /// Panics if [`StreamSession::check_attach`] rejects one of the
     /// patterns.
     pub fn attach_many(&mut self, patterns: &[Pattern]) -> Vec<QueryId> {
         for &p in patterns {
-            self.sampler.assert_capacity_for(p);
+            self.check_attach(p).unwrap_or_else(|e| panic!("{e}"));
         }
         let start = self.queries.len();
         let mut ids = Vec::with_capacity(patterns.len());
@@ -1193,8 +1251,8 @@ impl<S: EdgeSampler> OneQuery<S> {
     /// Panics if the pattern is invalid or the sampler's budget cannot
     /// support it.
     pub(crate) fn new(sampler: S, pattern: Pattern) -> Self {
+        AttachError::check(pattern, sampler.pattern_budget()).unwrap_or_else(|e| panic!("{e}"));
         let query = PatternQuery::new(pattern);
-        sampler.assert_capacity_for(pattern);
         Self { sampler, query, scratch: EnumScratch::default() }
     }
 

@@ -279,7 +279,10 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 // Leaf encoders
 // ---------------------------------------------------------------------
 
-pub(crate) fn put_pattern(w: &mut ByteWriter, p: Pattern) {
+/// Appends a pattern: a tag byte, plus the order byte for
+/// [`Pattern::Clique`]. The one pattern encoding of snapshots, policy
+/// artifacts and the serve wire protocol.
+pub fn put_pattern(w: &mut ByteWriter, p: Pattern) {
     match p {
         Pattern::Wedge => w.put_u8(0),
         Pattern::Triangle => w.put_u8(1),
@@ -291,14 +294,123 @@ pub(crate) fn put_pattern(w: &mut ByteWriter, p: Pattern) {
     }
 }
 
-pub(crate) fn get_pattern(r: &mut ByteReader<'_>) -> Result<Pattern, SnapshotError> {
-    Ok(match r.get_u8()? {
+/// Reads a pattern written by [`put_pattern`], rejecting every clique
+/// order [`Pattern::validate`] rejects, so no decoded pattern can panic
+/// a session or query constructor later.
+pub fn get_pattern(r: &mut ByteReader<'_>) -> Result<Pattern, SnapshotError> {
+    let p = match r.get_u8()? {
         0 => Pattern::Wedge,
         1 => Pattern::Triangle,
         2 => Pattern::FourClique,
         3 => Pattern::Clique(r.get_u8()?),
         _ => return Err(SnapshotError::BadTag("pattern")),
+    };
+    p.validate().map_err(|_| SnapshotError::Invalid("clique order out of range"))?;
+    Ok(p)
+}
+
+/// Appends an algorithm as one tag byte — the encoding snapshots and
+/// the serve wire protocol share.
+pub fn put_algorithm(w: &mut ByteWriter, a: Algorithm) {
+    w.put_u8(match a {
+        Algorithm::WsdL => 0,
+        Algorithm::WsdH => 1,
+        Algorithm::WsdUniform => 2,
+        Algorithm::GpsA => 3,
+        Algorithm::Gps => 4,
+        Algorithm::Triest => 5,
+        Algorithm::ThinkD => 6,
+        Algorithm::Wrs => 7,
+    });
+}
+
+/// Reads an algorithm written by [`put_algorithm`].
+pub fn get_algorithm(r: &mut ByteReader<'_>) -> Result<Algorithm, SnapshotError> {
+    Ok(match r.get_u8()? {
+        0 => Algorithm::WsdL,
+        1 => Algorithm::WsdH,
+        2 => Algorithm::WsdUniform,
+        3 => Algorithm::GpsA,
+        4 => Algorithm::Gps,
+        5 => Algorithm::Triest,
+        6 => Algorithm::ThinkD,
+        7 => Algorithm::Wrs,
+        _ => return Err(SnapshotError::BadTag("algorithm")),
     })
+}
+
+/// Appends a learned policy's parameters as `len, w…, b, len, mean…,
+/// len, std…` (floats as raw IEEE-754 bits) — the one layout session
+/// snapshots, `SwapPolicy` weight specs and `.wsdp` artifacts share.
+pub(crate) fn put_policy(w: &mut ByteWriter, policy: &LinearPolicy) {
+    w.put_len(policy.w.len());
+    for &x in &policy.w {
+        w.put_f64(x);
+    }
+    w.put_f64(policy.b);
+    for xs in [policy.norm.mean(), policy.norm.std()] {
+        w.put_len(xs.len());
+        for &x in xs {
+            w.put_f64(x);
+        }
+    }
+}
+
+/// Why [`get_policy`] rejected a parameter block.
+pub(crate) enum PolicyDecodeError {
+    /// Malformed bytes: truncation, or normaliser blocks whose length
+    /// differs from the weight vector's.
+    Codec(SnapshotError),
+    /// A NaN or infinite value in the named block (`weight`, `bias`,
+    /// `mean` or `std`): it would poison every later admission.
+    NonFinite(&'static str),
+}
+
+impl From<SnapshotError> for PolicyDecodeError {
+    fn from(e: SnapshotError) -> Self {
+        PolicyDecodeError::Codec(e)
+    }
+}
+
+impl From<PolicyDecodeError> for SnapshotError {
+    fn from(e: PolicyDecodeError) -> Self {
+        match e {
+            PolicyDecodeError::Codec(e) => e,
+            PolicyDecodeError::NonFinite(_) => {
+                SnapshotError::Invalid("non-finite policy parameter")
+            }
+        }
+    }
+}
+
+/// Reads a policy written by [`put_policy`], rejecting non-finite
+/// parameters and blocks whose lengths disagree.
+pub(crate) fn get_policy(r: &mut ByteReader<'_>) -> Result<LinearPolicy, PolicyDecodeError> {
+    fn finite(x: f64, block: &'static str) -> Result<f64, PolicyDecodeError> {
+        if x.is_finite() {
+            Ok(x)
+        } else {
+            Err(PolicyDecodeError::NonFinite(block))
+        }
+    }
+    let dim = r.get_len()?;
+    let mut weights = Vec::with_capacity(dim);
+    for _ in 0..dim {
+        weights.push(finite(r.get_f64()?, "weight")?);
+    }
+    let b = finite(r.get_f64()?, "bias")?;
+    let mut mean_std = [Vec::new(), Vec::new()];
+    for (xs, block) in mean_std.iter_mut().zip(["mean", "std"]) {
+        if r.get_len()? != dim {
+            return Err(SnapshotError::Invalid("policy parameter block length").into());
+        }
+        xs.reserve(dim);
+        for _ in 0..dim {
+            xs.push(finite(r.get_f64()?, block)?);
+        }
+    }
+    let [mean, std] = mean_std;
+    Ok(LinearPolicy::new(weights, b, FeatureNorm::new(mean, std)))
 }
 
 fn put_edge(w: &mut ByteWriter, e: Edge) {
@@ -764,16 +876,7 @@ pub struct SessionConfig {
 
 impl SessionConfig {
     fn encode(&self, w: &mut ByteWriter) {
-        w.put_u8(match self.algorithm {
-            Algorithm::WsdL => 0,
-            Algorithm::WsdH => 1,
-            Algorithm::WsdUniform => 2,
-            Algorithm::GpsA => 3,
-            Algorithm::Gps => 4,
-            Algorithm::Triest => 5,
-            Algorithm::ThinkD => 6,
-            Algorithm::Wrs => 7,
-        });
+        put_algorithm(w, self.algorithm);
         w.put_u64(self.capacity);
         w.put_u64(self.seed);
         w.put_u8(match self.pooling {
@@ -793,33 +896,13 @@ impl SessionConfig {
             None => w.put_u8(0),
             Some(policy) => {
                 w.put_u8(1);
-                w.put_len(policy.w.len());
-                for &x in &policy.w {
-                    w.put_f64(x);
-                }
-                w.put_f64(policy.b);
-                for xs in [policy.norm.mean(), policy.norm.std()] {
-                    w.put_len(xs.len());
-                    for &x in xs {
-                        w.put_f64(x);
-                    }
-                }
+                put_policy(w, policy);
             }
         }
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
-        let algorithm = match r.get_u8()? {
-            0 => Algorithm::WsdL,
-            1 => Algorithm::WsdH,
-            2 => Algorithm::WsdUniform,
-            3 => Algorithm::GpsA,
-            4 => Algorithm::Gps,
-            5 => Algorithm::Triest,
-            6 => Algorithm::ThinkD,
-            7 => Algorithm::Wrs,
-            _ => return Err(SnapshotError::BadTag("algorithm")),
-        };
+        let algorithm = get_algorithm(r)?;
         let capacity = r.get_u64()?;
         let seed = r.get_u64()?;
         let pooling = match r.get_u8()? {
@@ -836,27 +919,7 @@ impl SessionConfig {
         let layered = r.get_bool()?;
         let policy = match r.get_u8()? {
             0 => None,
-            1 => {
-                let n = r.get_len()?;
-                let mut weights = Vec::with_capacity(n);
-                for _ in 0..n {
-                    weights.push(r.get_f64()?);
-                }
-                let b = r.get_f64()?;
-                let mut mean_std = [Vec::new(), Vec::new()];
-                for xs in &mut mean_std {
-                    let n = r.get_len()?;
-                    xs.reserve(n);
-                    for _ in 0..n {
-                        xs.push(r.get_f64()?);
-                    }
-                }
-                let [mean, std] = mean_std;
-                if mean.len() != weights.len() || std.len() != weights.len() {
-                    return Err(SnapshotError::Invalid("policy dimension mismatch"));
-                }
-                Some(LinearPolicy::new(weights, b, FeatureNorm::new(mean, std)))
-            }
+            1 => Some(get_policy(r)?),
             _ => return Err(SnapshotError::BadTag("policy option")),
         };
         Ok(Self {
@@ -1123,6 +1186,56 @@ mod tests {
         // The algorithm tag sits right after the 8-byte header.
         bad_tag[8] = 200;
         assert_eq!(SessionSnapshot::decode(&bad_tag), Err(SnapshotError::BadTag("algorithm")));
+    }
+
+    /// A WSD-L snapshot whose policy parameters are all distinct, so
+    /// each value's bits occur once in the encoding.
+    fn policy_snapshot() -> SessionSnapshot {
+        let mut snap = snapshot_for(SamplerState::Rp {
+            reservoir: RpState { edges: vec![], d_in: 0, d_out: 0, population: 0 },
+            adj: AdjacencyLayout { vertices: vec![], free: vec![], id_bound: 0 },
+            rng: [1, 2, 3, 4],
+        });
+        snap.config.algorithm = Algorithm::WsdL;
+        snap.config.policy = Some(LinearPolicy::new(
+            vec![0.125, -0.375],
+            1.625,
+            FeatureNorm::new(vec![2.875, 3.125], vec![4.375, 5.625]),
+        ));
+        snap
+    }
+
+    #[test]
+    fn rejects_non_finite_policy_parameters() {
+        let bytes = policy_snapshot().encode();
+        assert!(SessionSnapshot::decode(&bytes).is_ok());
+        // One value from each block: weight, bias, mean, std. Patched in
+        // the bytes, because `FeatureNorm::new` would map a NaN std to 1.
+        for value in [-0.375, 1.625, 2.875, 5.625] {
+            let needle = f64::to_le_bytes(value);
+            let at = bytes.windows(8).position(|w| w == needle).expect("value is encoded");
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut poisoned = bytes.clone();
+                poisoned[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                assert_eq!(
+                    SessionSnapshot::decode(&poisoned),
+                    Err(SnapshotError::Invalid("non-finite policy parameter")),
+                    "{bad} in place of {value}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_invalid_clique_orders() {
+        for order in [0, 2, 9, u8::MAX] {
+            let mut snap = policy_snapshot();
+            snap.queries[1].pattern = Pattern::Clique(order);
+            assert!(SessionSnapshot::decode(&snap.encode()).is_err(), "query Clique({order})");
+            let mut snap = policy_snapshot();
+            snap.config.weight_pattern = Some(Pattern::Clique(order));
+            assert!(SessionSnapshot::decode(&snap.encode()).is_err(), "weight Clique({order})");
+        }
     }
 
     /// A blob of another encoding version — version 1 still carried the

@@ -17,7 +17,7 @@
 //!   "hardcodes" them here, exactly as the paper ports its trained
 //!   PyTorch parameters to C++.
 
-use crate::snapshot::{ByteReader, ByteWriter, SnapshotError};
+use crate::snapshot::{get_policy, put_policy, ByteReader, ByteWriter, SnapshotError};
 use crate::state::StateVector;
 
 /// A weight function consuming the observed state.
@@ -240,17 +240,7 @@ impl WeightSpec {
             WeightSpec::Heuristic => w.put_u8(1),
             WeightSpec::Policy(p) => {
                 w.put_u8(2);
-                w.put_len(p.w.len());
-                for &x in &p.w {
-                    w.put_f64(x);
-                }
-                w.put_f64(p.b);
-                for xs in [p.norm.mean(), p.norm.std()] {
-                    w.put_len(xs.len());
-                    for &x in xs {
-                        w.put_f64(x);
-                    }
-                }
+                put_policy(w, p);
             }
         }
     }
@@ -262,33 +252,7 @@ impl WeightSpec {
         match r.get_u8()? {
             0 => Ok(WeightSpec::Uniform),
             1 => Ok(WeightSpec::Heuristic),
-            2 => {
-                let finite = |x: f64| {
-                    if x.is_finite() {
-                        Ok(x)
-                    } else {
-                        Err(SnapshotError::Invalid("non-finite policy parameter"))
-                    }
-                };
-                let dim = r.get_len()?;
-                let mut weights = Vec::with_capacity(dim);
-                for _ in 0..dim {
-                    weights.push(finite(r.get_f64()?)?);
-                }
-                let b = finite(r.get_f64()?)?;
-                let mut blocks = [Vec::new(), Vec::new()];
-                for block in &mut blocks {
-                    let n = r.get_len()?;
-                    if n != dim {
-                        return Err(SnapshotError::Invalid("normaliser dimension mismatch"));
-                    }
-                    for _ in 0..n {
-                        block.push(finite(r.get_f64()?)?);
-                    }
-                }
-                let [mean, std] = blocks;
-                Ok(WeightSpec::Policy(LinearPolicy::new(weights, b, FeatureNorm::new(mean, std))))
-            }
+            2 => Ok(WeightSpec::Policy(get_policy(r)?)),
             _ => Err(SnapshotError::BadTag("weight spec")),
         }
     }

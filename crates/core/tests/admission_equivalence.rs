@@ -1,13 +1,11 @@
 //! Admission-path differential suite.
 //!
-//! The batched admission layer — pre-drawn variate partitions, per-run
-//! admission plans (`guaranteed_admissions` / unconditional admits),
-//! run-level reservoir and WRS room admission, and the SoA reservoir
-//! write path underneath — is an *optimisation*, not a semantic
-//! variant. This suite runs the batched path and the per-event path in
-//! lockstep over the same stream and asserts, at every batch
-//! boundary (batch sizes down to 1, so per-event granularity is
-//! covered):
+//! Every sampler has one admission path, the per-event
+//! [`EdgeSampler::process`]; [`EdgeSampler::process_batch`] must stay a
+//! loop over it, never a semantic variant. This suite runs the batched
+//! entry point and the per-event one in lockstep over the same stream
+//! and asserts, at every batch boundary (batch sizes down to 1, so
+//! per-event granularity is covered):
 //!
 //! * **reservoir content and order** — heap-slot order for the weighted
 //!   samplers (it decides victim choice under rank ties), sample-slot
@@ -19,10 +17,11 @@
 //! * the RNG stream implicitly: one surplus or missing draw desyncs
 //!   every subsequent sampling decision and shows up in the snapshots.
 //!
-//! Deterministic scenarios pin the regimes the run plans must not
-//! disturb — ID-recycling churn waves and WRS ghost-position
-//! re-admissions — and a proptest sweeps feasible dynamic streams ×
-//! batch partitions × capacities for all six algorithms.
+//! Deterministic scenarios pin the regimes a batch-level shortcut would
+//! most easily get wrong — the fill phase, ID-recycling churn waves and
+//! WRS ghost-position re-admissions — and a proptest sweeps feasible
+//! dynamic streams × batch partitions × capacities for all six
+//! algorithms.
 
 use proptest::prelude::*;
 use wsd_core::algorithms::{

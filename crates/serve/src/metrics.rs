@@ -117,11 +117,21 @@ impl ShardMetrics {
         field(self).fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn count_cmd(&self, kind: CmdKind, nanos: u64) {
-        let i = CMD_KINDS.iter().position(|&k| k == kind).expect("known kind");
-        self.cmd_count[i].fetch_add(1, Ordering::Relaxed);
-        self.cmd_nanos[i].fetch_add(nanos, Ordering::Relaxed);
+    /// Counts a command before it is applied: its reply can reach the
+    /// client, and a `Stats` request after it, before the worker runs
+    /// its next line.
+    pub(crate) fn count_cmd(&self, kind: CmdKind) {
+        self.cmd_count[kind_index(kind)].fetch_add(1, Ordering::Relaxed);
     }
+
+    /// Adds the time a command took to apply.
+    pub(crate) fn time_cmd(&self, kind: CmdKind, nanos: u64) {
+        self.cmd_nanos[kind_index(kind)].fetch_add(nanos, Ordering::Relaxed);
+    }
+}
+
+fn kind_index(kind: CmdKind) -> usize {
+    CMD_KINDS.iter().position(|&k| k == kind).expect("known kind")
 }
 
 /// Aggregates every shard's counters into one wire-ready report.
@@ -196,7 +206,8 @@ mod tests {
         for (i, m) in shards.iter().enumerate() {
             m.add(|m| &m.events, (i as u64 + 1) * 10);
             m.add(|m| &m.sessions_live, 1);
-            m.count_cmd(CmdKind::Flush, 2_000_000);
+            m.count_cmd(CmdKind::Flush);
+            m.time_cmd(CmdKind::Flush, 2_000_000);
         }
         let report = aggregate(&shards);
         assert_eq!(report.events, 60);

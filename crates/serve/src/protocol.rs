@@ -22,6 +22,7 @@
 
 use std::io::{self, Read, Write};
 
+use wsd_core::snapshot::{get_algorithm, get_pattern, put_algorithm, put_pattern};
 use wsd_core::{Algorithm, ByteReader, ByteWriter, SnapshotError, WeightSpec};
 use wsd_graph::{EdgeEvent, Pattern};
 use wsd_stream::wire;
@@ -320,55 +321,6 @@ pub struct Checkpoint {
     pub events: u64,
     /// Every live query's estimate at that point.
     pub queries: Vec<QueryEstimate>,
-}
-
-fn put_algorithm(w: &mut ByteWriter, a: Algorithm) {
-    w.put_u8(match a {
-        Algorithm::WsdL => 0,
-        Algorithm::WsdH => 1,
-        Algorithm::WsdUniform => 2,
-        Algorithm::GpsA => 3,
-        Algorithm::Gps => 4,
-        Algorithm::Triest => 5,
-        Algorithm::ThinkD => 6,
-        Algorithm::Wrs => 7,
-    });
-}
-
-fn get_algorithm(r: &mut ByteReader<'_>) -> Result<Algorithm, SnapshotError> {
-    Ok(match r.get_u8()? {
-        0 => Algorithm::WsdL,
-        1 => Algorithm::WsdH,
-        2 => Algorithm::WsdUniform,
-        3 => Algorithm::GpsA,
-        4 => Algorithm::Gps,
-        5 => Algorithm::Triest,
-        6 => Algorithm::ThinkD,
-        7 => Algorithm::Wrs,
-        _ => return Err(SnapshotError::BadTag("algorithm")),
-    })
-}
-
-fn put_pattern(w: &mut ByteWriter, p: Pattern) {
-    match p {
-        Pattern::Wedge => w.put_u8(0),
-        Pattern::Triangle => w.put_u8(1),
-        Pattern::FourClique => w.put_u8(2),
-        Pattern::Clique(k) => {
-            w.put_u8(3);
-            w.put_u8(k);
-        }
-    }
-}
-
-fn get_pattern(r: &mut ByteReader<'_>) -> Result<Pattern, SnapshotError> {
-    Ok(match r.get_u8()? {
-        0 => Pattern::Wedge,
-        1 => Pattern::Triangle,
-        2 => Pattern::FourClique,
-        3 => Pattern::Clique(r.get_u8()?),
-        _ => return Err(SnapshotError::BadTag("pattern")),
-    })
 }
 
 fn put_query_estimates(w: &mut ByteWriter, queries: &[QueryEstimate]) {
@@ -792,6 +744,27 @@ mod tests {
         let mut trailing = Request::Stats.encode();
         trailing.push(0);
         assert!(Request::decode(&trailing).is_err());
+    }
+
+    #[test]
+    fn invalid_clique_orders_fail_at_decode() {
+        // Clique(2) is below the smallest order and Clique(9) above the
+        // largest: neither may reach a session constructor, which would
+        // panic on them.
+        for pattern in [Pattern::Clique(2), Pattern::Clique(9)] {
+            let open = Request::Open {
+                algorithm: Algorithm::WsdH,
+                capacity: 64,
+                seed: None,
+                patterns: vec![Pattern::Triangle, pattern],
+            };
+            let attach = Request::Attach { session: 3, pattern };
+            for req in [open, attach] {
+                let err =
+                    Request::decode(&req.encode()).expect_err("invalid order must not decode");
+                assert!(matches!(err, SnapshotError::Invalid(_)), "{pattern:?}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -257,10 +257,11 @@ pub(crate) fn run_shard(ctx: ShardCtx) {
                     Some(cmd) => {
                         worked = true;
                         let kind = cmd.kind();
+                        metrics.count_cmd(kind);
                         let start = Instant::now();
                         apply_guarded(&mut state, cmd, &metrics, store.as_ref(), autosave_every);
                         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        metrics.count_cmd(kind, nanos);
+                        metrics.time_cmd(kind, nanos);
                     }
                     None => break,
                 }
@@ -440,9 +441,17 @@ fn apply(
             let _ = reply.send(r);
         }
         ShardCmd::Attach { session, pattern, reply } => {
+            // Checked before attaching: a pattern the session cannot
+            // count is the tenant's error, not a contract violation, so
+            // it must not poison the session or delete its file.
             let r = with_session(sessions, session, |entry| {
-                let id = entry.session.attach(pattern);
-                Reply::Attached { query: id.index() as u32 }
+                match entry.session.check_attach(pattern) {
+                    Ok(()) => {
+                        let id = entry.session.attach(pattern);
+                        Reply::Attached { query: id.index() as u32 }
+                    }
+                    Err(e) => Reply::Error { message: format!("attach rejected: {e}") },
+                }
             });
             let _ = reply.send(r);
         }

@@ -272,6 +272,37 @@ fn close_durably_removes_and_clean_shutdown_persists() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn rejected_attach_keeps_the_session_file() {
+    // A rejected Attach answers an error and leaves the session alone,
+    // on disk too: a reboot must revive it with every event.
+    let dir = scratch_dir("rejected-attach");
+    let (server, mut client) = boot_durable(&dir, 1);
+    let stream = chain_stream(40);
+    let id = client.open(Algorithm::Triest, 2, Some(3), &[Pattern::Wedge]).expect("opens");
+    client.send_events(id, &stream).expect("sends");
+    client.flush(id).expect("flushes");
+    let files = || fs::read_dir(&dir).expect("readdir").count();
+    let before = files();
+
+    assert!(client.attach(id, Pattern::Triangle).is_err(), "over budget");
+    assert!(client.attach(id, Pattern::Clique(9)).is_err(), "invalid order");
+    assert_eq!(files(), before, "a rejected attach must not delete the session's file");
+    let live = client.estimates(id).expect("session still serves");
+    server.shutdown();
+
+    let (rebooted, mut client2) = boot_durable(&dir, 1);
+    assert_eq!(rebooted.restored_sessions(), 1);
+    let revived = client2.estimates(id).expect("revived under its id");
+    assert_eq!(revived.events, stream.len() as u64);
+    let bits = |e: &wsd_serve::SessionEstimates| -> Vec<u64> {
+        e.queries.iter().map(|q| q.estimate.to_bits()).collect()
+    };
+    assert_eq!(bits(&revived), bits(&live));
+    rebooted.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Restoring from the store must round-trip through the exact canonical
 /// snapshot encoding — pin that the persisted blob *is* the session's
 /// wire snapshot.

@@ -280,6 +280,43 @@ fn detach_close_and_errors_round_trip() {
     server.shutdown();
 }
 
+#[test]
+fn rejected_attach_leaves_the_session_serving() {
+    // A pattern a session cannot count is the tenant's error, not a
+    // stream-contract violation: an over-budget pattern is refused by
+    // the shard's attach check, an invalid clique order never decodes.
+    // Neither may poison the session.
+    let (server, mut client) = boot(1);
+    let small = client.open(Algorithm::Triest, 2, Some(1), &[Pattern::Wedge]).expect("opens");
+    let large = client.open(Algorithm::WsdH, 64, Some(2), &[Pattern::Triangle]).expect("opens");
+    let stream = churn_stream(8);
+    for session in [small, large] {
+        client.send_events(session, &stream).expect("sends");
+    }
+
+    match client.attach(small, Pattern::Triangle) {
+        Err(ClientError::Server(msg)) => {
+            assert!(msg.contains("must be ≥ |H|"), "wanted a budget error, got: {msg}")
+        }
+        other => panic!("a triangle must not fit a capacity-2 reservoir, got {other:?}"),
+    }
+    for pattern in [Pattern::Clique(2), Pattern::Clique(9)] {
+        match client.attach(large, pattern) {
+            Err(ClientError::Server(msg)) => {
+                assert!(!msg.contains("poisoned"), "{pattern:?} poisoned the session: {msg}")
+            }
+            other => panic!("{pattern:?} must be rejected, got {other:?}"),
+        }
+    }
+
+    for session in [small, large] {
+        assert_eq!(client.flush(session).expect("still serving"), stream.len() as u64);
+        assert_eq!(client.estimates(session).expect("estimates").queries.len(), 1);
+    }
+    assert_eq!(client.stats().expect("stats").sessions_poisoned, 0);
+    server.shutdown();
+}
+
 #[cfg(debug_assertions)]
 #[test]
 fn poisoned_session_does_not_take_down_its_shard() {

@@ -83,6 +83,7 @@
 //! assert!(ensemble_are < 0.5, "averaging replicas tightens the estimate");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Graph substrate: edges, events, adjacency, patterns, exact counting.
