@@ -29,11 +29,7 @@
 //!   independent single-query samplers, *paired within each timing rep
 //!   in alternated order* (the per-rep ratio is robust to host drift;
 //!   the session row carries the median paired ratio as
-//!   `paired_speedup`). The hub scenario additionally carries *layered*
-//!   cells: the same 3-query session with the one-pass layered
-//!   enumeration plan vs per-query enumeration passes, paired the same
-//!   way — the direct measurement of what enumeration sharing buys in
-//!   the enumeration-bound regime.
+//!   `paired_speedup`).
 //!
 //! The streams, seeds and methodology are pinned so the numbers are
 //! comparable across commits: each PR that claims a hot-path win
@@ -134,23 +130,19 @@ fn time_bare(
 }
 
 /// The wedge+triangle+4-clique session used by the session grid (weight
-/// observed on the triangle, the paper's primary pattern). `layered`
-/// selects the one-pass layered enumeration plan (the default) or the
-/// per-query enumeration passes (the PR-5 behaviour, kept as the paired
-/// reference for the layered cells).
-fn session_grid_session(alg: Algorithm, capacity: usize, layered: bool) -> StreamSession {
+/// observed on the triangle, the paper's primary pattern).
+fn session_grid_session(alg: Algorithm, capacity: usize) -> StreamSession {
     SessionBuilder::new(alg, capacity, COUNTER_SEED)
         .query(Pattern::Wedge)
         .query(Pattern::Triangle)
         .query(Pattern::FourClique)
         .with_weight_pattern(Pattern::Triangle)
-        .with_layered(layered)
         .build()
 }
 
 /// One full 3-query session pass; returns the wall-clock seconds.
-fn time_session(alg: Algorithm, capacity: usize, events: &EventStream, layered: bool) -> f64 {
-    let mut session = session_grid_session(alg, capacity, layered);
+fn time_session(alg: Algorithm, capacity: usize, events: &EventStream) -> f64 {
+    let mut session = session_grid_session(alg, capacity);
     let start = Instant::now();
     session.process_all(events);
     let secs = start.elapsed().as_secs_f64();
@@ -437,12 +429,12 @@ fn main() {
             let mut ratios = Vec::with_capacity(time_reps);
             for rep in 0..time_reps {
                 let (t_session, t_trio) = if rep % 2 == 0 {
-                    let s = time_session(alg, grid.capacity, &grid.events, true);
+                    let s = time_session(alg, grid.capacity, &grid.events);
                     let t = time_trio(alg, grid.capacity, &grid.events);
                     (s, t)
                 } else {
                     let t = time_trio(alg, grid.capacity, &grid.events);
-                    let s = time_session(alg, grid.capacity, &grid.events, true);
+                    let s = time_session(alg, grid.capacity, &grid.events);
                     (s, t)
                 };
                 session_rates.push(n / t_session);
@@ -470,64 +462,6 @@ fn main() {
                 algorithm: alg.name(),
                 pattern: "wedge+tri+4c (3 counters)".to_string(),
                 events_per_sec: median(trio_rates),
-                paired_speedup: None,
-            });
-        }
-    }
-
-    // Layered-enumeration cells: the same 3-query session with the
-    // one-pass layered plan (the default) vs per-query enumeration
-    // passes, paired and order-alternated within each rep. Hub grid
-    // only — that's the enumeration-bound regime layering targets.
-    {
-        let grid = &grids[1];
-        eprintln!(
-            "perf_report: session-grid-hub layered (|S|={}, capacity M={}, {} paired reps, \
-             alternated order)",
-            grid.events.len(),
-            grid.capacity,
-            time_reps
-        );
-        let n = grid.events.len() as f64;
-        for alg in [Algorithm::WsdH, Algorithm::WsdUniform, Algorithm::GpsA] {
-            let mut layered_rates = Vec::with_capacity(time_reps);
-            let mut plain_rates = Vec::with_capacity(time_reps);
-            let mut ratios = Vec::with_capacity(time_reps);
-            for rep in 0..time_reps {
-                let (t_layered, t_plain) = if rep % 2 == 0 {
-                    let l = time_session(alg, grid.capacity, &grid.events, true);
-                    let p = time_session(alg, grid.capacity, &grid.events, false);
-                    (l, p)
-                } else {
-                    let p = time_session(alg, grid.capacity, &grid.events, false);
-                    let l = time_session(alg, grid.capacity, &grid.events, true);
-                    (l, p)
-                };
-                layered_rates.push(n / t_layered);
-                plain_rates.push(n / t_plain);
-                ratios.push(t_plain / t_layered);
-            }
-            let paired = median(ratios);
-            eprintln!(
-                "  session-grid-hub {:>8}  layered {:>12.0} ev/s  per-query {:>12.0} ev/s  \
-                 paired {:>5.2}x",
-                alg.name(),
-                median(layered_rates.clone()),
-                median(plain_rates.clone()),
-                paired
-            );
-            cells.push(Cell {
-                scenario: "session-grid-hub",
-                algorithm: alg.name(),
-                pattern: "wedge+tri+4c (layered session)".to_string(),
-                events_per_sec: median(layered_rates),
-                paired_speedup: Some(paired),
-            });
-            cells.push(Cell {
-                scenario: "session-grid-hub",
-                algorithm: alg.name(),
-                pattern: "wedge+tri+4c (per-query session)".to_string(),
-                events_per_sec: median(plain_rates),
                 paired_speedup: None,
             });
         }

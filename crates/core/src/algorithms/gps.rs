@@ -16,13 +16,13 @@
 //! [`GpsSampler`] is the session-facing sampling layer (N pattern
 //! queries off one reservoir, see [`crate::session`]).
 
-use crate::algorithms::WeightMode;
+use crate::algorithms::WeightObservation;
 use crate::rank::{draw_u, rank};
 use crate::reservoir::IndexedMinHeap;
 use crate::sampled_graph::{EdgeMeta, WeightedSample};
 use crate::session::{EdgeSampler, PatternQuery, QueryCtx};
 use crate::snapshot::{SamplerState, WeightedSampleState};
-use crate::state::{StateAccumulator, StateVector, TemporalPooling};
+use crate::state::TemporalPooling;
 use crate::weight::WeightFn;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -32,8 +32,6 @@ use wsd_graph::{Edge, EdgeEvent, Op, Pattern};
 /// The GPS sampling layer (insertion-only).
 pub struct GpsSampler {
     display_name: String,
-    /// The pattern the weight function observes.
-    weight_pattern: Pattern,
     capacity: usize,
     /// Keyed by the sample's arena edge IDs.
     heap: IndexedMinHeap,
@@ -41,13 +39,9 @@ pub struct GpsSampler {
     /// The `(M+1)`-th largest rank seen so far (`r_{M+1}` in Eq. 1).
     z: f64,
     t: u64,
-    acc: StateAccumulator,
-    /// Reusable state-vector buffer (allocation-free insertions).
-    state_buf: StateVector,
-    weight_fn: Box<dyn WeightFn>,
     rng: SmallRng,
-    /// Resolved state-observation mode of the weight function.
-    weight_mode: WeightMode,
+    /// Weight pattern, weight function and state observation.
+    weights: WeightObservation,
 }
 
 impl GpsSampler {
@@ -63,26 +57,20 @@ impl GpsSampler {
         weight_fn: Box<dyn WeightFn>,
         seed: u64,
     ) -> Self {
-        weight_pattern.validate().expect("invalid pattern");
-        assert!(
-            capacity >= weight_pattern.num_edges(),
-            "reservoir capacity M = {capacity} must be ≥ |H| = {}",
-            weight_pattern.num_edges()
-        );
-        let weight_mode = WeightMode::resolve(weight_fn.as_ref(), false);
         Self {
             display_name: "GPS".to_string(),
-            weight_pattern,
+            weights: WeightObservation::new(
+                weight_pattern,
+                capacity,
+                weight_fn,
+                TemporalPooling::Max,
+            ),
             capacity,
             heap: IndexedMinHeap::with_capacity(capacity),
             sample: WeightedSample::with_capacity(capacity),
             z: 0.0,
             t: 0,
-            acc: StateAccumulator::new(weight_pattern.num_edges(), TemporalPooling::Max),
-            state_buf: StateVector::empty(),
-            weight_fn,
             rng: SmallRng::seed_from_u64(seed),
-            weight_mode,
         }
     }
 
@@ -107,59 +95,12 @@ impl GpsSampler {
         self.heap.iter().map(|(id, r)| (self.sample.adj().edge_endpoints(id), r)).collect()
     }
 
-    /// Estimator + state observation against the pre-update sample;
-    /// returns the arriving edge's weight. One layered pass serves
-    /// every query when the weight observation rides a plan level
-    /// (fused weight query or a count-blind `Affine(0, b)` weight);
-    /// otherwise the per-query passes run unchanged.
-    // inline(always): this is the first half of `insert`, split out for
-    // readability only; keep it inlined so the per-insertion path
-    // compiles as one body.
-    #[inline(always)]
-    fn observe(&mut self, e: Edge, ctx: QueryCtx<'_>) -> f64 {
-        let QueryCtx { queries, scratch, plan } = ctx;
-        let layered = plan.filter(|_| {
-            queries.iter().any(|q| q.pattern == self.weight_pattern)
-                || matches!(self.weight_mode, WeightMode::Affine(a, _) if a == 0.0)
-        });
-        match layered {
-            Some(plan) => crate::algorithms::observe_queries_layered(
-                self.weight_mode,
-                self.weight_pattern,
-                &mut self.sample,
-                e,
-                self.z,
-                &mut self.acc,
-                &mut self.state_buf,
-                self.weight_fn.as_mut(),
-                self.t,
-                None,
-                plan,
-                queries,
-                scratch,
-            ),
-            None => crate::algorithms::observe_queries(
-                self.weight_mode,
-                self.weight_pattern,
-                &mut self.sample,
-                e,
-                self.z,
-                scratch,
-                &mut self.acc,
-                &mut self.state_buf,
-                self.weight_fn.as_mut(),
-                self.t,
-                None,
-                queries,
-            ),
-        }
-    }
-
-    /// A GPS insertion: observe, rank, then admit into a non-full queue
-    /// or contest the queue minimum.
+    /// A GPS insertion: observe (estimator + state, against the
+    /// pre-update sample), rank, then admit into a non-full queue or
+    /// contest the queue minimum.
     fn insert(&mut self, e: Edge, ctx: QueryCtx<'_>) {
         let u = draw_u(&mut self.rng);
-        let w = self.observe(e, ctx);
+        let w = self.weights.observe(&mut self.sample, e, self.z, self.t, ctx);
         let r = rank(w, u);
         if self.heap.len() < self.capacity {
             let id = self.sample.insert(e, EdgeMeta { weight: w, time: self.t });
@@ -198,12 +139,8 @@ impl EdgeSampler for GpsSampler {
         query.estimate
     }
 
-    fn warm_start(&self, query: &mut PatternQuery, scratch: &mut EnumScratch) {
-        crate::session::warm_start_weighted(&self.sample, self.z, query, scratch);
-    }
-
-    fn warm_start_many(&self, queries: &mut [PatternQuery], scratch: &mut EnumScratch) {
-        crate::session::warm_start_weighted_many(&self.sample, self.z, queries, scratch);
+    fn warm_start(&self, queries: &mut [PatternQuery], scratch: &mut EnumScratch) {
+        crate::session::warm_start_weighted(&self.sample, self.z, queries, scratch);
     }
 
     fn stored_edges(&self) -> usize {

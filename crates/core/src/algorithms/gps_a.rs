@@ -21,14 +21,13 @@
 //! [`GpsASampler`] is the session-facing sampling layer (N pattern
 //! queries off one reservoir, see [`crate::session`]).
 
-use crate::algorithms::WeightMode;
-use crate::estimator::{layered_weighted_mass, weighted_mass};
+use crate::algorithms::{subtract_destroyed, WeightObservation};
 use crate::rank::{draw_u, rank};
 use crate::reservoir::IndexedMinHeap;
 use crate::sampled_graph::{EdgeMeta, WeightedSample};
 use crate::session::{EdgeSampler, PatternQuery, QueryCtx};
 use crate::snapshot::{SamplerState, WeightedSampleState};
-use crate::state::{StateAccumulator, StateVector, TemporalPooling};
+use crate::state::TemporalPooling;
 use crate::weight::WeightFn;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -41,8 +40,6 @@ type ItemId = u32;
 /// The GPS-A sampling layer.
 pub struct GpsASampler {
     display_name: String,
-    /// The pattern the weight function observes.
-    weight_pattern: Pattern,
     capacity: usize,
     /// Keyed by item ID.
     heap: IndexedMinHeap,
@@ -60,13 +57,9 @@ pub struct GpsASampler {
     /// Threshold `z = r_{M+1}` (as in GPS).
     z: f64,
     t: u64,
-    acc: StateAccumulator,
-    /// Reusable state-vector buffer (allocation-free insertions).
-    state_buf: StateVector,
-    weight_fn: Box<dyn WeightFn>,
     rng: SmallRng,
-    /// Resolved state-observation mode of the weight function.
-    weight_mode: WeightMode,
+    /// Weight pattern, weight function and state observation.
+    weights: WeightObservation,
 }
 
 impl GpsASampler {
@@ -82,16 +75,14 @@ impl GpsASampler {
         weight_fn: Box<dyn WeightFn>,
         seed: u64,
     ) -> Self {
-        weight_pattern.validate().expect("invalid pattern");
-        assert!(
-            capacity >= weight_pattern.num_edges(),
-            "reservoir capacity M = {capacity} must be ≥ |H| = {}",
-            weight_pattern.num_edges()
-        );
-        let weight_mode = WeightMode::resolve(weight_fn.as_ref(), false);
         Self {
             display_name: "GPS-A".to_string(),
-            weight_pattern,
+            weights: WeightObservation::new(
+                weight_pattern,
+                capacity,
+                weight_fn,
+                TemporalPooling::Max,
+            ),
             capacity,
             heap: IndexedMinHeap::with_capacity(capacity),
             item_edge: Vec::with_capacity(capacity),
@@ -101,11 +92,7 @@ impl GpsASampler {
             sample: WeightedSample::with_capacity(capacity),
             z: 0.0,
             t: 0,
-            acc: StateAccumulator::new(weight_pattern.num_edges(), TemporalPooling::Max),
-            state_buf: StateVector::empty(),
-            weight_fn,
             rng: SmallRng::seed_from_u64(seed),
-            weight_mode,
         }
     }
 
@@ -158,59 +145,12 @@ impl GpsASampler {
         self.free_items.push(item);
     }
 
-    /// Estimator + state observation against the pre-update live
-    /// sample; returns the arriving edge's weight. One layered pass
-    /// serves every query when the weight observation rides a plan
-    /// level (fused weight query or a count-blind `Affine(0, b)`
-    /// weight); otherwise the per-query passes run unchanged.
-    // inline(always): this is the first half of `insert`, split out for
-    // readability only; keep it inlined so the per-insertion path
-    // compiles as one body.
-    #[inline(always)]
-    fn observe(&mut self, e: Edge, ctx: QueryCtx<'_>) -> f64 {
-        let QueryCtx { queries, scratch, plan } = ctx;
-        let layered = plan.filter(|_| {
-            queries.iter().any(|q| q.pattern == self.weight_pattern)
-                || matches!(self.weight_mode, WeightMode::Affine(a, _) if a == 0.0)
-        });
-        match layered {
-            Some(plan) => crate::algorithms::observe_queries_layered(
-                self.weight_mode,
-                self.weight_pattern,
-                &mut self.sample,
-                e,
-                self.z,
-                &mut self.acc,
-                &mut self.state_buf,
-                self.weight_fn.as_mut(),
-                self.t,
-                None,
-                plan,
-                queries,
-                scratch,
-            ),
-            None => crate::algorithms::observe_queries(
-                self.weight_mode,
-                self.weight_pattern,
-                &mut self.sample,
-                e,
-                self.z,
-                scratch,
-                &mut self.acc,
-                &mut self.state_buf,
-                self.weight_fn.as_mut(),
-                self.t,
-                None,
-                queries,
-            ),
-        }
-    }
-
-    /// A GPS-A insertion: observe, rank, then admit into a non-full
-    /// queue or contest the queue minimum (whose victim may be a ghost).
+    /// A GPS-A insertion: observe (estimator + state, against the
+    /// pre-update live sample), rank, then admit into a non-full queue
+    /// or contest the queue minimum (whose victim may be a ghost).
     fn insert(&mut self, e: Edge, ctx: QueryCtx<'_>) {
         let u = draw_u(&mut self.rng);
-        let w = self.observe(e, ctx);
+        let w = self.weights.observe(&mut self.sample, e, self.z, self.t, ctx);
         let r = rank(w, u);
         if self.heap.len() < self.capacity {
             self.admit(e, w, r);
@@ -269,40 +209,17 @@ impl GpsASampler {
     }
 
     fn delete(&mut self, e: Edge, ctx: QueryCtx<'_>) {
-        let QueryCtx { queries, scratch, plan } = ctx;
         // Estimator first (Eq. 7): destroyed instances against the live
         // sample, which never contains e's own probability (J \ e_x).
         // Tag e (remove from the estimation view) *before* enumerating,
-        // so the view matches `R \ R_tag` without e. One layered pass
-        // subtracts every query's destroyed mass when the plan covers
-        // them all.
+        // so the view matches `R \ R_tag` without e.
         if let Some((eid, _)) = self.sample.remove_full(e) {
             let item = self.edge_item[eid as usize];
             debug_assert_eq!(self.item_edge[item as usize], e);
             // The ghost stays in the heap, still occupying budget.
             self.item_live[item as usize] = false;
         }
-        match plan {
-            Some(plan) => {
-                let m = layered_weighted_mass(
-                    plan.levels(),
-                    &mut self.sample,
-                    e,
-                    self.z,
-                    scratch,
-                    None,
-                );
-                for (j, q) in queries.iter_mut().enumerate() {
-                    q.estimate -= m.mass[plan.level_of(j)];
-                }
-            }
-            None => {
-                for q in queries.iter_mut() {
-                    let m = weighted_mass(q.pattern, &mut self.sample, e, self.z, scratch, None);
-                    q.estimate -= m.mass;
-                }
-            }
-        }
+        subtract_destroyed(&mut self.sample, e, self.z, ctx);
     }
 }
 
@@ -319,12 +236,8 @@ impl EdgeSampler for GpsASampler {
         query.estimate
     }
 
-    fn warm_start(&self, query: &mut PatternQuery, scratch: &mut EnumScratch) {
-        crate::session::warm_start_weighted(&self.sample, self.z, query, scratch);
-    }
-
-    fn warm_start_many(&self, queries: &mut [PatternQuery], scratch: &mut EnumScratch) {
-        crate::session::warm_start_weighted_many(&self.sample, self.z, queries, scratch);
+    fn warm_start(&self, queries: &mut [PatternQuery], scratch: &mut EnumScratch) {
+        crate::session::warm_start_weighted(&self.sample, self.z, queries, scratch);
     }
 
     fn stored_edges(&self) -> usize {

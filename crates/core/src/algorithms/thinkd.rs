@@ -21,7 +21,7 @@
 //! uniform sample (see [`crate::session`]).
 
 use crate::reservoir::{Admission, RpReservoir};
-use crate::session::{EdgeSampler, PatternQuery, QueryCtx};
+use crate::session::{levels_of, EdgeSampler, PatternQuery, QueryCtx};
 use crate::snapshot::{RpState, SamplerState};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -73,30 +73,17 @@ impl ThinkDSampler {
     }
 
     /// Adds `sign ×` each query's rescaled completed-instance count for
-    /// sample size `s` over population `n` — one layered count shared by
-    /// every query when the session's plan covers them all (the counts
-    /// are integers and the rescale is per-query, so sharing is exact).
+    /// sample size `s` over population `n` — one layered count over the
+    /// queries' levels (the counts are integers and the rescale is
+    /// per-query).
     fn update_estimates(&self, e: Edge, ctx: QueryCtx<'_>, sign: f64, s: u64, n: u64) {
-        let QueryCtx { queries, scratch, plan } = ctx;
-        match plan {
-            Some(plan) => {
-                let counts = plan.levels().count_completed(&self.adj, e, scratch);
-                for (j, q) in queries.iter_mut().enumerate() {
-                    let partners = q.pattern.num_edges() as u64 - 1;
-                    let found = counts[plan.level_of(j)];
-                    if found > 0 {
-                        q.estimate += sign * found as f64 * Self::inv_prob(partners, s, n);
-                    }
-                }
-            }
-            None => {
-                for q in queries.iter_mut() {
-                    let partners = q.pattern.num_edges() as u64 - 1;
-                    let found = q.pattern.count_completed(&self.adj, e, scratch);
-                    if found > 0 {
-                        q.estimate += sign * found as f64 * Self::inv_prob(partners, s, n);
-                    }
-                }
+        let QueryCtx { queries, scratch } = ctx;
+        let counts = levels_of(queries).count_completed(&self.adj, e, scratch);
+        for q in queries.iter_mut() {
+            let found = counts[q.level];
+            if found > 0 {
+                let partners = q.pattern.num_edges() as u64 - 1;
+                q.estimate += sign * found as f64 * Self::inv_prob(partners, s, n);
             }
         }
     }
@@ -143,17 +130,19 @@ impl EdgeSampler for ThinkDSampler {
     /// Warm start: every instance fully inside the uniform sample is
     /// there with probability `κ = Π_{i<|H|} (s−i)/(n−i)`, so the count
     /// of in-sample instances rescaled by `κ⁻¹` seeds the estimate.
-    fn warm_start(&self, query: &mut PatternQuery, _scratch: &mut EnumScratch) {
-        query.tau = 0;
-        let found = wsd_graph::exact::count_static(query.pattern, &self.adj);
-        query.estimate = if found == 0 {
-            0.0
-        } else {
-            let m = query.pattern.num_edges() as u64;
-            let s = self.reservoir.len() as u64;
-            let n = self.reservoir.population();
-            found as f64 * Self::inv_prob(m, s, n)
-        };
+    fn warm_start(&self, queries: &mut [PatternQuery], scratch: &mut EnumScratch) {
+        let counts = crate::session::sample_instance_counts(&self.adj, queries, scratch);
+        let s = self.reservoir.len() as u64;
+        let n = self.reservoir.population();
+        for q in queries {
+            let found = counts[q.level];
+            q.tau = 0;
+            q.estimate = if found == 0 {
+                0.0
+            } else {
+                found as f64 * Self::inv_prob(q.pattern.num_edges() as u64, s, n)
+            };
+        }
     }
 
     fn stored_edges(&self) -> usize {

@@ -22,7 +22,7 @@
 //! uniform sample (see [`crate::session`]).
 
 use crate::reservoir::{Admission, RpReservoir};
-use crate::session::{EdgeSampler, PatternQuery, QueryCtx};
+use crate::session::{levels_of, EdgeSampler, PatternQuery, QueryCtx};
 use crate::snapshot::{RpState, SamplerState};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -68,24 +68,13 @@ impl TriestSampler {
         self.reservoir.iter().collect()
     }
 
-    /// Counts the instances `e` completes at each query's level — one
-    /// layered count when the session's plan covers every query
-    /// (integer counts are query-independent, so sharing is exact),
-    /// per-query counts otherwise.
+    /// Adds `sign ×` the instances `e` completes to each query's τ —
+    /// one layered count over the queries' levels.
     fn count_into_taus(&self, e: Edge, ctx: QueryCtx<'_>, sign: i64) {
-        let QueryCtx { queries, scratch, plan } = ctx;
-        match plan {
-            Some(plan) => {
-                let counts = plan.levels().count_completed(&self.adj, e, scratch);
-                for (j, q) in queries.iter_mut().enumerate() {
-                    q.tau += sign * counts[plan.level_of(j)] as i64;
-                }
-            }
-            None => {
-                for q in queries.iter_mut() {
-                    q.tau += sign * q.pattern.count_completed(&self.adj, e, scratch) as i64;
-                }
-            }
+        let QueryCtx { queries, scratch } = ctx;
+        let counts = levels_of(queries).count_completed(&self.adj, e, scratch);
+        for q in queries.iter_mut() {
+            q.tau += sign * counts[q.level] as i64;
         }
     }
 
@@ -138,9 +127,12 @@ impl EdgeSampler for TriestSampler {
     /// sample, so a warm start recounts them statically — an attached
     /// query is indistinguishable from one that tracked the sample from
     /// event 0.
-    fn warm_start(&self, query: &mut PatternQuery, _scratch: &mut EnumScratch) {
-        query.estimate = 0.0;
-        query.tau = wsd_graph::exact::count_static(query.pattern, &self.adj) as i64;
+    fn warm_start(&self, queries: &mut [PatternQuery], scratch: &mut EnumScratch) {
+        let counts = crate::session::sample_instance_counts(&self.adj, queries, scratch);
+        for q in queries {
+            q.estimate = 0.0;
+            q.tau = counts[q.level] as i64;
+        }
     }
 
     fn stored_edges(&self) -> usize {

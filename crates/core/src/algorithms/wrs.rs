@@ -38,7 +38,7 @@
 //! split sample (see [`crate::session`]).
 
 use crate::reservoir::{Admission, RpReservoir};
-use crate::session::{EdgeSampler, LayeredPlan, PatternQuery, QueryCtx};
+use crate::session::{levels_of, EdgeSampler, PatternQuery, QueryCtx};
 use crate::snapshot::{RpState, SamplerState};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -194,57 +194,22 @@ impl WrsSampler {
         inv
     }
 
-    /// Adds the estimator mass of instances completed by `e` against the
-    /// current sample to `query`. `sign` is +1 for insertions, −1 for
+    /// Adds `sign ×` the estimator mass of the instances `e` completes
+    /// against the current sample to every query — one layered pass over
+    /// the queries' levels (the per-instance inverse products are
+    /// query-independent). `sign` is +1 for insertions, −1 for
     /// deletions; `s`/`n_r` are the reservoir sample/population sizes to
     /// use.
-    fn update_query(
-        &self,
-        q: &mut PatternQuery,
-        scratch: &mut EnumScratch,
-        e: Edge,
-        sign: f64,
-        s: u64,
-        n_r: u64,
-    ) {
-        let room_seq = &self.room_seq;
-        let horizon = self.spill_horizon;
-        let mut total = 0.0;
-        q.pattern.for_each_completed(&self.adj, e, scratch, |partners| {
-            let mut in_reservoir = 0u64;
-            for &p in partners {
-                if room_seq[p as usize] <= horizon {
-                    in_reservoir += 1;
-                }
-            }
-            debug_assert!(in_reservoir <= s);
-            total += Self::instance_inv(in_reservoir, s, n_r);
-        });
-        q.estimate += sign * total;
-    }
-
-    /// The layered analogue of [`WrsSampler::update_query`]: one
-    /// wedge→triangle→4-clique pass accumulates a per-level total (the
-    /// per-instance inverse products are query-independent), and each
-    /// query adds `sign ×` the total at its plan level. Per-level
-    /// emission order matches the per-pattern kernels, so the totals —
-    /// and therefore every query's estimate trajectory — are bit-for-bit
-    /// the per-query-pass values.
-    #[allow(clippy::too_many_arguments)]
-    fn update_queries_layered(
-        &self,
-        plan: &LayeredPlan,
-        queries: &mut [PatternQuery],
-        scratch: &mut EnumScratch,
-        e: Edge,
-        sign: f64,
-        s: u64,
-        n_r: u64,
-    ) {
+    fn update_queries(&self, ctx: QueryCtx<'_>, e: Edge, sign: f64, s: u64, n_r: u64) {
+        let QueryCtx { queries, scratch } = ctx;
+        let levels = levels_of(queries);
+        if levels.is_empty() {
+            return;
+        }
         let room_seq = &self.room_seq;
         let horizon = self.spill_horizon;
         let mut totals = [0.0f64; LayeredLevels::COUNT];
-        plan.levels().for_each_completed(&self.adj, e, scratch, |level, partners| {
+        levels.for_each_completed(&self.adj, e, scratch, |level, partners| {
             let mut in_reservoir = 0u64;
             for &p in partners {
                 if room_seq[p as usize] <= horizon {
@@ -254,22 +219,8 @@ impl WrsSampler {
             debug_assert!(in_reservoir <= s);
             totals[level] += Self::instance_inv(in_reservoir, s, n_r);
         });
-        for (j, q) in queries.iter_mut().enumerate() {
-            q.estimate += sign * totals[plan.level_of(j)];
-        }
-    }
-
-    /// Dispatches the estimator update to the layered pass (plan covers
-    /// every query) or the per-query passes.
-    fn update_queries(&self, ctx: QueryCtx<'_>, e: Edge, sign: f64, s: u64, n_r: u64) {
-        let QueryCtx { queries, scratch, plan } = ctx;
-        match plan {
-            Some(plan) => self.update_queries_layered(plan, queries, scratch, e, sign, s, n_r),
-            None => {
-                for q in queries.iter_mut() {
-                    self.update_query(q, scratch, e, sign, s, n_r);
-                }
-            }
+        for q in queries.iter_mut() {
+            q.estimate += sign * totals[q.level];
         }
     }
 
@@ -375,65 +326,12 @@ impl EdgeSampler for WrsSampler {
     /// Warm start: every instance fully inside the sample is weighted by
     /// the inverse inclusion probability of its reservoir members (room
     /// members sit in the sample with probability 1).
-    fn warm_start(&self, query: &mut PatternQuery, scratch: &mut EnumScratch) {
-        query.estimate = 0.0;
-        query.tau = 0;
+    fn warm_start(&self, queries: &mut [PatternQuery], scratch: &mut EnumScratch) {
         let s = self.reservoir.len() as u64;
         let n_r = self.reservoir.population();
-        let edges = self.replay_edges();
-        let pattern = query.pattern;
-        let mut total = 0.0;
-        crate::session::for_each_sample_instance(pattern, &edges, scratch, |payloads| {
-            let in_reservoir = payloads.iter().sum::<f64>() as u64;
-            total += Self::instance_inv(in_reservoir, s, n_r);
+        crate::session::warm_start_sums(queries, &self.replay_edges(), scratch, |payloads| {
+            Self::instance_inv(payloads.iter().sum::<f64>() as u64, s, n_r)
         });
-        query.estimate = total;
-    }
-
-    /// Shared warm-up: when at least two newly attached queries sit on
-    /// plan levels, one layered replay of the current sample seeds them
-    /// all (per-level replay order matches the per-pattern replay, so
-    /// each estimate is bit-identical to a solo [`warm_start`]);
-    /// unleveled patterns fall back to their own replay.
-    ///
-    /// [`warm_start`]: EdgeSampler::warm_start
-    fn warm_start_many(&self, queries: &mut [PatternQuery], scratch: &mut EnumScratch) {
-        let mut levels = LayeredLevels::default();
-        let mut nested = 0;
-        for q in queries.iter() {
-            if let Some(level) = LayeredLevels::level_of(q.pattern) {
-                levels.set(level);
-                nested += 1;
-            }
-        }
-        if nested < 2 {
-            for q in queries.iter_mut() {
-                self.warm_start(q, scratch);
-            }
-            return;
-        }
-        let s = self.reservoir.len() as u64;
-        let n_r = self.reservoir.population();
-        let edges = self.replay_edges();
-        let mut sums = [0.0f64; LayeredLevels::COUNT];
-        crate::session::for_each_sample_instance_layered(
-            levels,
-            &edges,
-            scratch,
-            |level, payloads| {
-                let in_reservoir = payloads.iter().sum::<f64>() as u64;
-                sums[level] += Self::instance_inv(in_reservoir, s, n_r);
-            },
-        );
-        for q in queries.iter_mut() {
-            match LayeredLevels::level_of(q.pattern) {
-                Some(level) => {
-                    q.estimate = sums[level];
-                    q.tau = 0;
-                }
-                None => self.warm_start(q, scratch),
-            }
-        }
     }
 
     fn stored_edges(&self) -> usize {

@@ -41,14 +41,13 @@
 //! the completed-instance count of the sampler's fixed *weight
 //! pattern*) only shapes the variance.
 
-use crate::algorithms::WeightMode;
-use crate::estimator::{layered_weighted_mass, weighted_mass};
+use crate::algorithms::{subtract_destroyed, WeightObservation};
 use crate::rank::{draw_u, rank};
 use crate::reservoir::IndexedMinHeap;
 use crate::sampled_graph::{EdgeMeta, WeightedSample};
 use crate::session::{EdgeSampler, PatternQuery, QueryCtx, WeightSwapError};
 use crate::snapshot::{SamplerState, WeightedSampleState};
-use crate::state::{StateAccumulator, StateVector, TemporalPooling};
+use crate::state::{StateVector, TemporalPooling};
 use crate::weight::{WeightFn, WeightSpec};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -63,9 +62,6 @@ pub type InsertionObserver = Box<dyn FnMut(Edge, &StateVector, f64) + Send>;
 /// reservoir.
 pub struct WsdSampler {
     display_name: String,
-    /// The pattern the weight function observes (`|H(e)|` and the
-    /// temporal state are computed for this pattern).
-    weight_pattern: Pattern,
     capacity: usize,
     /// Keyed by the sample's arena edge IDs.
     heap: IndexedMinHeap,
@@ -73,20 +69,11 @@ pub struct WsdSampler {
     tau_p: f64,
     tau_q: f64,
     t: u64,
-    acc: StateAccumulator,
-    /// Reusable state-vector buffer (one state is observed per
-    /// insertion; reuse keeps the hot path allocation-free).
-    state_buf: StateVector,
-    weight_fn: Box<dyn WeightFn>,
     rng: SmallRng,
-    /// Resolved state-observation mode (kept in sync with the weight
-    /// function and observer).
-    weight_mode: WeightMode,
-    /// Invoked after each insertion event with the edge, its observed
-    /// state and the chosen weight; used by the RL training loop and the
-    /// weight-analysis experiments (paper Fig. 2(d)) without
-    /// re-implementing the sampler.
-    observer: Option<InsertionObserver>,
+    /// Weight pattern, weight function and state observation (plus the
+    /// insertion observer the RL training loop and the weight-analysis
+    /// experiments of paper Fig. 2(d) install).
+    weights: WeightObservation,
 }
 
 impl WsdSampler {
@@ -105,29 +92,17 @@ impl WsdSampler {
         pooling: TemporalPooling,
         seed: u64,
     ) -> Self {
-        weight_pattern.validate().expect("invalid pattern");
-        assert!(
-            capacity >= weight_pattern.num_edges(),
-            "reservoir capacity M = {capacity} must be ≥ |H| = {}",
-            weight_pattern.num_edges()
-        );
         let display_name = weight_fn.name().to_string();
-        let weight_mode = WeightMode::resolve(weight_fn.as_ref(), false);
         Self {
             display_name,
-            weight_pattern,
+            weights: WeightObservation::new(weight_pattern, capacity, weight_fn, pooling),
             capacity,
             heap: IndexedMinHeap::with_capacity(capacity),
             sample: WeightedSample::with_capacity(capacity),
             tau_p: 0.0,
             tau_q: 0.0,
             t: 0,
-            acc: StateAccumulator::new(weight_pattern.num_edges(), pooling),
-            state_buf: StateVector::empty(),
-            weight_fn,
             rng: SmallRng::seed_from_u64(seed),
-            weight_mode,
-            observer: None,
         }
     }
 
@@ -142,8 +117,7 @@ impl WsdSampler {
     /// Forces full-state observation so the observer never sees a
     /// truncated state.
     pub fn set_observer(&mut self, f: InsertionObserver) {
-        self.observer = Some(f);
-        self.weight_mode = WeightMode::resolve(self.weight_fn.as_ref(), true);
+        self.weights.set_observer(f);
     }
 
     /// Current thresholds `(τp, τq)` — exposed for white-box tests.
@@ -165,60 +139,12 @@ impl WsdSampler {
         self.heap.iter().map(|(id, r)| (self.sample.adj().edge_endpoints(id), r)).collect()
     }
 
-    /// Algorithm 2 per query: estimator + state observation *before*
-    /// the sampling decision, against the pre-update reservoir; returns
-    /// the arriving edge's weight. The layered pass serves every query
-    /// (and the weight observation) at once, but only when the weight
-    /// observation itself rides a plan level — a fused query counts the
-    /// weight pattern, or the weight ignores the instance count
-    /// (`Affine(0, b)`).
-    // inline(always): this is the first half of `insert`, split out for
-    // readability only; keep it inlined so the per-insertion path
-    // compiles as one body.
-    #[inline(always)]
-    fn observe(&mut self, e: Edge, ctx: QueryCtx<'_>) -> f64 {
-        let QueryCtx { queries, scratch, plan } = ctx;
-        let layered = plan.filter(|_| {
-            queries.iter().any(|q| q.pattern == self.weight_pattern)
-                || matches!(self.weight_mode, WeightMode::Affine(a, _) if a == 0.0)
-        });
-        match layered {
-            Some(plan) => crate::algorithms::observe_queries_layered(
-                self.weight_mode,
-                self.weight_pattern,
-                &mut self.sample,
-                e,
-                self.tau_q,
-                &mut self.acc,
-                &mut self.state_buf,
-                self.weight_fn.as_mut(),
-                self.t,
-                self.observer.as_deref_mut(),
-                plan,
-                queries,
-                scratch,
-            ),
-            None => crate::algorithms::observe_queries(
-                self.weight_mode,
-                self.weight_pattern,
-                &mut self.sample,
-                e,
-                self.tau_q,
-                scratch,
-                &mut self.acc,
-                &mut self.state_buf,
-                self.weight_fn.as_mut(),
-                self.t,
-                self.observer.as_deref_mut(),
-                queries,
-            ),
-        }
-    }
-
     /// Algorithm 1 for an insertion: observe, rank, then Cases 1–2.
     fn insert(&mut self, e: Edge, ctx: QueryCtx<'_>) {
         let u = draw_u(&mut self.rng);
-        let w = self.observe(e, ctx);
+        // Algorithm 2: estimator + state observation *before* the
+        // sampling decision, against the pre-update reservoir.
+        let w = self.weights.observe(&mut self.sample, e, self.tau_q, self.t, ctx);
         debug_assert!(w > 0.0 && w.is_finite(), "weight function must be positive/finite");
         let r = rank(w, u);
         // Algorithm 1.
@@ -250,36 +176,13 @@ impl WsdSampler {
     }
 
     fn delete(&mut self, e: Edge, ctx: QueryCtx<'_>) {
-        let QueryCtx { queries, scratch, plan } = ctx;
         // Case 3: drop the edge from the reservoir first (partners of
         // destroyed instances never include e itself, so removal order
-        // is safe), then subtract each query's destroyed mass — one
-        // layered pass when the session's plan covers every query.
+        // is safe), then subtract every query's destroyed mass.
         if let Some((id, _)) = self.sample.remove_full(e) {
             self.heap.remove(id).expect("heap and sample in sync");
         }
-        match plan {
-            Some(plan) => {
-                let m = layered_weighted_mass(
-                    plan.levels(),
-                    &mut self.sample,
-                    e,
-                    self.tau_q,
-                    scratch,
-                    None,
-                );
-                for (j, q) in queries.iter_mut().enumerate() {
-                    q.estimate -= m.mass[plan.level_of(j)];
-                }
-            }
-            None => {
-                for q in queries.iter_mut() {
-                    let m =
-                        weighted_mass(q.pattern, &mut self.sample, e, self.tau_q, scratch, None);
-                    q.estimate -= m.mass;
-                }
-            }
-        }
+        subtract_destroyed(&mut self.sample, e, self.tau_q, ctx);
     }
 }
 
@@ -296,12 +199,8 @@ impl EdgeSampler for WsdSampler {
         query.estimate
     }
 
-    fn warm_start(&self, query: &mut PatternQuery, scratch: &mut EnumScratch) {
-        crate::session::warm_start_weighted(&self.sample, self.tau_q, query, scratch);
-    }
-
-    fn warm_start_many(&self, queries: &mut [PatternQuery], scratch: &mut EnumScratch) {
-        crate::session::warm_start_weighted_many(&self.sample, self.tau_q, queries, scratch);
+    fn warm_start(&self, queries: &mut [PatternQuery], scratch: &mut EnumScratch) {
+        crate::session::warm_start_weighted(&self.sample, self.tau_q, queries, scratch);
     }
 
     fn stored_edges(&self) -> usize {
@@ -348,16 +247,15 @@ impl EdgeSampler for WsdSampler {
     /// the new function. The display name resets to the target weight
     /// function's canonical algorithm name.
     fn set_weight_fn(&mut self, spec: &WeightSpec) -> Result<(), WeightSwapError> {
-        let dim = self.weight_pattern.num_edges() + 3;
+        let dim = self.weights.pattern.num_edges() + 3;
         if let Some(got) = spec.dim() {
             if got != dim {
                 return Err(WeightSwapError::DimensionMismatch { expected: dim, got });
             }
         }
         let (weight_fn, name) = spec.build();
-        self.weight_fn = weight_fn;
+        self.weights.set_weight_fn(weight_fn);
         self.display_name = name.to_string();
-        self.weight_mode = WeightMode::resolve(self.weight_fn.as_ref(), self.observer.is_some());
         Ok(())
     }
 }

@@ -10,9 +10,11 @@
 //! Δc = Σ_J  Π_{e ∈ J \ e_t}  1 / P[r(e) > τ]   with  P = min(1, w(e)/τ).
 //! ```
 //!
-//! The same enumeration pass feeds the RL state accumulator (|H_k| and
-//! the temporal block of Eq. 19–22), so state extraction costs no second
-//! enumeration.
+//! One layered enumeration pass per event ([`LayeredLevels`]) computes
+//! this mass for every pattern a session counts, each at its level, and
+//! also feeds the RL state accumulator (|H_k| and the temporal block of
+//! Eq. 19–22), so neither a second query nor state extraction costs a
+//! second enumeration.
 //!
 //! Partner edges arrive from the enumeration kernel as dense arena IDs,
 //! so the inner loop is hash-free: one `1/p` read (lazily τ-stamped,
@@ -29,112 +31,12 @@ use crate::state::StateAccumulator;
 use wsd_graph::patterns::EnumScratch;
 use wsd_graph::{Edge, LayeredLevels, Pattern};
 
-/// The per-event output of [`weighted_mass`]: the estimator mass, the
-/// number of completed instances `|H_k|` (a free by-product of the
-/// enumeration; the heuristic weight `9·|H_k| + 1` consumes it without
-/// needing the full state), and the endpoint degrees in the sampled
-/// graph.
-pub(crate) struct MassUpdate {
-    /// `Σ_J Π 1/p` over the completed instances.
-    pub mass: f64,
-    /// Number of completed instances.
-    pub instances: u64,
-    /// Degree of `e.u()` in the sampled graph.
-    pub deg_u: usize,
-    /// Degree of `e.v()` in the sampled graph.
-    pub deg_v: usize,
-}
-
-/// Computes the estimator mass `Σ_J Π 1/p` for the instances completed
-/// by `e` against `sample` (which must not contain `e`), using threshold
-/// `tau` for inclusion probabilities. If `acc` is provided, each
-/// instance's partner arrival times are recorded with the current event
-/// time `now`.
-///
-/// The endpoint degrees ride along in the result — enumeration resolves
-/// both neighbourhoods anyway, so the state extraction gets them without
-/// two further hash probes — as does the completed-instance count.
-///
-/// `sample` is mutable only for the lazy `1/p` cache; the sample's
-/// content is untouched.
-pub(crate) fn weighted_mass(
-    pattern: Pattern,
-    sample: &mut WeightedSample,
-    e: Edge,
-    tau: f64,
-    scratch: &mut EnumScratch,
-    acc: Option<(&mut StateAccumulator, u64)>,
-) -> MassUpdate {
-    debug_assert!(!sample.contains(e), "estimator edge must not be sampled");
-    let (adj, mut meta) = sample.estimator_view(tau);
-    let mut mass = 0.0;
-    let mut instances = 0u64;
-    if tau <= 0.0 {
-        // Fill-phase fast path: `τ = 0` makes every inclusion
-        // probability exactly 1, so each instance contributes exactly
-        // 1.0 (the scalar product of 1.0s) and the `1/p` reads can be
-        // skipped wholesale — later τ-stamped reads recompute the same
-        // values lazily. Partner arrival times are still streamed into
-        // the accumulator when one rides along.
-        let (deg_u, deg_v) = match acc {
-            Some((acc, now)) => pattern.for_each_completed(adj, e, scratch, |partners| {
-                acc.begin_instance(now);
-                for &p in partners {
-                    acc.push_partner_time(meta.time(p));
-                }
-                acc.commit_instance();
-                instances += 1;
-                mass += 1.0;
-            }),
-            None => pattern.for_each_completed(adj, e, scratch, |partners| {
-                let _ = partners;
-                instances += 1;
-                mass += 1.0;
-            }),
-        };
-        return MassUpdate { mass, instances, deg_u, deg_v };
-    }
-    // Width-1 fast path: a wedge instance's "product" is a single
-    // `1/p`, so the partner-slice loop below is pure overhead — fold
-    // the partner IDs directly. Same instances, same emission order,
-    // and `1.0 * x == x` bitwise, so the sum is unchanged.
-    if matches!(pattern, Pattern::Wedge) && acc.is_none() {
-        let (deg_u, deg_v) = Pattern::for_each_wedge_partner(adj, e, |id| {
-            instances += 1;
-            mass += meta.inv_p(id);
-        });
-        return MassUpdate { mass, instances, deg_u, deg_v };
-    }
-    // The accumulator is resolved *outside* the enumeration so each arm
-    // hands the kernel a closure with no per-instance branching left.
-    let (deg_u, deg_v) = match acc {
-        Some((acc, now)) => pattern.for_each_completed(adj, e, scratch, |partners| {
-            let mut prod = 1.0;
-            acc.begin_instance(now);
-            for &p in partners {
-                let (inv_p, time) = meta.inv_p_time(p);
-                prod *= inv_p;
-                acc.push_partner_time(time);
-            }
-            acc.commit_instance();
-            instances += 1;
-            mass += prod;
-        }),
-        None => pattern.for_each_completed(adj, e, scratch, |partners| {
-            let mut prod = 1.0;
-            for &p in partners {
-                prod *= meta.inv_p(p);
-            }
-            instances += 1;
-            mass += prod;
-        }),
-    };
-    MassUpdate { mass, instances, deg_u, deg_v }
-}
-
 /// The per-event output of [`layered_weighted_mass`]: per-level masses
-/// and instance counts (indexed by [`LayeredLevels`] level constants;
-/// inactive levels stay 0), plus the endpoint degrees.
+/// and instance counts (indexed by [`LayeredLevels`] level; inactive
+/// levels stay 0), plus the endpoint degrees in the sampled graph. The
+/// instance count `|H_k|` at the weight level is a free by-product of
+/// the enumeration: the heuristic weight `9·|H_k| + 1` consumes it
+/// without needing the full state.
 pub(crate) struct LayeredMassUpdate {
     /// `Σ_J Π 1/p` per level.
     pub mass: [f64; LayeredLevels::COUNT],
@@ -146,19 +48,25 @@ pub(crate) struct LayeredMassUpdate {
     pub deg_v: usize,
 }
 
-/// Layered analogue of [`weighted_mass`]: one enumeration pass over the
-/// active `levels`, accumulating each level's mass independently — the
-/// session's shared mass pass feeding every nested query at its level.
-/// When `acc` rides along it records partner times only for instances
-/// of its level (`acc.0`), exactly as the fused weight-pattern pass
-/// does.
+/// Computes, per active level, the estimator mass `Σ_J Π 1/p` of the
+/// instances completed by `e` against `sample` (which must not contain
+/// `e`), using threshold `tau` for inclusion probabilities — one
+/// enumeration pass feeding every query of a session at its level. When
+/// `acc` rides along it records, with the current event time, the
+/// partner arrival times of the instances at its level (`acc.0`) only:
+/// the weight observation's state.
 ///
-/// Bit-identity with per-pattern [`weighted_mass`] calls holds arm by
-/// arm: the layered kernel emits each level in the per-pattern order,
-/// per-level sums start from 0.0, every chain is the same
-/// left-associated product, and the lazy `1/p` cache is idempotent
+/// The endpoint degrees ride along in the result — enumeration resolves
+/// both neighbourhoods anyway, so the state extraction gets them without
+/// two further hash probes.
+///
+/// Each level's sum is the one a pass over that level alone would
+/// produce, bit for bit: the layered kernel emits each level in the
+/// per-pattern order, per-level sums start from 0.0, every chain is the
+/// same left-associated product, and the lazy `1/p` cache is idempotent
 /// within an event (same τ ⇒ same epoch ⇒ same values no matter which
-/// pass fills them).
+/// instance fills them). `sample` is mutable only for that cache; the
+/// sample's content is untouched.
 pub(crate) fn layered_weighted_mass(
     levels: LayeredLevels,
     sample: &mut WeightedSample,
@@ -172,10 +80,12 @@ pub(crate) fn layered_weighted_mass(
     let mut mass = [0.0f64; LayeredLevels::COUNT];
     let mut instances = [0u64; LayeredLevels::COUNT];
     if tau <= 0.0 {
-        // Fill-phase fast path, mirrored from `weighted_mass`: every
-        // inclusion probability is exactly 1, so each instance
-        // contributes 1.0 and the `1/p` reads are skipped; partner
-        // times still stream into the accumulator at its level.
+        // Fill-phase fast path: `τ = 0` makes every inclusion
+        // probability exactly 1, so each instance contributes exactly
+        // 1.0 (the product of 1.0s) and the `1/p` reads are skipped
+        // wholesale — later τ-stamped reads recompute the same values
+        // lazily. Partner times still stream into the accumulator at its
+        // level.
         let (deg_u, deg_v) = match acc {
             Some((acc_level, acc, now)) => {
                 levels.for_each_completed(adj, e, scratch, |level, partners| {
@@ -198,18 +108,19 @@ pub(crate) fn layered_weighted_mass(
         };
         return LayeredMassUpdate { mass, instances, deg_u, deg_v };
     }
-    // Wedge-level fast path, mirrored from `weighted_mass`: a width-1
-    // instance folds its single `1/p` directly, skipping the
-    // partner-slice loop. The wedge level is emitted first, so running
-    // it ahead of the remaining levels preserves the global emission
-    // order — and `1.0 * x == x` bitwise keeps the per-level sums
-    // unchanged.
+    // Wedge-level fast path: a width-1 instance folds its single `1/p`
+    // directly, skipping the partner-slice loop. The wedge level is
+    // emitted first, so running it ahead of the remaining levels
+    // preserves the global emission order — and `1.0 * x == x` bitwise
+    // keeps the per-level sums unchanged.
     // Skipped when the accumulator rides at the wedge level: that arm
     // needs the partner times too.
     let mut remaining = levels;
     let mut wedge_degs = None;
-    if remaining.wedge && !matches!(&acc, Some((level, _, _)) if *level == LayeredLevels::WEDGE) {
-        remaining.wedge = false;
+    if remaining.active(LayeredLevels::WEDGE)
+        && !matches!(&acc, Some((level, _, _)) if *level == LayeredLevels::WEDGE)
+    {
+        remaining.clear(LayeredLevels::WEDGE);
         wedge_degs = Some(Pattern::for_each_wedge_partner(adj, e, |id| {
             instances[LayeredLevels::WEDGE] += 1;
             mass[LayeredLevels::WEDGE] += meta.inv_p(id);
@@ -267,23 +178,70 @@ mod tests {
         s
     }
 
+    /// The per-pattern reference the layered kernel is pinned against:
+    /// one plain pass over `pattern`'s own kernel
+    /// ([`Pattern::for_each_completed`]), no fast paths. Returns the
+    /// mass, the instance count and the endpoint degrees.
+    fn weighted_mass(
+        pattern: Pattern,
+        sample: &mut WeightedSample,
+        e: Edge,
+        tau: f64,
+        scratch: &mut EnumScratch,
+        mut acc: Option<(&mut StateAccumulator, u64)>,
+    ) -> (f64, u64, (usize, usize)) {
+        let (adj, mut meta) = sample.estimator_view(tau);
+        let (mut mass, mut instances) = (0.0, 0u64);
+        let degs = pattern.for_each_completed(adj, e, scratch, |partners| {
+            let mut prod = 1.0;
+            if let Some((acc, now)) = acc.as_mut() {
+                acc.begin_instance(*now);
+            }
+            for &p in partners {
+                let (inv_p, time) = meta.inv_p_time(p);
+                prod *= inv_p;
+                if let Some((acc, _)) = acc.as_mut() {
+                    acc.push_partner_time(time);
+                }
+            }
+            if let Some((acc, _)) = acc.as_mut() {
+                acc.commit_instance();
+            }
+            instances += 1;
+            mass += prod;
+        });
+        (mass, instances, degs)
+    }
+
+    /// The layered kernel at the triangle level alone.
+    fn triangle_mass(
+        s: &mut WeightedSample,
+        e: Edge,
+        tau: f64,
+        acc: Option<(&mut StateAccumulator, u64)>,
+    ) -> LayeredMassUpdate {
+        let levels = LayeredLevels::of([Pattern::Triangle]);
+        let acc = acc.map(|(acc, now)| (LayeredLevels::TRIANGLE, acc, now));
+        layered_weighted_mass(levels, s, e, tau, &mut EnumScratch::default(), acc)
+    }
+
     #[test]
     fn mass_is_product_of_inverse_probabilities() {
         // Triangle 1-2-3 closing edge (1,3); partners (1,2) w=2, (2,3) w=4.
         let mut s = sample_with(&[(1, 2, 2.0, 0), (2, 3, 4.0, 1)]);
-        let mut scratch = EnumScratch::default();
+        let tri = LayeredLevels::TRIANGLE;
         // τ = 8 → p(1,2) = 2/8 = .25, p(2,3) = 4/8 = .5 → mass = 4 * 2 = 8.
-        let m = weighted_mass(Pattern::Triangle, &mut s, Edge::new(1, 3), 8.0, &mut scratch, None);
-        assert_eq!(m.mass, 8.0);
-        assert_eq!(m.instances, 1);
+        let m = triangle_mass(&mut s, Edge::new(1, 3), 8.0, None);
+        assert_eq!(m.mass[tri], 8.0);
+        assert_eq!(m.instances[tri], 1);
         assert_eq!((m.deg_u, m.deg_v), (1, 1), "degrees ride along with the mass");
         // τ = 0 → all probabilities 1 → mass = 1 per instance.
-        let m = weighted_mass(Pattern::Triangle, &mut s, Edge::new(1, 3), 0.0, &mut scratch, None);
-        assert_eq!(m.mass, 1.0);
+        let m = triangle_mass(&mut s, Edge::new(1, 3), 0.0, None);
+        assert_eq!(m.mass[tri], 1.0);
         // Back to τ = 8: the epoch moves again, the cache must not serve
         // the τ = 0 values.
-        let m = weighted_mass(Pattern::Triangle, &mut s, Edge::new(1, 3), 8.0, &mut scratch, None);
-        assert_eq!(m.mass, 8.0);
+        let m = triangle_mass(&mut s, Edge::new(1, 3), 8.0, None);
+        assert_eq!(m.mass[tri], 8.0);
     }
 
     #[test]
@@ -291,18 +249,10 @@ mod tests {
         // Two triangles closed by (1,2): via 3 and via 4.
         let mut s =
             sample_with(&[(1, 3, 1.0, 10), (2, 3, 1.0, 11), (1, 4, 1.0, 12), (2, 4, 1.0, 13)]);
-        let mut scratch = EnumScratch::default();
         let mut acc = StateAccumulator::new(3, TemporalPooling::Max);
-        let m = weighted_mass(
-            Pattern::Triangle,
-            &mut s,
-            Edge::new(1, 2),
-            0.0,
-            &mut scratch,
-            Some((&mut acc, 20)),
-        );
-        assert_eq!(m.mass, 2.0);
-        assert_eq!(m.instances, 2);
+        let m = triangle_mass(&mut s, Edge::new(1, 2), 0.0, Some((&mut acc, 20)));
+        assert_eq!(m.mass[LayeredLevels::TRIANGLE], 2.0);
+        assert_eq!(m.instances[LayeredLevels::TRIANGLE], 2);
         assert_eq!((m.deg_u, m.deg_v), (2, 2));
         assert_eq!(acc.instances(), 2);
         let state = acc.finish(2, 2);
@@ -313,18 +263,18 @@ mod tests {
     #[test]
     fn no_instances_no_mass() {
         let mut s = sample_with(&[(5, 6, 1.0, 0)]);
-        let mut scratch = EnumScratch::default();
-        let m = weighted_mass(Pattern::Triangle, &mut s, Edge::new(1, 2), 0.0, &mut scratch, None);
-        assert_eq!(m.mass, 0.0);
-        assert_eq!(m.instances, 0);
+        let m = triangle_mass(&mut s, Edge::new(1, 2), 0.0, None);
+        assert_eq!(m.mass, [0.0; LayeredLevels::COUNT]);
+        assert_eq!(m.instances, [0; LayeredLevels::COUNT]);
     }
 
     /// The layered mass pass must match per-pattern passes to the bit —
-    /// per level, per τ, with and without the accumulator.
+    /// per level, per τ, with the accumulator riding at each level.
     #[test]
     fn layered_mass_matches_per_pattern_passes_bitwise() {
         // Hub closure (1,20): wedges at both endpoints, 9 triangles via
-        // 11..=19, and a few 4-cliques via the chords among 11..13.
+        // 11..=19, a few 4-cliques via the chords among 11..13 and one
+        // 5-clique {1, 20, 11, 12, 13}.
         let mut edges = Vec::new();
         for (i, w) in (11..=19u64).enumerate() {
             edges.push((1, w, 1.5 + i as f64, 2 * i as u64));
@@ -334,40 +284,40 @@ mod tests {
         edges.push((11, 13, 3.5, 41));
         edges.push((12, 13, 1.25, 42));
         let e = Edge::new(1, 20);
-        let all = LayeredLevels { wedge: true, triangle: true, four_clique: true };
-        let patterns = [Pattern::Wedge, Pattern::Triangle, Pattern::FourClique];
+        let patterns = [Pattern::Wedge, Pattern::Triangle, Pattern::FourClique, Pattern::Clique(5)];
+        let all = LayeredLevels::of(patterns);
         for tau in [0.0, 2.0, 64.0] {
-            // Accumulator on the triangle level, as the fused weight
-            // pass runs it.
-            let mut s = sample_with(&edges);
-            let mut scratch = EnumScratch::default();
-            let mut acc = StateAccumulator::new(3, TemporalPooling::Max);
-            let m = layered_weighted_mass(
-                all,
-                &mut s,
-                e,
-                tau,
-                &mut scratch,
-                Some((LayeredLevels::TRIANGLE, &mut acc, 99)),
-            );
-            for (level, &p) in patterns.iter().enumerate() {
-                let mut s_ref = sample_with(&edges);
-                let mut acc_ref = StateAccumulator::new(3, TemporalPooling::Max);
-                let acc_arg = (level == LayeredLevels::TRIANGLE).then_some((&mut acc_ref, 99u64));
-                let r = weighted_mass(p, &mut s_ref, e, tau, &mut scratch, acc_arg);
-                assert_eq!(
-                    m.mass[level].to_bits(),
-                    r.mass.to_bits(),
-                    "τ={tau} level {level}: layered mass diverged"
+            for acc_pattern in patterns {
+                let acc_level = LayeredLevels::level_of(acc_pattern);
+                let mut s = sample_with(&edges);
+                let mut scratch = EnumScratch::default();
+                let mut acc = StateAccumulator::new(acc_pattern.num_edges(), TemporalPooling::Max);
+                let m = layered_weighted_mass(
+                    all,
+                    &mut s,
+                    e,
+                    tau,
+                    &mut scratch,
+                    Some((acc_level, &mut acc, 99)),
                 );
-                assert_eq!(m.instances[level], r.instances, "τ={tau} level {level}");
-                assert_eq!((m.deg_u, m.deg_v), (r.deg_u, r.deg_v), "τ={tau}");
-                if level == LayeredLevels::TRIANGLE {
-                    assert_eq!(
-                        acc.finish(m.deg_u, m.deg_v).values(),
-                        acc_ref.finish(r.deg_u, r.deg_v).values(),
-                        "τ={tau}: accumulator diverged"
-                    );
+                for p in patterns {
+                    let level = LayeredLevels::level_of(p);
+                    let mut s_ref = sample_with(&edges);
+                    let mut acc_ref = StateAccumulator::new(p.num_edges(), TemporalPooling::Max);
+                    let acc_arg = (level == acc_level).then_some((&mut acc_ref, 99u64));
+                    let (mass, instances, degs) =
+                        weighted_mass(p, &mut s_ref, e, tau, &mut scratch, acc_arg);
+                    let what = format!("τ={tau} acc at {acc_pattern:?}, level {p:?}");
+                    assert_eq!(m.mass[level].to_bits(), mass.to_bits(), "{what}: mass diverged");
+                    assert_eq!(m.instances[level], instances, "{what}");
+                    assert_eq!((m.deg_u, m.deg_v), degs, "{what}");
+                    if level == acc_level {
+                        assert_eq!(
+                            acc.finish(m.deg_u, m.deg_v).values(),
+                            acc_ref.finish(degs.0, degs.1).values(),
+                            "{what}: accumulator diverged"
+                        );
+                    }
                 }
             }
         }

@@ -40,9 +40,10 @@
 //! straight off the enumeration kernel, with two fast paths: the fill
 //! phase (`τ = 0`, every product is exactly 1) skips the `1/p` reads,
 //! and wedge instances (one partner each) fold their single `1/p`
-//! without a partner slice. Multi-query sessions run one layered pass
-//! per event (see [`LayeredPlan`]), bit-identical to the per-query
-//! passes it replaces.
+//! without a partner slice. Every session, whatever its query mix, runs
+//! one layered enumeration pass per event over its queries' levels and
+//! its weight pattern's ([`wsd_graph::LayeredLevels`]); each query's
+//! estimate is bit-identical to a single-query session's.
 //!
 //! # Example
 //!
@@ -87,8 +88,8 @@ pub use config::Algorithm;
 pub use engine::{BatchDriver, Ensemble, EnsembleReport, SessionEnsembleReport};
 pub use policy::{PolicyArtifact, PolicyError, PolicyMeta, PolicyRegistry};
 pub use session::{
-    AttachError, EdgeSampler, LayeredPlan, PatternQuery, QueryCheckpoint, QueryCtx, QueryId,
-    QueryReport, SessionBuilder, SessionReport, StreamSession, WeightSwapError,
+    AttachError, EdgeSampler, PatternQuery, QueryCheckpoint, QueryCtx, QueryId, QueryReport,
+    SessionBuilder, SessionReport, StreamSession, WeightSwapError,
 };
 pub use snapshot::{
     fnv1a64, write_file_atomic, ByteReader, ByteWriter, QuerySnapshot, SamplerState, SessionConfig,

@@ -39,25 +39,22 @@
 //! assert_eq!(report.queries[1].estimate, 1.0); // one triangle, exact
 //! ```
 //!
-//! # Layered planning
+//! # One enumeration pass per event
 //!
-//! The queried patterns **nest**: every 4-clique pair-probe runs over
-//! the common neighbourhood the triangle kernel intersects, and the
-//! wedge kernel walks the same endpoint neighbourhoods. When a session
-//! holds two or more queries whose patterns all sit on that
-//! wedge→triangle→4-clique ladder, it plans one [`LayeredPlan`] — the
-//! deduplicated union of the queries' levels — and the sampler runs
-//! **one layered enumeration pass per event**
-//! ([`wsd_graph::LayeredLevels`]), feeding every query's mass update at
-//! its level, instead of one per-pattern pass per query. On hub-heavy
-//! streams this removes the duplicated galloping intersections that
-//! dominate multi-query event cost. The layered kernel emits each
-//! level in exactly the per-pattern kernel's order, so estimates are
-//! **bit-identical** to the per-query passes (the layered-equivalence
-//! suite pins this per event); query mixes that include patterns off
-//! the ladder (generic cliques ≥ 5), single-query sessions, and
-//! sessions built with [`SessionBuilder::with_layered`]`(false)` fall
-//! back to the per-query passes unchanged.
+//! Every pattern has a level of one [`wsd_graph::LayeredLevels`] set:
+//! wedge, triangle and 4-clique nest (every 4-clique pair-probe runs
+//! over the common neighbourhood the triangle kernel intersects, and the
+//! wedge kernel walks the same endpoint neighbourhoods), and each larger
+//! clique order is a level of its own. On every event the sampler runs
+//! **one layered enumeration pass** over the union of the attached
+//! queries' levels — plus, for the weighted samplers, the weight
+//! pattern's level — and feeds each query the result at its level. On
+//! hub-heavy streams this removes the duplicated galloping
+//! intersections that would otherwise dominate multi-query event cost.
+//! The layered kernel emits each level in exactly the per-pattern
+//! kernel's order, so each query's estimate is **bit-identical** to a
+//! single-query session of the same configuration (the
+//! layered-equivalence suite pins this per event).
 //!
 //! Queries attach in bulk with [`StreamSession::attach_many`], which
 //! warms up all new queries from **one** replay of the current sample
@@ -71,7 +68,7 @@ use crate::snapshot::{QuerySnapshot, SamplerState, SessionConfig, SessionSnapsho
 use crate::state::TemporalPooling;
 use crate::weight::{HeuristicWeight, LinearPolicy, UniformWeight, WeightFn, WeightSpec};
 use wsd_graph::patterns::EnumScratch;
-use wsd_graph::{Adjacency, Edge, EdgeEvent, LayeredLevels, Pattern};
+use wsd_graph::{Adjacency, Edge, EdgeEvent, LayeredLevels, Pattern, VertexAdjacency};
 
 /// Stable handle of a query attached to a [`StreamSession`].
 ///
@@ -107,6 +104,9 @@ impl QueryId {
 /// [`QueryCtx`].
 pub struct PatternQuery {
     pub(crate) pattern: Pattern,
+    /// The pattern's [`LayeredLevels`] level: where the session's one
+    /// enumeration pass per event delivers this query's instances.
+    pub(crate) level: usize,
     /// Running mass estimate (weighted samplers, ThinkD, WRS).
     pub(crate) estimate: f64,
     /// In-sample instance counter (Triest's τ).
@@ -121,7 +121,7 @@ impl PatternQuery {
     /// Panics if the pattern is invalid.
     pub fn new(pattern: Pattern) -> Self {
         pattern.validate().expect("invalid pattern");
-        Self { pattern, estimate: 0.0, tau: 0 }
+        Self { pattern, level: LayeredLevels::level_of(pattern), estimate: 0.0, tau: 0 }
     }
 
     /// The pattern this query counts.
@@ -130,77 +130,36 @@ impl PatternQuery {
     }
 }
 
-/// A session's layered enumeration plan: the deduplicated union of the
-/// attached queries' nesting levels, plus each query's level. Planned
-/// by [`StreamSession`] whenever ≥ 2 queries are attached and every
-/// query pattern sits on the wedge→triangle→4-clique ladder (and
-/// layered execution wasn't disabled); the sampler then runs one
-/// [`LayeredLevels`] pass per event and feeds each query at
-/// `level_of[its index]` instead of running one per-pattern pass per
-/// query. See the [module docs](self).
-#[derive(Clone, Debug)]
-pub struct LayeredPlan {
-    /// Union of the attached queries' levels.
-    pub(crate) levels: LayeredLevels,
-    /// `level_of[i]` = layered level of `queries[i]`.
-    pub(crate) level_of: Vec<u8>,
-}
-
-impl LayeredPlan {
-    /// Plans for `queries`, or `None` if the mix doesn't profit
-    /// (fewer than two queries) or doesn't nest (a pattern off the
-    /// ladder) — those run today's per-query passes.
-    fn plan(queries: &[PatternQuery]) -> Option<Self> {
-        if queries.len() < 2 {
-            return None;
-        }
-        let mut levels = LayeredLevels::default();
-        let mut level_of = Vec::with_capacity(queries.len());
-        for q in queries {
-            let level = LayeredLevels::level_of(q.pattern)?;
-            levels.set(level);
-            level_of.push(level as u8);
-        }
-        Some(Self { levels, level_of })
+/// The union of `queries`' levels: the level set one layered pass per
+/// event serves them all from.
+pub(crate) fn levels_of(queries: &[PatternQuery]) -> LayeredLevels {
+    let mut levels = LayeredLevels::default();
+    for q in queries {
+        levels.set(q.level);
     }
-
-    /// Union of the attached queries' levels.
-    pub fn levels(&self) -> LayeredLevels {
-        self.levels
-    }
-
-    /// The layered level of the query at `index` (attachment order).
-    pub fn level_of(&self, index: usize) -> usize {
-        self.level_of[index] as usize
-    }
+    levels
 }
 
 /// The per-event view a [`StreamSession`] hands its [`EdgeSampler`]:
-/// the attached queries plus the session-owned shared state — the one
-/// enumeration scratch every query borrows, and the layered plan when
-/// one is active.
+/// the attached queries plus the session-owned enumeration scratch every
+/// query borrows.
 pub struct QueryCtx<'a> {
     /// Attached queries, in attachment order.
     pub(crate) queries: &'a mut [PatternQuery],
     /// Session-owned enumeration scratch, shared by every query.
     pub(crate) scratch: &'a mut EnumScratch,
-    /// The session's layered plan, when one is active. `None` means
-    /// per-query passes (single query, non-nesting mix, or layered
-    /// execution disabled).
-    pub(crate) plan: Option<&'a LayeredPlan>,
 }
 
 impl<'a> QueryCtx<'a> {
-    /// A plan-less context — per-query passes (used by callers that
-    /// drive an [`EdgeSampler`] directly, such as the white-box tests).
+    /// A context over `queries`, enumerating with `scratch`.
     pub fn new(queries: &'a mut [PatternQuery], scratch: &'a mut EnumScratch) -> Self {
-        Self { queries, scratch, plan: None }
+        Self { queries, scratch }
     }
 
     /// Reborrows the context for a nested call (e.g. a batch loop
     /// delegating to the per-event path).
     pub fn reborrow(&mut self) -> QueryCtx<'_> {
-        QueryCtx { queries: self.queries, scratch: self.scratch, plan: self.plan }
+        QueryCtx { queries: self.queries, scratch: self.scratch }
     }
 }
 
@@ -297,12 +256,11 @@ impl std::error::Error for AttachError {}
 /// [`StreamSession::detach`] sound. For the weighted samplers, whose
 /// edge weights are computed from a pattern's completed-instance count,
 /// the weight is always observed on the sampler's fixed *weight
-/// pattern* (fused with the matching query's mass pass when one is
-/// attached, on a sampler-owned pass otherwise).
+/// pattern*, whose level joins the queries' levels in the one
+/// enumeration pass per event.
 pub trait EdgeSampler: Send {
     /// Processes one stream event, updating every query in the context
-    /// (running the context's layered plan, when present, instead of
-    /// per-query enumeration passes).
+    /// from one layered enumeration pass over the queries' levels.
     fn process(&mut self, ev: EdgeEvent, ctx: QueryCtx<'_>);
 
     /// Processes a batch of consecutive events: a loop over
@@ -323,27 +281,21 @@ pub trait EdgeSampler: Send {
     /// computed from the reservoir statistics.
     fn query_estimate(&self, query: &PatternQuery) -> f64;
 
-    /// Warm-starts a freshly attached query by enumerating the pattern
-    /// instances fully contained in the current sample once, seeding the
-    /// query's accumulator with each instance's inverse inclusion
-    /// probability under the algorithm's sampling model (all-edge
-    /// Horvitz–Thompson product for the weighted samplers, κ⁻¹ for the
-    /// uniform ones, the room/reservoir split for WRS). The warm-up is a
-    /// pure function of the sampler's current state — it reads nothing
-    /// else and mutates nothing of the sampler. `scratch` is the
-    /// session's shared enumeration workspace.
-    fn warm_start(&self, query: &mut PatternQuery, scratch: &mut EnumScratch);
-
-    /// Warm-starts a batch of freshly attached queries — the backend of
-    /// [`StreamSession::attach_many`]. Bit-identical to calling
-    /// [`EdgeSampler::warm_start`] per query (the default does exactly
-    /// that); samplers whose warm-up replays the sample override it to
-    /// share **one** layered replay across all nested-pattern queries.
-    fn warm_start_many(&self, queries: &mut [PatternQuery], scratch: &mut EnumScratch) {
-        for query in queries {
-            self.warm_start(query, scratch);
-        }
-    }
+    /// Warm-starts freshly attached queries — the backend of
+    /// [`StreamSession::attach_many`] — from **one** replay of the
+    /// current sample at the queries' levels
+    /// ([`LayeredLevels::for_each_completed`]), which enumerates every
+    /// pattern instance fully contained in the sample once. Each query's
+    /// accumulator is seeded with the instances at its level, weighted
+    /// by their inverse inclusion probability under the algorithm's
+    /// sampling model (all-edge Horvitz–Thompson product for the
+    /// weighted samplers, κ⁻¹ for the uniform ones, the room/reservoir
+    /// split for WRS); Triest seeds its in-sample counter τ. A query's
+    /// seed is independent of the other queries in the slice. The
+    /// warm-up is a pure function of the sampler's current state — it
+    /// reads nothing else and mutates nothing of the sampler. `scratch`
+    /// is the session's shared enumeration workspace.
+    fn warm_start(&self, queries: &mut [PatternQuery], scratch: &mut EnumScratch);
 
     /// Number of edges currently held in the sampling structures
     /// (including, for GPS-A, tagged-deleted ghosts).
@@ -384,67 +336,31 @@ pub trait EdgeSampler: Send {
     }
 }
 
-/// Enumerates every instance of `pattern` spanned by `edges` exactly
-/// once, invoking `per_instance` with the payloads of all `|H|` instance
-/// edges — the shared warm-up kernel.
+/// Enumerates every instance spanned by `edges` exactly once at each of
+/// `levels`, invoking `per_instance(level, payloads)` with the payloads
+/// of all `|H|` instance edges — the one warm-up kernel.
 ///
 /// The edges are replayed into a scratch adjacency one at a time; each
 /// replayed edge completes (and thereby claims) exactly the instances
 /// whose other edges were replayed before it, so no instance is seen
-/// twice. Payloads are whatever the caller needs per edge (inverse
-/// inclusion probabilities, room flags); the payload order within an
-/// instance is unspecified beyond being deterministic for a fixed
-/// `edges` slice.
+/// twice. Per level, instances arrive in the per-pattern kernel's order
+/// (the layered kernel's emission contract), so a level's sum does not
+/// depend on the other levels replayed with it. Payloads are whatever
+/// the caller needs per edge (inverse inclusion probabilities, room
+/// flags); the payload order within an instance is unspecified beyond
+/// being deterministic for a fixed `edges` slice.
 pub(crate) fn for_each_sample_instance(
-    pattern: Pattern,
-    edges: &[(Edge, f64)],
-    scratch: &mut EnumScratch,
-    mut per_instance: impl FnMut(&[f64]),
-) {
-    if edges.len() < pattern.num_edges() {
-        return;
-    }
-    let mut g = Adjacency::with_capacity(2 * edges.len());
-    let mut payload: Vec<f64> = Vec::with_capacity(edges.len());
-    let mut buf: Vec<f64> = Vec::with_capacity(pattern.num_edges());
-    for &(e, p) in edges {
-        pattern.for_each_completed(&g, e, scratch, |partners| {
-            buf.clear();
-            for &pid in partners {
-                buf.push(payload[pid as usize]);
-            }
-            buf.push(p);
-            per_instance(&buf);
-        });
-        let id = g.insert_full(e).expect("sample edges are distinct") as usize;
-        if id >= payload.len() {
-            payload.resize(id + 1, 0.0);
-        }
-        payload[id] = p;
-    }
-}
-
-/// Layered analogue of [`for_each_sample_instance`]: one replay of
-/// `edges` enumerating, per replayed edge, every active level's
-/// completed instances via [`LayeredLevels::for_each_completed`] —
-/// `per_instance(level, payloads)` per instance. Per level, instances
-/// arrive in exactly the order the per-pattern replay produces them
-/// (the layered kernel's emission contract), so per-level payload sums
-/// are bit-identical to per-pattern replays.
-pub(crate) fn for_each_sample_instance_layered(
     levels: LayeredLevels,
     edges: &[(Edge, f64)],
     scratch: &mut EnumScratch,
     mut per_instance: impl FnMut(usize, &[f64]),
 ) {
-    // Wedges are the narrowest level (2 edges); below that nothing
-    // completes at any level.
-    if edges.len() < 2 {
+    if levels.is_empty() {
         return;
     }
     let mut g = Adjacency::with_capacity(2 * edges.len());
     let mut payload: Vec<f64> = Vec::with_capacity(edges.len());
-    let mut buf: Vec<f64> = Vec::with_capacity(8);
+    let mut buf: Vec<f64> = Vec::new();
     for &(e, p) in edges {
         levels.for_each_completed(&g, e, scratch, |level, partners| {
             buf.clear();
@@ -462,91 +378,56 @@ pub(crate) fn for_each_sample_instance_layered(
     }
 }
 
-/// The per-edge Horvitz–Thompson payloads of a weighted sample at
-/// threshold `tau`, in sample iteration order — the replay input of the
-/// weighted warm-ups. Inverse probabilities are computed directly from
-/// the stored weights (not through the sample's lazy cache), so the
-/// sampler is untouched.
-fn weighted_replay_edges(sample: &WeightedSample, tau: f64) -> Vec<(Edge, f64)> {
-    sample.iter().map(|(e, meta)| (e, 1.0 / inclusion_prob(meta.weight, tau))).collect()
-}
-
-/// Seeds one query from a prepared replay-edge slice (see
-/// [`warm_start_weighted`]).
-fn warm_start_weighted_from(
+/// Seeds each of `queries` with the sum, over the instances at its level
+/// that `edges` span, of `value(payloads)` (one
+/// [`for_each_sample_instance`] replay); τ is reset.
+pub(crate) fn warm_start_sums(
+    queries: &mut [PatternQuery],
     edges: &[(Edge, f64)],
-    query: &mut PatternQuery,
     scratch: &mut EnumScratch,
+    mut value: impl FnMut(&[f64]) -> f64,
 ) {
-    query.estimate = 0.0;
-    query.tau = 0;
-    for_each_sample_instance(query.pattern, edges, scratch, |payloads| {
-        let mut prod = 1.0;
-        for &p in payloads {
-            prod *= p;
-        }
-        query.estimate += prod;
+    let mut sums = [0.0f64; LayeredLevels::COUNT];
+    for_each_sample_instance(levels_of(queries), edges, scratch, |level, payloads| {
+        sums[level] += value(payloads);
     });
+    for q in queries {
+        q.estimate = sums[q.level];
+        q.tau = 0;
+    }
 }
 
 /// Warm-up for the weighted samplers (WSD, GPS, GPS-A): each pattern
-/// instance fully inside `sample` seeds the query with the
+/// instance fully inside `sample` seeds its query with the
 /// Horvitz–Thompson product `Π_{e ∈ J} 1/P[r(e) > τ]` over **all** its
-/// edges.
+/// edges. Inverse probabilities are computed directly from the stored
+/// weights (not through the sample's lazy cache), so the sampler is
+/// untouched.
 pub(crate) fn warm_start_weighted(
-    sample: &WeightedSample,
-    tau: f64,
-    query: &mut PatternQuery,
-    scratch: &mut EnumScratch,
-) {
-    let edges = weighted_replay_edges(sample, tau);
-    warm_start_weighted_from(&edges, query, scratch);
-}
-
-/// Batched weighted warm-up: one sample snapshot, and **one** layered
-/// replay feeding every nested-pattern query at its level (queries off
-/// the ladder replay individually from the shared snapshot).
-/// Bit-identical to per-query [`warm_start_weighted`] — the layered
-/// replay emits each level in the per-pattern replay's order, and
-/// per-level sums start from the same 0.0.
-pub(crate) fn warm_start_weighted_many(
     sample: &WeightedSample,
     tau: f64,
     queries: &mut [PatternQuery],
     scratch: &mut EnumScratch,
 ) {
-    let mut levels = LayeredLevels::default();
-    let mut nested = 0usize;
-    for q in queries.iter() {
-        if let Some(level) = LayeredLevels::level_of(q.pattern) {
-            levels.set(level);
-            nested += 1;
-        }
-    }
-    if nested < 2 {
-        for query in queries.iter_mut() {
-            warm_start_weighted(sample, tau, query, scratch);
-        }
-        return;
-    }
-    let edges = weighted_replay_edges(sample, tau);
-    let mut sums = [0.0f64; LayeredLevels::COUNT];
-    for_each_sample_instance_layered(levels, &edges, scratch, |level, payloads| {
-        let mut prod = 1.0;
-        for &p in payloads {
-            prod *= p;
-        }
-        sums[level] += prod;
+    let edges: Vec<(Edge, f64)> =
+        sample.iter().map(|(e, meta)| (e, 1.0 / inclusion_prob(meta.weight, tau))).collect();
+    warm_start_sums(queries, &edges, scratch, |payloads| {
+        payloads.iter().fold(1.0, |prod, &p| prod * p)
     });
-    for query in queries.iter_mut() {
-        match LayeredLevels::level_of(query.pattern) {
-            Some(level) => {
-                query.estimate = sums[level];
-                query.tau = 0;
-            }
-            None => warm_start_weighted_from(&edges, query, scratch),
-        }
-    }
+}
+
+/// The number of instances at each of `queries`' levels inside the
+/// uniform baselines' sample `adj` (one [`for_each_sample_instance`]
+/// replay) — their warm-up input.
+pub(crate) fn sample_instance_counts(
+    adj: &VertexAdjacency,
+    queries: &[PatternQuery],
+    scratch: &mut EnumScratch,
+) -> [u64; LayeredLevels::COUNT] {
+    let edges: Vec<(Edge, f64)> = adj.edges().map(|e| (e, 0.0)).collect();
+    let mut counts = [0u64; LayeredLevels::COUNT];
+    for_each_sample_instance(levels_of(queries), &edges, scratch, |level, _| counts[level] += 1);
+    counts
 }
 
 /// A per-query line of a [`SessionReport`].
@@ -607,11 +488,6 @@ pub struct StreamSession {
     events: u64,
     /// Enumeration workspace shared by every attached query.
     scratch: EnumScratch,
-    /// Layered execution toggle (default on); see
-    /// [`SessionBuilder::with_layered`].
-    layered: bool,
-    /// Current layered plan, recomputed on attach/detach.
-    plan: Option<LayeredPlan>,
     /// The builder configuration this session was built from (`None`
     /// for [`StreamSession::from_parts`] sessions) — what
     /// [`StreamSession::snapshot`] carries so a restore can rebuild the
@@ -640,8 +516,6 @@ impl StreamSession {
             token: next_token(),
             events: 0,
             scratch: EnumScratch::default(),
-            layered: true,
-            plan: None,
             config: None,
         };
         session.attach_many(patterns);
@@ -679,7 +553,6 @@ impl StreamSession {
                 weight_pattern: builder
                     .weight_pattern
                     .or_else(|| builder.patterns.first().copied()),
-                layered: self.layered,
                 policy: builder.policy.clone(),
             },
             events: self.events,
@@ -706,15 +579,17 @@ impl StreamSession {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's sampler state does not match its
-    /// declared algorithm, or the configuration itself is unbuildable
-    /// (e.g. a policy dimension mismatching the weight pattern).
+    /// Panics with the error's message if [`SessionSnapshot::validate`]
+    /// rejects the snapshot (a sampler state that does not match its
+    /// declared algorithm, an unbuildable configuration such as a policy
+    /// dimension mismatching the weight pattern, …), and if the sampler
+    /// layout itself is inconsistent.
     pub fn restore(snapshot: &SessionSnapshot) -> Self {
+        snapshot.validate().unwrap_or_else(|e| panic!("{e}"));
         let cfg = &snapshot.config;
         let mut builder = SessionBuilder::new(cfg.algorithm, cfg.capacity as usize, cfg.seed)
             .with_pooling(cfg.pooling)
-            .with_wrs_fraction(cfg.wrs_fraction)
-            .with_layered(cfg.layered);
+            .with_wrs_fraction(cfg.wrs_fraction);
         if let Some(p) = cfg.weight_pattern {
             builder = builder.with_weight_pattern(p);
         }
@@ -742,7 +617,7 @@ impl StreamSession {
                 ids[*qi as usize] = QueryId { session: token, index: hi };
             }
         }
-        let mut session = Self {
+        Self {
             sampler,
             queries,
             handles: snapshot.handles.iter().map(|h| h.map(|q| q as usize)).collect(),
@@ -750,48 +625,15 @@ impl StreamSession {
             token,
             events: snapshot.events,
             scratch: EnumScratch::default(),
-            layered: cfg.layered,
-            plan: None,
             config: Some(builder),
-        };
-        session.replan();
-        session
-    }
-
-    /// Enables or disables layered (shared) enumeration. On by
-    /// default; disabling forces today's per-query passes — estimates
-    /// are bit-identical either way (the layered-equivalence suite pins
-    /// it), so this is a measurement/debugging knob, not a semantic
-    /// one. Takes effect from the next event.
-    pub fn set_layered(&mut self, enabled: bool) {
-        self.layered = enabled;
-        self.replan();
-    }
-
-    /// Recomputes the layered plan after any change to the attached
-    /// query set (or the toggle).
-    fn replan(&mut self) {
-        self.plan = if self.layered { LayeredPlan::plan(&self.queries) } else { None };
-    }
-
-    /// The active layered plan, if the current query mix nests (see
-    /// the [module docs](self)).
-    pub fn layered_plan(&self) -> Option<&LayeredPlan> {
-        self.plan.as_ref()
+        }
     }
 
     /// Processes one stream event: the sampler updates every attached
     /// query's estimator against the shared sample, then applies its
     /// admission/eviction logic.
     pub fn process(&mut self, ev: EdgeEvent) {
-        self.sampler.process(
-            ev,
-            QueryCtx {
-                queries: &mut self.queries,
-                scratch: &mut self.scratch,
-                plan: self.plan.as_ref(),
-            },
-        );
+        self.sampler.process(ev, QueryCtx::new(&mut self.queries, &mut self.scratch));
         self.events += 1;
     }
 
@@ -800,14 +642,7 @@ impl StreamSession {
     /// [`EdgeSampler::process_batch`]); the batch only saves the
     /// per-event virtual call into the sampler.
     pub fn process_batch(&mut self, batch: &[EdgeEvent]) {
-        self.sampler.process_batch(
-            batch,
-            QueryCtx {
-                queries: &mut self.queries,
-                scratch: &mut self.scratch,
-                plan: self.plan.as_ref(),
-            },
-        );
+        self.sampler.process_batch(batch, QueryCtx::new(&mut self.queries, &mut self.scratch));
         self.events += batch.len() as u64;
     }
 
@@ -839,15 +674,7 @@ impl StreamSession {
     ///
     /// Panics if [`StreamSession::check_attach`] rejects the pattern.
     pub fn attach(&mut self, pattern: Pattern) -> QueryId {
-        self.check_attach(pattern).unwrap_or_else(|e| panic!("{e}"));
-        let mut query = PatternQuery::new(pattern);
-        self.sampler.warm_start(&mut query, &mut self.scratch);
-        let id = QueryId { session: self.token, index: self.handles.len() };
-        self.handles.push(Some(self.queries.len()));
-        self.queries.push(query);
-        self.ids.push(id);
-        self.replan();
-        id
+        self.attach_many(&[pattern])[0]
     }
 
     /// Attaches several queries at once, warm-starting them all from
@@ -873,8 +700,7 @@ impl StreamSession {
             self.ids.push(id);
             ids.push(id);
         }
-        self.sampler.warm_start_many(&mut self.queries[start..], &mut self.scratch);
-        self.replan();
+        self.sampler.warm_start(&mut self.queries[start..], &mut self.scratch);
         ids
     }
 
@@ -909,7 +735,6 @@ impl StreamSession {
                 *h -= 1;
             }
         }
-        self.replan();
         final_estimate
     }
 
@@ -989,10 +814,8 @@ impl StreamSession {
     ///   stay unbiased — the inclusion identity of Lemma 1 holds per
     ///   edge at its own admission weight.
     /// * Swapping in a weight function identical to the current one is
-    ///   a bit-for-bit no-op on every subsequent estimate (the
-    ///   weight-mode/fusion plan is re-resolved to the exact same
-    ///   state, preserving fused-query bit-identity through the
-    ///   `with_weight_pattern` path).
+    ///   a bit-for-bit no-op on every subsequent estimate (the weight
+    ///   mode is re-resolved to the exact same state).
     /// * From the swap point on, the session is bit-identical to a
     ///   session of the target weight function whose dynamic state at
     ///   the swap point is the original's (pinned against a
@@ -1073,7 +896,6 @@ pub struct SessionBuilder {
     pooling: TemporalPooling,
     wrs_fraction: f64,
     weight_pattern: Option<Pattern>,
-    layered: bool,
 }
 
 impl SessionBuilder {
@@ -1089,7 +911,6 @@ impl SessionBuilder {
             pooling: TemporalPooling::Max,
             wrs_fraction: crate::algorithms::wrs::DEFAULT_WAITING_ROOM_FRACTION,
             weight_pattern: None,
-            layered: true,
         }
     }
 
@@ -1124,20 +945,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables or disables layered (shared) enumeration for nesting
-    /// query mixes (default: enabled). Estimates are bit-identical
-    /// either way; see [`StreamSession::set_layered`].
-    pub fn with_layered(mut self, enabled: bool) -> Self {
-        self.layered = enabled;
-        self
-    }
-
     /// Pins the pattern the weighted samplers (WSD, GPS, GPS-A) observe
     /// their edge weights on. Defaults to the first attached query's
-    /// pattern. The weight pattern fixes the sampler's trajectory: a
-    /// query counting the same pattern shares its enumeration pass with
-    /// the weight observation, other queries run their own estimator
-    /// passes over the shared sample.
+    /// pattern. The weight pattern fixes the sampler's trajectory; its
+    /// level joins the queries' levels in the one enumeration pass per
+    /// event.
     pub fn with_weight_pattern(mut self, pattern: Pattern) -> Self {
         self.weight_pattern = Some(pattern);
         self
@@ -1163,9 +975,6 @@ impl SessionBuilder {
     pub fn build(self) -> StreamSession {
         let sampler = self.build_sampler();
         let mut session = StreamSession::from_parts(sampler, &self.patterns);
-        if !self.layered {
-            session.set_layered(false);
-        }
         // Remember the configuration so the session can snapshot.
         session.config = Some(self);
         session
@@ -1232,7 +1041,7 @@ impl SessionBuilder {
     }
 }
 
-/// Test harness: one concrete sampler plus a single plan-less query,
+/// Test harness: one concrete sampler plus a single query,
 /// driven through [`EdgeSampler::process`] — white-box unit tests read
 /// the sampler's own accessors (thresholds, room state) between events.
 #[cfg(test)]
@@ -1385,7 +1194,9 @@ mod tests {
         let mut scratch = EnumScratch::default();
         let mut count = 0;
         let mut mass = 0.0;
-        for_each_sample_instance(Pattern::Triangle, &edges, &mut scratch, |payloads| {
+        let triangles = LayeredLevels::of([Pattern::Triangle]);
+        for_each_sample_instance(triangles, &edges, &mut scratch, |level, payloads| {
+            assert_eq!(level, LayeredLevels::TRIANGLE);
             assert_eq!(payloads.len(), 3);
             count += 1;
             mass += payloads.iter().product::<f64>();

@@ -9,8 +9,8 @@
 //! # What is (and is not) serialized
 //!
 //! A snapshot carries the *builder configuration* (algorithm, budget,
-//! seed, pooling, WRS fraction, resolved weight pattern, layered
-//! toggle, optional learned policy) plus the *dynamic state*:
+//! seed, pooling, WRS fraction, resolved weight pattern, optional
+//! learned policy) plus the *dynamic state*:
 //! the attached queries' estimators, the rank heap in **verbatim slot
 //! order** (heap layout is observable — tie-breaking and sift order
 //! depend on it), the sampled adjacency as a canonical
@@ -49,7 +49,7 @@ const MAGIC: &[u8; 4] = b"WSDS";
 /// Encoding version (bump on any layout change). Blobs of any other
 /// version are rejected with [`SnapshotError::BadHeader`]; there is no
 /// compatibility reader.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------
 // Errors
@@ -868,8 +868,6 @@ pub struct SessionConfig {
     /// The *resolved* weight pattern of the weighted samplers; `None`
     /// only for uniform algorithms built without any query.
     pub weight_pattern: Option<Pattern>,
-    /// Layered (shared) enumeration toggle.
-    pub layered: bool,
     /// Learned policy (WSD-L), as `(w, b, mean, std)`.
     pub policy: Option<LinearPolicy>,
 }
@@ -891,7 +889,6 @@ impl SessionConfig {
                 put_pattern(w, p);
             }
         }
-        w.put_bool(self.layered);
         match &self.policy {
             None => w.put_u8(0),
             Some(policy) => {
@@ -916,22 +913,12 @@ impl SessionConfig {
             1 => Some(get_pattern(r)?),
             _ => return Err(SnapshotError::BadTag("weight pattern option")),
         };
-        let layered = r.get_bool()?;
         let policy = match r.get_u8()? {
             0 => None,
             1 => Some(get_policy(r)?),
             _ => return Err(SnapshotError::BadTag("policy option")),
         };
-        Ok(Self {
-            algorithm,
-            capacity,
-            seed,
-            pooling,
-            wrs_fraction,
-            weight_pattern,
-            layered,
-            policy,
-        })
+        Ok(Self { algorithm, capacity, seed, pooling, wrs_fraction, weight_pattern, policy })
     }
 }
 
@@ -998,7 +985,8 @@ impl SessionSnapshot {
         w.into_bytes()
     }
 
-    /// Deserializes a snapshot produced by [`SessionSnapshot::encode`].
+    /// Deserializes a snapshot produced by [`SessionSnapshot::encode`],
+    /// then [validates](SessionSnapshot::validate) it.
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = ByteReader::new(bytes);
         if r.take(4)? != MAGIC || r.get_u32()? != VERSION {
@@ -1026,12 +1014,73 @@ impl SessionSnapshot {
         let snapshot =
             Self { config, events, queries, handles, sampler: SamplerState::decode(&mut r)? };
         r.finish()?;
-        for h in snapshot.handles.iter().flatten() {
-            if *h as usize >= snapshot.queries.len() {
-                return Err(SnapshotError::Invalid("handle points past the query table"));
+        snapshot.validate()?;
+        Ok(snapshot)
+    }
+
+    /// Checks the invariants a restore relies on before any sampler is
+    /// rebuilt, so a forged but well-tagged snapshot is rejected with a
+    /// typed error instead of a panic, an aliased query handle or a
+    /// runaway allocation:
+    ///
+    /// * every query is named by exactly one handle;
+    /// * the sampler-state variant is the one the algorithm builds;
+    /// * a weighted algorithm carries a weight pattern with
+    ///   `|H| ≤ capacity`, and a WSD-L policy has dimension `|H| + 3`;
+    /// * the reservoir holds at most `capacity` edges, and every heap
+    ///   key — an arena edge ID or a GPS-A item ID, both recycled so
+    ///   that fewer than `capacity` are ever live — is below `capacity`.
+    ///
+    /// The sampled adjacency's own layout is checked when it is rebuilt
+    /// ([`wsd_graph::AdjacencyBase::from_layout`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Invalid`] naming the first violated invariant.
+    pub fn validate(&self) -> Result<(), SnapshotError> {
+        use Algorithm::*;
+        let mut named = vec![false; self.queries.len()];
+        for &h in self.handles.iter().flatten() {
+            match named.get_mut(h as usize) {
+                Some(seen) if !*seen => *seen = true,
+                _ => return Err(SnapshotError::Invalid("query handle out of range or repeated")),
             }
         }
-        Ok(snapshot)
+        if named.contains(&false) {
+            return Err(SnapshotError::Invalid("query without a handle"));
+        }
+        let cfg = &self.config;
+        let weighted = matches!(cfg.algorithm, WsdL | WsdH | WsdUniform | GpsA | Gps);
+        let policy_dim = cfg.policy.as_ref().map(LinearPolicy::dim);
+        let invalid = match cfg.weight_pattern {
+            None if weighted => Some("weighted algorithm without a weight pattern"),
+            Some(p) if weighted && p.num_edges() as u64 > cfg.capacity => {
+                Some("weight pattern exceeds the capacity")
+            }
+            Some(p)
+                if cfg.algorithm == WsdL && policy_dim.is_some_and(|d| d != p.num_edges() + 3) =>
+            {
+                Some("policy dimension mismatches the weight pattern")
+            }
+            _ => None,
+        };
+        if let Some(what) = invalid {
+            return Err(SnapshotError::Invalid(what));
+        }
+        let (entries, heap) = match (&self.sampler, cfg.algorithm) {
+            (SamplerState::Wsd { heap, .. }, WsdL | WsdH | WsdUniform)
+            | (SamplerState::Gps { heap, .. }, Gps)
+            | (SamplerState::GpsA { heap, .. }, GpsA) => (heap.len(), heap.as_slice()),
+            (SamplerState::Rp { reservoir, .. }, Triest | ThinkD)
+            | (SamplerState::Wrs { reservoir, .. }, Wrs) => (reservoir.edges.len(), &[][..]),
+            _ => return Err(SnapshotError::Invalid("sampler state mismatches the algorithm")),
+        };
+        if entries as u64 > cfg.capacity
+            || heap.iter().any(|&(key, _)| u64::from(key) >= cfg.capacity)
+        {
+            return Err(SnapshotError::Invalid("reservoir exceeds the capacity"));
+        }
+        Ok(())
     }
 }
 
@@ -1050,16 +1099,45 @@ mod tests {
         }
     }
 
+    fn empty_sample() -> WeightedSampleState {
+        WeightedSampleState {
+            layout: AdjacencyLayout { vertices: vec![], free: vec![], id_bound: 0 },
+            meta: vec![],
+        }
+    }
+
+    fn empty_rp() -> RpState {
+        RpState { edges: vec![], d_in: 0, d_out: 0, population: 0 }
+    }
+
+    fn empty_wsd() -> SamplerState {
+        let sample = empty_sample();
+        SamplerState::Wsd { heap: vec![], sample, tau_p: 0.0, tau_q: 0.0, t: 0, rng: [1, 2, 3, 4] }
+    }
+
+    fn empty_triest() -> SamplerState {
+        let adj = AdjacencyLayout { vertices: vec![], free: vec![], id_bound: 0 };
+        SamplerState::Rp { reservoir: empty_rp(), adj, rng: [1, 2, 3, 4] }
+    }
+
+    /// A snapshot of `sampler` under the algorithm that builds it
+    /// (WSD-H for the WSD state, Triest for the random-pairing one).
     fn snapshot_for(sampler: SamplerState) -> SessionSnapshot {
+        let algorithm = match sampler {
+            SamplerState::Wsd { .. } => Algorithm::WsdH,
+            SamplerState::Gps { .. } => Algorithm::Gps,
+            SamplerState::GpsA { .. } => Algorithm::GpsA,
+            SamplerState::Rp { .. } => Algorithm::Triest,
+            SamplerState::Wrs { .. } => Algorithm::Wrs,
+        };
         SessionSnapshot {
             config: SessionConfig {
-                algorithm: Algorithm::WsdH,
+                algorithm,
                 capacity: 64,
                 seed: 42,
                 pooling: TemporalPooling::Max,
                 wrs_fraction: 0.1,
                 weight_pattern: Some(Pattern::Triangle),
-                layered: true,
                 policy: None,
             },
             events: 123,
@@ -1141,21 +1219,23 @@ mod tests {
 
     #[test]
     fn round_trips_policy_and_special_floats() {
-        let mut snap = snapshot_for(SamplerState::Gps {
+        let mut snap = snapshot_for(SamplerState::Wsd {
             heap: vec![],
-            sample: WeightedSampleState {
-                layout: AdjacencyLayout { vertices: vec![], free: vec![], id_bound: 0 },
-                meta: vec![],
-            },
-            z: f64::MIN_POSITIVE,
+            sample: empty_sample(),
+            tau_p: f64::MIN_POSITIVE,
+            tau_q: 0.0,
             t: 0,
             rng: [0, 0, 0, u64::MAX],
         });
+        // The triangle weight pattern's state dimension is |H| + 3 = 6.
         snap.config.algorithm = Algorithm::WsdL;
         snap.config.policy = Some(LinearPolicy::new(
-            vec![0.5, -0.25, f64::MAX],
+            vec![0.5, -0.25, f64::MAX, 0.75, -1.5, 2.25],
             -1.0,
-            FeatureNorm::new(vec![0.0, 1.0, 2.0], vec![1.0, 0.5, 2.0]),
+            FeatureNorm::new(
+                vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                vec![1.0, 0.5, 2.0, 1.0, 1.0, 1.0],
+            ),
         ));
         snap.queries[0].estimate = -0.0;
         let back = SessionSnapshot::decode(&snap.encode()).expect("decode");
@@ -1166,11 +1246,7 @@ mod tests {
 
     #[test]
     fn rejects_corrupt_inputs() {
-        let snap = snapshot_for(SamplerState::Rp {
-            reservoir: RpState { edges: vec![], d_in: 0, d_out: 0, population: 0 },
-            adj: AdjacencyLayout { vertices: vec![], free: vec![], id_bound: 0 },
-            rng: [1, 2, 3, 4],
-        });
+        let snap = snapshot_for(empty_triest());
         let bytes = snap.encode();
         assert_eq!(SessionSnapshot::decode(&bytes[..3]), Err(SnapshotError::Truncated));
         let mut bad_magic = bytes.clone();
@@ -1188,19 +1264,20 @@ mod tests {
         assert_eq!(SessionSnapshot::decode(&bad_tag), Err(SnapshotError::BadTag("algorithm")));
     }
 
-    /// A WSD-L snapshot whose policy parameters are all distinct, so
-    /// each value's bits occur once in the encoding.
+    /// A WSD-L snapshot on a wedge weight pattern (state dimension
+    /// |H| + 3 = 5) whose policy parameters are all distinct, so each
+    /// value's bits occur once in the encoding.
     fn policy_snapshot() -> SessionSnapshot {
-        let mut snap = snapshot_for(SamplerState::Rp {
-            reservoir: RpState { edges: vec![], d_in: 0, d_out: 0, population: 0 },
-            adj: AdjacencyLayout { vertices: vec![], free: vec![], id_bound: 0 },
-            rng: [1, 2, 3, 4],
-        });
+        let mut snap = snapshot_for(empty_wsd());
         snap.config.algorithm = Algorithm::WsdL;
+        snap.config.weight_pattern = Some(Pattern::Wedge);
         snap.config.policy = Some(LinearPolicy::new(
-            vec![0.125, -0.375],
+            vec![0.125, -0.375, 0.625, 0.875, 1.125],
             1.625,
-            FeatureNorm::new(vec![2.875, 3.125], vec![4.375, 5.625]),
+            FeatureNorm::new(
+                vec![2.875, 3.125, 3.375, 3.625, 3.875],
+                vec![4.375, 5.625, 4.625, 4.875, 5.125],
+            ),
         ));
         snap
     }
@@ -1239,19 +1316,134 @@ mod tests {
     }
 
     /// A blob of another encoding version — version 1 still carried the
-    /// mass-kernel byte — is rejected at the header, never misparsed.
+    /// mass-kernel byte, version 2 the layered-enumeration byte — is
+    /// rejected at the header, never misparsed.
     #[test]
     fn rejects_other_encoding_versions() {
-        let bytes = snapshot_for(SamplerState::Rp {
-            reservoir: RpState { edges: vec![], d_in: 0, d_out: 0, population: 0 },
-            adj: AdjacencyLayout { vertices: vec![], free: vec![], id_bound: 0 },
-            rng: [1, 2, 3, 4],
-        })
-        .encode();
-        for version in [1u32, VERSION + 1] {
+        let bytes = snapshot_for(empty_triest()).encode();
+        for version in [1u32, 2, VERSION + 1] {
             let mut skewed = bytes.clone();
             skewed[4..8].copy_from_slice(&version.to_le_bytes());
             assert_eq!(SessionSnapshot::decode(&skewed), Err(SnapshotError::BadHeader));
         }
+    }
+
+    /// Encodes `snap` and expects `decode` to reject it as invalid.
+    fn assert_invalid(snap: &SessionSnapshot, what: &str) {
+        let got = SessionSnapshot::decode(&snap.encode());
+        assert!(matches!(got, Err(SnapshotError::Invalid(_))), "{what}: decoded to {got:?}");
+    }
+
+    fn wsd_with_heap(heap: Vec<(u32, f64)>) -> SamplerState {
+        let SamplerState::Wsd { sample, tau_p, tau_q, t, rng, .. } = empty_wsd() else {
+            unreachable!()
+        };
+        SamplerState::Wsd { heap, sample, tau_p, tau_q, t, rng }
+    }
+
+    /// A heap key sizes the restored heap's position index, so one at or
+    /// past the capacity is rejected before anything allocates for it.
+    #[test]
+    fn rejects_heap_keys_at_or_past_the_capacity() {
+        for key in [64, 1 << 28, u32::MAX - 1] {
+            assert_invalid(&snapshot_for(wsd_with_heap(vec![(0, 1.0), (key, 2.0)])), "WSD key");
+        }
+        let gps = SamplerState::Gps {
+            heap: vec![(64, 1.0)],
+            sample: empty_sample(),
+            z: 0.0,
+            t: 0,
+            rng: [1, 2, 3, 4],
+        };
+        assert_invalid(&snapshot_for(gps), "GPS key");
+        let gps_a = SamplerState::GpsA {
+            heap: vec![(64, 1.0)],
+            item_edge: vec![],
+            item_live: vec![],
+            free_items: vec![],
+            edge_item: vec![],
+            sample: empty_sample(),
+            z: 0.0,
+            t: 0,
+            rng: [1, 2, 3, 4],
+        };
+        assert_invalid(&snapshot_for(gps_a), "GPS-A key");
+        assert!(
+            SessionSnapshot::decode(&snapshot_for(wsd_with_heap(vec![(63, 1.0)])).encode()).is_ok()
+        );
+    }
+
+    /// A reservoir may not hold more edges than the capacity gate
+    /// admitted.
+    #[test]
+    fn rejects_reservoirs_past_the_capacity() {
+        let mut snap = snapshot_for(wsd_with_heap((0..16).map(|k| (k % 4, 1.0)).collect()));
+        snap.config.capacity = 4;
+        assert_invalid(&snap, "16 heap entries at capacity 4");
+        let edges: Vec<Edge> = (0..65).map(|v| Edge::new(v, v + 100)).collect();
+        let reservoir = RpState { edges, d_in: 0, d_out: 0, population: 65 };
+        let adj = AdjacencyLayout { vertices: vec![], free: vec![], id_bound: 0 };
+        let rp =
+            SamplerState::Rp { reservoir: reservoir.clone(), adj: adj.clone(), rng: [1, 2, 3, 4] };
+        assert_invalid(&snapshot_for(rp), "Triest reservoir");
+        let wrs = SamplerState::Wrs {
+            room_fifo: vec![],
+            room_seq: vec![],
+            room_len: 0,
+            next_seq: 1,
+            spill_horizon: 0,
+            reservoir,
+            adj,
+            rng: [1, 2, 3, 4],
+        };
+        assert_invalid(&snapshot_for(wrs), "WRS reservoir");
+    }
+
+    /// Every query is named by exactly one handle: an aliased handle
+    /// would make a query unreachable.
+    #[test]
+    fn rejects_aliased_or_missing_query_handles() {
+        for handles in [vec![Some(0), Some(0)], vec![Some(0)], vec![Some(1), None, Some(2)]] {
+            let mut snap = snapshot_for(empty_wsd());
+            snap.handles = handles.clone();
+            assert_invalid(&snap, &format!("handles {handles:?}"));
+        }
+    }
+
+    #[test]
+    fn rejects_a_sampler_state_of_another_algorithm() {
+        let mut snap = snapshot_for(empty_triest());
+        snap.config.algorithm = Algorithm::WsdH;
+        assert_invalid(&snap, "WSD-H over a random-pairing state");
+        let mut snap = snapshot_for(empty_wsd());
+        snap.config.algorithm = Algorithm::Gps;
+        assert_invalid(&snap, "GPS over a WSD state");
+    }
+
+    #[test]
+    fn rejects_weighted_configs_without_a_weight_pattern() {
+        let mut snap = snapshot_for(empty_wsd());
+        snap.config.weight_pattern = None;
+        assert_invalid(&snap, "WSD-H without a weight pattern");
+    }
+
+    #[test]
+    fn rejects_policy_dimension_mismatch() {
+        let mut snap = policy_snapshot();
+        snap.config.policy = Some(LinearPolicy::neutral(2));
+        assert_invalid(&snap, "dimension-2 policy on a wedge");
+    }
+
+    /// The unbiasedness theorems need `M ≥ |H|` of the weight pattern.
+    #[test]
+    fn rejects_weight_patterns_over_the_capacity() {
+        let mut snap = snapshot_for(empty_wsd());
+        snap.config.capacity = 1;
+        snap.config.weight_pattern = Some(Pattern::Wedge);
+        assert_invalid(&snap, "wedge at capacity 1");
+        let mut snap = snapshot_for(empty_wsd());
+        snap.config.capacity = 16;
+        snap.config.weight_pattern = Some(Pattern::Clique(8));
+        assert_invalid(&snap, "8-clique at capacity 16");
     }
 }

@@ -1,22 +1,22 @@
-//! Layered-enumeration equivalence guarantees (PR 6).
+//! Layered-enumeration equivalence guarantees.
 //!
-//! A session whose attached queries all sit on nesting levels
-//! (wedge → triangle → 4-clique) plans one [`wsd_core::LayeredPlan`]
-//! and runs a single layered enumeration pass per event instead of one
-//! pass per query. These tests pin the contract that makes that safe:
-//! the layered pass emits at every level in exactly the per-pattern
-//! kernel order, so **estimates are bit-for-bit identical** to the
-//! per-query-pass session (and, transitively, to single-query sessions).
+//! Every session runs one layered enumeration pass per event over the
+//! union of its queries' levels (plus, for the weighted samplers, the
+//! weight pattern's level) instead of one pass per query. These tests
+//! pin the contract that makes that safe: the layered pass emits at
+//! every level in exactly the per-pattern kernel order, so **each
+//! query's estimate is bit-for-bit the estimate of a standalone
+//! single-query session** with the same algorithm, capacity, seed and
+//! weight pattern.
 //!
-//! 1. Layered session ≡ `with_layered(false)` session, per event, for
-//!    every algorithm × nested pattern mix × churn stream.
-//! 2. The fused weight query of a layered session ≡ a standalone
-//!    single-query session, per event.
+//! 1. Multi-query session ≡ standalone sessions, per event, for every
+//!    algorithm × query mix (nested ladder mixes and larger cliques) ×
+//!    churn stream; GPS on the insertion prefix.
+//! 2. The same for a weight level no query uses.
 //! 3. `attach_many` ≡ the same attaches performed one at a time
 //!    (the shared warm-up replay is bit-identical to N solo replays).
-//! 4. Batched layered processing ≡ sequential layered processing.
-//! 5. Non-nesting query mixes (k-cliques above 4) plan nothing and fall
-//!    back to the per-query passes unchanged.
+//! 4. Batched processing ≡ sequential processing.
+//! 5. `Clique(3)`/`Clique(4)` share the triangle/4-clique levels.
 
 use proptest::prelude::*;
 use wsd_core::{Algorithm, SessionBuilder, StreamSession};
@@ -33,13 +33,16 @@ const DYNAMIC_ALGORITHMS: [Algorithm; 7] = [
     Algorithm::Wrs,
 ];
 
-/// The nested pattern mixes a layered plan covers (≥ 2 queries, all on
-/// levels), including every two-level subset.
-const NESTED_MIXES: [&[Pattern]; 4] = [
+/// Query mixes: every nested ladder mix (including every two-level
+/// subset), a ladder level beside a larger clique, and two larger
+/// cliques.
+const MIXES: [&[Pattern]; 6] = [
     &[Pattern::Wedge, Pattern::Triangle],
     &[Pattern::Triangle, Pattern::FourClique],
     &[Pattern::Wedge, Pattern::FourClique],
     &[Pattern::Wedge, Pattern::Triangle, Pattern::FourClique],
+    &[Pattern::Triangle, Pattern::Clique(5)],
+    &[Pattern::Clique(5), Pattern::Clique(6)],
 ];
 
 /// A deterministic clique-heavy churn stream (plenty of instances of
@@ -89,8 +92,65 @@ fn feasible_stream(intents: &[(u8, u8, bool)]) -> Vec<EdgeEvent> {
     out
 }
 
-fn session(alg: Algorithm, patterns: &[Pattern], layered: bool) -> StreamSession {
-    SessionBuilder::new(alg, 24, 7).queries(patterns.iter().copied()).with_layered(layered).build()
+fn session(alg: Algorithm, patterns: &[Pattern]) -> StreamSession {
+    SessionBuilder::new(alg, 24, 7).queries(patterns.iter().copied()).build()
+}
+
+/// A session answering `patterns` plus one standalone single-query
+/// session per pattern, all with the same algorithm, capacity, seed and
+/// weight pattern (`weight`, by default the first query's pattern).
+fn session_and_standalones(
+    alg: Algorithm,
+    capacity: usize,
+    seed: u64,
+    patterns: &[Pattern],
+    weight: Option<Pattern>,
+) -> (StreamSession, Vec<StreamSession>) {
+    let weight = weight.unwrap_or(patterns[0]);
+    let build = |ps: &[Pattern]| {
+        SessionBuilder::new(alg, capacity, seed)
+            .queries(ps.iter().copied())
+            .with_weight_pattern(weight)
+            .build()
+    };
+    (build(patterns), patterns.iter().map(|&p| build(&[p])).collect())
+}
+
+/// Asserts each query of `multi` agrees bit-for-bit with its standalone
+/// session.
+fn assert_matches_standalones(multi: &StreamSession, solos: &[StreamSession], what: &str) {
+    let queries: Vec<_> = multi.queries().collect();
+    assert_eq!(queries.len(), solos.len());
+    for (&(id, pattern), solo) in queries.iter().zip(solos) {
+        let (solo_id, solo_pattern) = solo.queries().next().expect("one query");
+        assert_eq!(pattern, solo_pattern);
+        assert_eq!(
+            multi.estimate(id).to_bits(),
+            solo.estimate(solo_id).to_bits(),
+            "{what}: {} query diverged from its standalone session",
+            pattern.name()
+        );
+        assert_eq!(multi.stored_edges(), solo.stored_edges(), "{what}: sample diverged");
+    }
+}
+
+/// Streams `events` through a session and its standalones, comparing
+/// after every event.
+fn assert_per_event(
+    alg: Algorithm,
+    patterns: &[Pattern],
+    weight: Option<Pattern>,
+    events: &[EdgeEvent],
+) {
+    let (mut multi, mut solos) = session_and_standalones(alg, 24, 7, patterns, weight);
+    for (i, &ev) in events.iter().enumerate() {
+        multi.process(ev);
+        for solo in &mut solos {
+            solo.process(ev);
+        }
+        let what = format!("{} on {patterns:?} weighted on {weight:?} at event {i}", alg.name());
+        assert_matches_standalones(&multi, &solos, &what);
+    }
 }
 
 /// Asserts two sessions' queries agree bit-for-bit.
@@ -111,76 +171,46 @@ fn assert_sessions_agree(a: &StreamSession, b: &StreamSession, what: &str) {
 }
 
 // ---------------------------------------------------------------------
-// 1. Layered ≡ per-query passes, per event.
+// 1. Multi-query session ≡ standalone sessions, per event.
 // ---------------------------------------------------------------------
 
 #[test]
 fn layered_session_matches_per_query_passes_per_event() {
     let stream = churn_stream();
     for alg in DYNAMIC_ALGORITHMS {
-        for mix in NESTED_MIXES {
-            let mut layered = session(alg, mix, true);
-            let mut plain = session(alg, mix, false);
-            assert!(layered.layered_plan().is_some(), "{} should plan {mix:?}", alg.name());
-            assert!(plain.layered_plan().is_none());
-            for (i, &ev) in stream.iter().enumerate() {
-                layered.process(ev);
-                plain.process(ev);
-                assert_sessions_agree(
-                    &layered,
-                    &plain,
-                    &format!("{} on {mix:?} at event {i}", alg.name()),
-                );
-            }
+        for mix in MIXES {
+            assert_per_event(alg, mix, None, &stream);
         }
     }
 }
 
-/// GPS (insertion-only) takes the layered path too; cover it on the
-/// insertion prefix of the churn stream.
+/// GPS (insertion-only) runs the same pass; cover it on the insertion
+/// prefix of the churn stream.
 #[test]
 fn layered_gps_matches_per_query_passes() {
     let stream: Vec<_> = churn_stream().into_iter().filter(EdgeEvent::is_insert).collect();
-    for mix in NESTED_MIXES {
-        let mut layered = session(Algorithm::Gps, mix, true);
-        let mut plain = session(Algorithm::Gps, mix, false);
-        for (i, &ev) in stream.iter().enumerate() {
-            layered.process(ev);
-            plain.process(ev);
-            assert_sessions_agree(&layered, &plain, &format!("GPS on {mix:?} at event {i}"));
-        }
+    for mix in MIXES {
+        assert_per_event(Algorithm::Gps, mix, None, &stream);
     }
 }
 
 // ---------------------------------------------------------------------
-// 2. Fused weight query ≡ standalone session under layered enumeration.
+// 2. A weight level no query uses.
 // ---------------------------------------------------------------------
 
+/// The weighted samplers observe their weights on the triangle while
+/// the queries count wedges and 4-cliques: the weight level joins the
+/// pass without any query at it, and every query still matches its
+/// standalone session.
 #[test]
 fn layered_weight_query_matches_standalone_session_per_event() {
     let stream = churn_stream();
-    for alg in [Algorithm::WsdH, Algorithm::WsdL, Algorithm::GpsA] {
-        let mut standalone = SessionBuilder::new(alg, 24, 11).query(Pattern::Triangle).build();
-        let (solo_tri, _) = standalone.queries().next().unwrap();
-        let mut layered = SessionBuilder::new(alg, 24, 11)
-            .query(Pattern::Wedge)
-            .query(Pattern::Triangle)
-            .query(Pattern::FourClique)
-            .with_weight_pattern(Pattern::Triangle)
-            .build();
-        assert!(layered.layered_plan().is_some());
-        let tri = layered.queries().nth(1).unwrap().0;
-        for (i, &ev) in stream.iter().enumerate() {
-            standalone.process(ev);
-            layered.process(ev);
-            assert_eq!(
-                standalone.estimate(solo_tri).to_bits(),
-                layered.estimate(tri).to_bits(),
-                "{} fused triangle query diverged from the standalone session at event {i}",
-                alg.name()
-            );
-        }
+    let mix = [Pattern::Wedge, Pattern::FourClique];
+    for alg in DYNAMIC_ALGORITHMS {
+        assert_per_event(alg, &mix, Some(Pattern::Triangle), &stream);
     }
+    let inserts: Vec<_> = stream.into_iter().filter(EdgeEvent::is_insert).collect();
+    assert_per_event(Algorithm::Gps, &mix, Some(Pattern::Triangle), &inserts);
 }
 
 // ---------------------------------------------------------------------
@@ -202,7 +232,6 @@ fn attach_many_matches_sequential_attaches() {
             solo.attach(Pattern::FourClique),
             solo.attach(Pattern::Triangle),
         ];
-        assert!(many.layered_plan().is_some());
         for (m, s) in ids_many.iter().zip(&ids_solo) {
             assert_eq!(
                 many.estimate(*m).to_bits(),
@@ -231,7 +260,7 @@ fn attach_many_matches_sequential_attaches() {
 #[test]
 fn builder_queries_equals_incremental_attach_many() {
     for alg in DYNAMIC_ALGORITHMS {
-        let built = session(alg, &[Pattern::Wedge, Pattern::Triangle, Pattern::FourClique], true);
+        let built = session(alg, &[Pattern::Wedge, Pattern::Triangle, Pattern::FourClique]);
         let mut grown = SessionBuilder::new(alg, 24, 7).query(Pattern::Wedge).build();
         grown.attach_many(&[Pattern::Triangle, Pattern::FourClique]);
         assert_sessions_agree(&built, &grown, &format!("{} empty-sample attach_many", alg.name()));
@@ -239,7 +268,7 @@ fn builder_queries_equals_incremental_attach_many() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Batched layered ≡ sequential layered.
+// 4. Batched ≡ sequential.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -247,8 +276,8 @@ fn layered_batched_matches_sequential() {
     let stream = churn_stream();
     for alg in DYNAMIC_ALGORITHMS {
         let mix = [Pattern::Wedge, Pattern::Triangle, Pattern::FourClique];
-        let mut sequential = session(alg, &mix, true);
-        let mut batched = session(alg, &mix, true);
+        let mut sequential = session(alg, &mix);
+        let mut batched = session(alg, &mix);
         for &ev in &stream {
             sequential.process(ev);
         }
@@ -260,68 +289,22 @@ fn layered_batched_matches_sequential() {
 }
 
 // ---------------------------------------------------------------------
-// 5. Fallbacks: mixes a plan cannot cover, and mid-stream toggling.
+// 5. Clique spellings.
 // ---------------------------------------------------------------------
 
+/// `Clique(3)` and `Clique(4)` sit on the triangle and 4-clique levels:
+/// a session counting both spellings of each reports the same bits
+/// under either spelling.
 #[test]
-fn non_nesting_mixes_plan_nothing_and_still_work() {
+fn clique_spellings_share_ladder_levels() {
     let stream = churn_stream();
-    // Clique(5) sits on no layered level → no plan, per-query passes.
-    let mut mixed = SessionBuilder::new(Algorithm::WsdUniform, 24, 9)
-        .query(Pattern::Triangle)
-        .query(Pattern::Clique(5))
-        .build();
-    assert!(mixed.layered_plan().is_none(), "Clique(5) must block the plan");
-    // Single-query sessions never plan (nothing to share).
-    let single = SessionBuilder::new(Algorithm::WsdUniform, 24, 9).query(Pattern::Triangle).build();
-    assert!(single.layered_plan().is_none(), "single query must not plan");
-    // 4-clique spelled as Clique(4) still levels.
-    let spelled = SessionBuilder::new(Algorithm::WsdUniform, 24, 9)
-        .query(Pattern::Clique(3))
-        .query(Pattern::Clique(4))
-        .build();
-    assert!(spelled.layered_plan().is_some(), "Clique(3)/Clique(4) spell tri/4c");
-    // And the unplanned mix still estimates sanely (vs a solo session).
-    let mut solo =
-        SessionBuilder::new(Algorithm::WsdUniform, 24, 9).query(Pattern::Triangle).build();
-    let tri_mixed = mixed.queries().next().unwrap().0;
-    let (tri_solo, _) = solo.queries().next().unwrap();
-    for (i, &ev) in stream.iter().enumerate() {
-        mixed.process(ev);
-        solo.process(ev);
-        assert_eq!(
-            mixed.estimate(tri_mixed).to_bits(),
-            solo.estimate(tri_solo).to_bits(),
-            "unplanned mix perturbed the triangle query at event {i}"
-        );
-    }
-}
-
-#[test]
-fn toggling_layered_mid_stream_keeps_the_trajectory() {
-    let stream = churn_stream();
-    let t = stream.len() / 2;
+    let mix = [Pattern::Triangle, Pattern::Clique(3), Pattern::FourClique, Pattern::Clique(4)];
     for alg in DYNAMIC_ALGORITHMS {
-        let mix = [Pattern::Wedge, Pattern::Triangle, Pattern::FourClique];
-        let mut steady = session(alg, &mix, true);
-        let mut toggled = session(alg, &mix, true);
-        for &ev in &stream[..t] {
-            steady.process(ev);
-            toggled.process(ev);
-        }
-        toggled.set_layered(false);
-        assert!(toggled.layered_plan().is_none());
-        for (i, &ev) in stream[t..].iter().enumerate() {
-            steady.process(ev);
-            toggled.process(ev);
-            assert_sessions_agree(
-                &steady,
-                &toggled,
-                &format!("{} toggle at event t+{i}", alg.name()),
-            );
-        }
-        toggled.set_layered(true);
-        assert!(toggled.layered_plan().is_some());
+        let mut s = session(alg, &mix);
+        s.process_batch(&stream);
+        let bits: Vec<u64> = s.queries().map(|(id, _)| s.estimate(id).to_bits()).collect();
+        assert_eq!(bits[0], bits[1], "{}: Clique(3) diverged from Triangle", alg.name());
+        assert_eq!(bits[2], bits[3], "{}: Clique(4) diverged from FourClique", alg.name());
     }
 }
 
@@ -332,8 +315,9 @@ fn toggling_layered_mid_stream_keeps_the_trajectory() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random feasible churn streams: the layered session stays
-    /// bit-identical to the per-query-pass session for every algorithm.
+    /// Random feasible churn streams: every query of a 3-query session
+    /// stays bit-identical to its standalone session for every
+    /// algorithm.
     #[test]
     fn prop_layered_matches_per_query_passes(
         intents in proptest::collection::vec((0u8..20, 0u8..20, any::<bool>()), 40..200),
@@ -341,20 +325,20 @@ proptest! {
         capacity in 12usize..32,
     ) {
         let stream = feasible_stream(&intents);
+        let mix = [Pattern::Wedge, Pattern::Triangle, Pattern::FourClique];
         for alg in DYNAMIC_ALGORITHMS {
-            let build = |layered: bool| {
-                SessionBuilder::new(alg, capacity, seed)
-                    .queries([Pattern::Wedge, Pattern::Triangle, Pattern::FourClique])
-                    .with_layered(layered)
-                    .build()
-            };
-            let mut layered = build(true);
-            let mut plain = build(false);
-            layered.process_batch(&stream);
-            plain.process_batch(&stream);
-            let le: Vec<_> = layered.queries().map(|(id, _)| layered.estimate(id).to_bits()).collect();
-            let pe: Vec<_> = plain.queries().map(|(id, _)| plain.estimate(id).to_bits()).collect();
-            prop_assert_eq!(le, pe, "{} layered trajectory diverged", alg.name());
+            let (mut multi, mut solos) = session_and_standalones(alg, capacity, seed, &mix, None);
+            multi.process_batch(&stream);
+            for solo in &mut solos {
+                solo.process_batch(&stream);
+            }
+            let multi_bits: Vec<_> =
+                multi.queries().map(|(id, _)| multi.estimate(id).to_bits()).collect();
+            let solo_bits: Vec<_> = solos
+                .iter()
+                .map(|s| s.estimate(s.queries().next().expect("one query").0).to_bits())
+                .collect();
+            prop_assert_eq!(multi_bits, solo_bits, "{} layered trajectory diverged", alg.name());
         }
     }
 }

@@ -142,19 +142,7 @@ impl Pattern {
             Pattern::FourClique | Pattern::Clique(4) => {
                 let (u, v) = e.endpoints();
                 g.common_neighbors_into(u, v, &mut scratch.common);
-                let c = &scratch.common;
-                let mut n = 0u64;
-                for (i, &w) in c.iter().enumerate() {
-                    // One neighbourhood resolution per outer vertex; the
-                    // inner loop is pure dense membership scans.
-                    let nw = g.neighborhood(w);
-                    for &x in &c[(i + 1)..] {
-                        if nw.contains(x) {
-                            n += 1;
-                        }
-                    }
-                }
-                n
+                count_four_cliques(g, &scratch.common)
             }
             Pattern::Clique(k) => {
                 let (u, v) = e.endpoints();
@@ -239,24 +227,7 @@ impl Pattern {
             }
             Pattern::FourClique | Pattern::Clique(4) => {
                 let degs = g.common_edges_into(u, v, &mut scratch.common_edges);
-                let c = &scratch.common_edges;
-                let mut partner = [0 as EdgeId; 5];
-                for (i, ci) in c.iter().enumerate() {
-                    // One neighbourhood resolution per outer vertex; the
-                    // inner pair probes are dense finds carrying the
-                    // (w,x) partner ID out on hits.
-                    let nw = g.neighborhood(ci.w);
-                    for cj in &c[(i + 1)..] {
-                        if let Some(wx) = nw.id_of(cj.w) {
-                            partner[0] = ci.eu;
-                            partner[1] = ci.ev;
-                            partner[2] = cj.eu;
-                            partner[3] = cj.ev;
-                            partner[4] = wx;
-                            f(&partner);
-                        }
-                    }
-                }
+                for_each_four_clique(g, &scratch.common_edges, f);
                 degs
             }
             Pattern::Clique(k) => {
@@ -306,44 +277,35 @@ impl Pattern {
     }
 }
 
-/// The set of nesting levels a **layered** enumeration pass emits:
-/// wedges, triangles and 4-cliques share one walk per event because the
-/// patterns nest — every 4-clique pair-probe runs over the same common
-/// neighbourhood the triangle kernel intersects, and the wedge kernel
-/// walks the same endpoint neighbourhoods. A multi-query session unions
-/// its queries' levels into one `LayeredLevels` and runs
-/// [`LayeredLevels::for_each_completed`] (or the count mode) once per
-/// event instead of one per-pattern pass per query.
+/// The set of levels a **layered** enumeration pass emits. Every valid
+/// pattern has a level ([`LayeredLevels::level_of`]), so any query mix
+/// — plus a sampler's weight pattern — is one level set, enumerated in
+/// one pass per event. Wedges, triangles and 4-cliques share one walk
+/// because the patterns nest: every 4-clique pair-probe runs over the
+/// same common neighbourhood the triangle kernel intersects, and the
+/// wedge kernel walks the same endpoint neighbourhoods. Each clique
+/// order from 5 to [`MAX_CLIQUE`] is a level of its own, served by the
+/// generic clique kernel of [`Pattern::Clique`].
 ///
 /// Levels are dense indices ([`LayeredLevels::WEDGE`] = 0,
-/// [`LayeredLevels::TRIANGLE`] = 1, [`LayeredLevels::FOUR_CLIQUE`] = 2)
-/// so consumers can accumulate per-level results in a flat `[T; 3]`.
-/// Patterns wider than a 4-clique don't nest into this ladder
-/// ([`LayeredLevels::level_of`] returns `None`) and stay on the
-/// per-pattern kernels.
+/// [`LayeredLevels::TRIANGLE`] = 1, [`LayeredLevels::FOUR_CLIQUE`] = 2,
+/// `Clique(k)` = k − 2) so consumers can accumulate per-level results in
+/// a flat `[T; LayeredLevels::COUNT]`.
 ///
 /// **Emission contract:** at each level the instances, their partner-ID
 /// order *and* their relative order are exactly those of the
 /// corresponding per-pattern kernel ([`Pattern::for_each_completed`]).
 /// Levels are emitted in ascending order (all wedges, then all
-/// triangles, then all 4-cliques). Estimators sum per level, so this
-/// makes a layered pass bit-identical to the per-pattern passes it
-/// replaces — the shared walk is a pure cost optimisation, never a
-/// numeric one. The shared work is real: when both the triangle and
-/// 4-clique levels are active
-/// the galloping hub–hub intersection runs **once**, filling the
-/// common-edge buffer that the triangle level replays (the buffer fill
-/// *is* the streaming intersection callback, same hits in the same
-/// order) and the 4-clique level pair-probes.
+/// triangles, then all 4-cliques, then each larger clique order).
+/// Estimators sum per level, so a layered pass is bit-identical to
+/// per-pattern passes — the shared walk is a pure cost optimisation,
+/// never a numeric one. The shared work is real: when both the triangle
+/// and 4-clique levels are active the galloping hub–hub intersection
+/// runs **once**, filling the common-edge buffer that the triangle level
+/// replays (the buffer fill *is* the streaming intersection callback,
+/// same hits in the same order) and the 4-clique level pair-probes.
 #[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
-pub struct LayeredLevels {
-    /// Emit wedge instances (level [`LayeredLevels::WEDGE`]).
-    pub wedge: bool,
-    /// Emit triangle instances (level [`LayeredLevels::TRIANGLE`]).
-    pub triangle: bool,
-    /// Emit 4-clique instances (level [`LayeredLevels::FOUR_CLIQUE`]).
-    pub four_clique: bool,
-}
+pub struct LayeredLevels(u8);
 
 impl LayeredLevels {
     /// Level index of wedge instances.
@@ -352,60 +314,66 @@ impl LayeredLevels {
     pub const TRIANGLE: usize = 1;
     /// Level index of 4-clique instances.
     pub const FOUR_CLIQUE: usize = 2;
-    /// Number of levels in the ladder (the length of per-level arrays).
-    pub const COUNT: usize = 3;
+    /// Number of levels (the length of per-level arrays): the
+    /// wedge→triangle→4-clique ladder plus one per larger clique order.
+    pub const COUNT: usize = MAX_CLIQUE as usize - 1;
 
-    /// The level a pattern's instances are served at, or `None` if the
-    /// pattern doesn't nest into the wedge→triangle→4-clique ladder
-    /// (generic cliques of order ≥ 5).
+    /// The level a valid pattern's instances are served at.
     #[inline]
-    pub fn level_of(pattern: Pattern) -> Option<usize> {
+    pub fn level_of(pattern: Pattern) -> usize {
         match pattern {
-            Pattern::Wedge => Some(Self::WEDGE),
-            Pattern::Triangle | Pattern::Clique(3) => Some(Self::TRIANGLE),
-            Pattern::FourClique | Pattern::Clique(4) => Some(Self::FOUR_CLIQUE),
-            Pattern::Clique(_) => None,
+            Pattern::Wedge => Self::WEDGE,
+            Pattern::Triangle => Self::TRIANGLE,
+            Pattern::FourClique => Self::FOUR_CLIQUE,
+            Pattern::Clique(k) => usize::from(k) - 2,
         }
     }
 
-    /// The canonical pattern emitted at `level` (used for differential
-    /// testing against the per-pattern kernels).
+    /// The union of `patterns`' levels.
+    pub fn of(patterns: impl IntoIterator<Item = Pattern>) -> Self {
+        let mut levels = Self::default();
+        for p in patterns {
+            levels.set(Self::level_of(p));
+        }
+        levels
+    }
+
+    /// The canonical pattern emitted at `level` (`level < COUNT`).
     #[inline]
     pub fn pattern_at(level: usize) -> Pattern {
         match level {
             Self::WEDGE => Pattern::Wedge,
             Self::TRIANGLE => Pattern::Triangle,
             Self::FOUR_CLIQUE => Pattern::FourClique,
-            _ => panic!("no such layered level: {level}"),
+            _ => Pattern::Clique(level as u8 + 2),
         }
     }
 
     /// Marks `level` active.
     #[inline]
     pub fn set(&mut self, level: usize) {
-        match level {
-            Self::WEDGE => self.wedge = true,
-            Self::TRIANGLE => self.triangle = true,
-            Self::FOUR_CLIQUE => self.four_clique = true,
-            _ => panic!("no such layered level: {level}"),
+        assert!(level < Self::COUNT, "no such layered level: {level}");
+        self.0 |= 1 << level;
+    }
+
+    /// Marks `level` inactive.
+    #[inline]
+    pub fn clear(&mut self, level: usize) {
+        if level < Self::COUNT {
+            self.0 &= !(1 << level);
         }
     }
 
     /// True iff `level` is active.
     #[inline]
     pub fn active(&self, level: usize) -> bool {
-        match level {
-            Self::WEDGE => self.wedge,
-            Self::TRIANGLE => self.triangle,
-            Self::FOUR_CLIQUE => self.four_clique,
-            _ => false,
-        }
+        level < Self::COUNT && self.0 & (1 << level) != 0
     }
 
     /// True iff no level is active.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        !(self.wedge || self.triangle || self.four_clique)
+        self.0 == 0
     }
 
     /// Layered analogue of [`Pattern::for_each_completed`]: one pass
@@ -414,7 +382,8 @@ impl LayeredLevels {
     /// `f(level, partner_ids)` per instance. Per level, instances and
     /// their order are exactly those of the per-pattern kernel; levels
     /// are emitted in ascending order. Returns the endpoint degrees, as
-    /// the per-pattern kernels do.
+    /// the per-pattern kernels do: every level's walk yields them, so
+    /// they are looked up separately only when no level is active.
     pub fn for_each_completed(
         &self,
         g: &Adjacency,
@@ -423,64 +392,53 @@ impl LayeredLevels {
         mut f: impl FnMut(usize, &[EdgeId]),
     ) -> (usize, usize) {
         let (u, v) = e.endpoints();
-        let mut degs = (g.degree(u), g.degree(v));
-        if self.wedge {
-            let mut partner = [0 as EdgeId];
-            let (us, ids_u) = g.neighbor_entries(u);
-            for (i, &w) in us.iter().enumerate() {
-                if w != v {
-                    partner[0] = ids_u[i];
-                    f(Self::WEDGE, &partner);
-                }
-            }
-            let (vs, ids_v) = g.neighbor_entries(v);
-            for (i, &w) in vs.iter().enumerate() {
-                if w != u {
-                    partner[0] = ids_v[i];
-                    f(Self::WEDGE, &partner);
-                }
-            }
-            degs = (us.len(), vs.len());
+        let mut degs = None;
+        if self.active(Self::WEDGE) {
+            degs = Some(Pattern::for_each_wedge_partner(g, e, |id| f(Self::WEDGE, &[id])));
         }
-        match (self.triangle, self.four_clique) {
+        match (self.active(Self::TRIANGLE), self.active(Self::FOUR_CLIQUE)) {
             (true, false) => {
-                let mut partner = [0 as EdgeId; 2];
-                degs = g.for_each_common_edge(u, v, |_, eu, ev| {
-                    partner[0] = eu;
-                    partner[1] = ev;
-                    f(Self::TRIANGLE, &partner);
-                });
+                degs = Some(g.for_each_common_edge(u, v, |_, eu, ev| f(Self::TRIANGLE, &[eu, ev])));
             }
-            (_, true) => {
+            (triangle, true) => {
                 // One galloped intersection serves both upper levels:
                 // the buffer fill is the streaming callback, so the
                 // triangle replay sees the same hits in the same order.
-                degs = g.common_edges_into(u, v, &mut scratch.common_edges);
+                degs = Some(g.common_edges_into(u, v, &mut scratch.common_edges));
                 let c = &scratch.common_edges;
-                if self.triangle {
-                    let mut partner = [0 as EdgeId; 2];
+                if triangle {
                     for ci in c {
-                        partner[0] = ci.eu;
-                        partner[1] = ci.ev;
-                        f(Self::TRIANGLE, &partner);
+                        f(Self::TRIANGLE, &[ci.eu, ci.ev]);
                     }
                 }
-                let mut partner = [0 as EdgeId; 5];
-                for (i, ci) in c.iter().enumerate() {
-                    let nw = g.neighborhood(ci.w);
-                    for cj in &c[(i + 1)..] {
-                        if let Some(wx) = nw.id_of(cj.w) {
-                            partner[0] = ci.eu;
-                            partner[1] = ci.ev;
-                            partner[2] = cj.eu;
-                            partner[3] = cj.ev;
-                            partner[4] = wx;
-                            f(Self::FOUR_CLIQUE, &partner);
-                        }
-                    }
-                }
+                for_each_four_clique(g, c, |partner| f(Self::FOUR_CLIQUE, partner));
             }
             (false, false) => {}
+        }
+        if self.0 >> (Self::FOUR_CLIQUE + 1) != 0 {
+            degs = Some(self.for_each_larger_clique(g, e, scratch, &mut f));
+        }
+        degs.unwrap_or_else(|| (g.degree(u), g.degree(v)))
+    }
+
+    /// The clique levels above the ladder, each through its own
+    /// generic-clique kernel. Out of line and behind a `dyn` callback so
+    /// that the ladder walk stays small enough to inline into its
+    /// callers.
+    #[inline(never)]
+    fn for_each_larger_clique(
+        &self,
+        g: &Adjacency,
+        e: Edge,
+        scratch: &mut EnumScratch,
+        f: &mut dyn FnMut(usize, &[EdgeId]),
+    ) -> (usize, usize) {
+        let mut degs = (0, 0);
+        for level in Self::FOUR_CLIQUE + 1..Self::COUNT {
+            if self.active(level) {
+                let p = Self::pattern_at(level);
+                degs = p.for_each_completed(g, e, scratch, |partner| f(level, partner));
+            }
         }
         degs
     }
@@ -489,44 +447,63 @@ impl LayeredLevels {
     /// completion counts from one pass (inactive levels report 0).
     /// Generic over the adjacency payload so the ID-free
     /// [`VertexAdjacency`] of the uniform baselines shares it. When
-    /// both upper levels are active the common neighbourhood is
-    /// materialised once and serves both the triangle count (its
-    /// length) and the 4-clique pair probes.
+    /// both the triangle and 4-clique levels are active the common
+    /// neighbourhood is materialised once and serves both the triangle
+    /// count (its length) and the 4-clique pair probes; every other
+    /// level runs its pattern's own count.
     pub fn count_completed<P: IdPayload>(
         &self,
         g: &AdjacencyBase<P>,
         e: Edge,
         scratch: &mut EnumScratch,
     ) -> [u64; Self::COUNT] {
-        let (u, v) = e.endpoints();
         let mut counts = [0u64; Self::COUNT];
-        if self.wedge {
-            let present = usize::from(g.adjacent(u, v));
-            let du = g.degree(u) - present;
-            let dv = g.degree(v) - present;
-            counts[Self::WEDGE] = (du + dv) as u64;
-        }
-        if self.four_clique {
+        let mut rest = *self;
+        if self.active(Self::TRIANGLE) && self.active(Self::FOUR_CLIQUE) {
+            let (u, v) = e.endpoints();
             g.common_neighbors_into(u, v, &mut scratch.common);
-            let c = &scratch.common;
-            if self.triangle {
-                counts[Self::TRIANGLE] = c.len() as u64;
+            counts[Self::TRIANGLE] = scratch.common.len() as u64;
+            counts[Self::FOUR_CLIQUE] = count_four_cliques(g, &scratch.common);
+            rest.clear(Self::TRIANGLE);
+            rest.clear(Self::FOUR_CLIQUE);
+        }
+        for (level, count) in counts.iter_mut().enumerate() {
+            if rest.active(level) {
+                *count = Self::pattern_at(level).count_completed(g, e, scratch);
             }
-            let mut n = 0u64;
-            for (i, &w) in c.iter().enumerate() {
-                let nw = g.neighborhood(w);
-                for &x in &c[(i + 1)..] {
-                    if nw.contains(x) {
-                        n += 1;
-                    }
-                }
-            }
-            counts[Self::FOUR_CLIQUE] = n;
-        } else if self.triangle {
-            counts[Self::TRIANGLE] = g.common_neighbor_count(u, v) as u64;
         }
         counts
     }
+}
+
+/// The 4-cliques completed over `c`, the common neighbours (with edge
+/// IDs) of an edge's endpoints: one neighbourhood resolution per outer
+/// vertex, then dense pair probes carrying the `(w, x)` partner ID out
+/// on hits. Shared by the per-pattern and layered kernels, so both emit
+/// the same partners in the same order.
+#[inline]
+fn for_each_four_clique(g: &Adjacency, c: &[CommonEdge], mut f: impl FnMut(&[EdgeId])) {
+    for (i, ci) in c.iter().enumerate() {
+        let nw = g.neighborhood(ci.w);
+        for cj in &c[(i + 1)..] {
+            if let Some(wx) = nw.id_of(cj.w) {
+                f(&[ci.eu, ci.ev, cj.eu, cj.ev, wx]);
+            }
+        }
+    }
+}
+
+/// Counting analogue of [`for_each_four_clique`] over the common
+/// neighbour vertices `c`.
+fn count_four_cliques<P: IdPayload>(g: &AdjacencyBase<P>, c: &[Vertex]) -> u64 {
+    let mut n = 0u64;
+    for (i, &w) in c.iter().enumerate() {
+        // One neighbourhood resolution per outer vertex; the inner loop
+        // is pure dense membership scans.
+        let nw = g.neighborhood(w);
+        n += c[(i + 1)..].iter().filter(|&&x| nw.contains(x)).count() as u64;
+    }
+    n
 }
 
 /// Reusable scratch buffers for pattern enumeration; create one per
@@ -690,17 +667,16 @@ mod tests {
         );
     }
 
-    /// All 7 non-empty level subsets.
+    /// All 31 non-empty subsets of the ladder plus the 5- and 6-clique
+    /// levels.
     fn level_subsets() -> Vec<LayeredLevels> {
-        let mut out = Vec::new();
-        for bits in 1u8..8 {
-            out.push(LayeredLevels {
-                wedge: bits & 1 != 0,
-                triangle: bits & 2 != 0,
-                four_clique: bits & 4 != 0,
-            });
-        }
-        out
+        (1u8..32)
+            .map(|bits| {
+                LayeredLevels::of(
+                    (0..5).filter(|l| bits >> l & 1 != 0).map(LayeredLevels::pattern_at),
+                )
+            })
+            .collect()
     }
 
     /// Per-level instances from a layered pass (instance mode).
@@ -798,12 +774,13 @@ mod tests {
 
     #[test]
     fn layered_level_mapping() {
-        assert_eq!(LayeredLevels::level_of(Pattern::Wedge), Some(LayeredLevels::WEDGE));
-        assert_eq!(LayeredLevels::level_of(Pattern::Triangle), Some(LayeredLevels::TRIANGLE));
-        assert_eq!(LayeredLevels::level_of(Pattern::Clique(3)), Some(LayeredLevels::TRIANGLE));
-        assert_eq!(LayeredLevels::level_of(Pattern::FourClique), Some(LayeredLevels::FOUR_CLIQUE));
-        assert_eq!(LayeredLevels::level_of(Pattern::Clique(4)), Some(LayeredLevels::FOUR_CLIQUE));
-        assert_eq!(LayeredLevels::level_of(Pattern::Clique(5)), None, "≥5-cliques don't nest");
+        assert_eq!(LayeredLevels::level_of(Pattern::Wedge), LayeredLevels::WEDGE);
+        assert_eq!(LayeredLevels::level_of(Pattern::Triangle), LayeredLevels::TRIANGLE);
+        assert_eq!(LayeredLevels::level_of(Pattern::Clique(3)), LayeredLevels::TRIANGLE);
+        assert_eq!(LayeredLevels::level_of(Pattern::FourClique), LayeredLevels::FOUR_CLIQUE);
+        assert_eq!(LayeredLevels::level_of(Pattern::Clique(4)), LayeredLevels::FOUR_CLIQUE);
+        assert_eq!(LayeredLevels::level_of(Pattern::Clique(5)), 3);
+        assert_eq!(LayeredLevels::level_of(Pattern::Clique(MAX_CLIQUE)), LayeredLevels::COUNT - 1);
         let mut levels = LayeredLevels::default();
         assert!(levels.is_empty());
         levels.set(LayeredLevels::TRIANGLE);

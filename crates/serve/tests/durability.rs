@@ -203,42 +203,57 @@ fn corrupt_and_forged_data_dir_boots_with_quarantine() {
 }
 
 /// A data-dir written before the snapshot encoding dropped its
-/// mass-kernel byte (encoding version 1) must still boot: the stale
-/// session is quarantined through the ordinary revive path, and every
-/// other session revives.
+/// mass-kernel byte (encoding version 1) or its layered-enumeration byte
+/// (version 2) must still boot: the stale sessions are quarantined
+/// through the ordinary revive path, and every other session revives.
 #[test]
 fn snapshot_version_skew_quarantines_only_the_stale_session() {
     let dir = scratch_dir("version-skew");
     let (server, mut client) = boot_durable(&dir, 0);
     let fresh = client.open(Algorithm::Triest, 32, Some(3), &[Pattern::Triangle]).expect("opens");
-    let stale = client.open(Algorithm::WsdH, 32, Some(4), &[Pattern::Triangle]).expect("opens");
+    let stale_v1 = client.open(Algorithm::WsdH, 32, Some(4), &[Pattern::Triangle]).expect("opens");
+    let stale_v2 = client.open(Algorithm::WsdH, 32, Some(5), &[Pattern::Triangle]).expect("opens");
     let head = chain_stream(120);
-    for id in [fresh, stale] {
+    for id in [fresh, stale_v1, stale_v2] {
         client.send_events(id, &head).expect("sends");
         client.flush(id).expect("flushes");
     }
-    let blob = client.snapshot(stale).expect("snapshots");
+    let blob_v1 = client.snapshot(stale_v1).expect("snapshots");
+    let blob_v2 = client.snapshot(stale_v2).expect("snapshots");
     server.shutdown();
 
-    // Rebuild the version-1 layout of the same session: identical bytes
-    // plus the kernel byte after the config's WRS fraction (4 magic + 4
-    // version + 1 algorithm + 8 capacity + 8 seed + 1 pooling + 8
-    // fraction), under a version-1 header.
+    // Rebuild the older layouts of the same sessions from identical
+    // bytes: version 2 carried the layered byte after the config's
+    // weight-pattern option (here a triangle: option tag + pattern tag),
+    // and version 1 also the kernel byte after the WRS fraction (4 magic
+    // + 4 version + 1 algorithm + 8 capacity + 8 seed + 1 pooling + 8
+    // fraction).
     const KERNEL_BYTE_AT: usize = 34;
-    let mut v1 = blob[..KERNEL_BYTE_AT].to_vec();
-    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-    v1.push(1);
-    v1.extend_from_slice(&blob[KERNEL_BYTE_AT..]);
+    const LAYERED_BYTE_AT: usize = KERNEL_BYTE_AT + 2;
+    let older = |blob: &[u8], version: u32| {
+        let mut bytes = blob[..KERNEL_BYTE_AT].to_vec();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        if version == 1 {
+            bytes.push(1);
+        }
+        bytes.extend_from_slice(&blob[KERNEL_BYTE_AT..LAYERED_BYTE_AT]);
+        bytes.push(1);
+        bytes.extend_from_slice(&blob[LAYERED_BYTE_AT..]);
+        bytes
+    };
     let store = SessionStore::open(&dir).expect("opens store");
-    store.save(stale, head.len() as u64, &v1).expect("saves stale blob");
+    store.save(stale_v1, head.len() as u64, &older(&blob_v1, 1)).expect("saves stale blob");
+    store.save(stale_v2, head.len() as u64, &older(&blob_v2, 2)).expect("saves stale blob");
     drop(store);
 
     let (rebooted, mut client2) = boot_durable(&dir, 0);
     assert_eq!(rebooted.restored_sessions(), 1, "only the current-version session revives");
-    assert_eq!(rebooted.quarantined_files(), 1, "the version-1 session is quarantined");
+    assert_eq!(rebooted.quarantined_files(), 2, "the version-1 and -2 sessions are quarantined");
     assert_eq!(client2.flush(fresh).expect("revived session answers"), head.len() as u64);
-    assert!(client2.estimates(stale).is_err(), "stale session must not be served");
-    assert!(dir.join(format!("sess-{stale:016x}.snap.quarantined")).exists());
+    for stale in [stale_v1, stale_v2] {
+        assert!(client2.estimates(stale).is_err(), "stale session must not be served");
+        assert!(dir.join(format!("sess-{stale:016x}.snap.quarantined")).exists());
+    }
 
     rebooted.shutdown();
     let _ = fs::remove_dir_all(&dir);
@@ -370,6 +385,46 @@ fn forged_adjacency_layout_is_quarantined_at_boot() {
     assert!(dir.join(format!("sess-{victim:016x}.snap.quarantined")).exists());
     assert!(client2.estimates(victim).is_err(), "the forged session must not be served");
     assert_eq!(client2.flush(healthy).expect("healthy session answers"), clique.len() as u64);
+
+    rebooted.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A well-tagged data-dir file whose heap key reaches the capacity (a
+/// restore would size the heap's index by it) is rejected by
+/// `SessionSnapshot::decode` itself, so boot quarantines it before any
+/// restore runs; the healthy session revives.
+#[test]
+fn forged_heap_key_is_quarantined_at_decode() {
+    let dir = scratch_dir("forged-heap-key");
+    let (server, mut client) = boot_durable(&dir, 0);
+    let healthy = client.open(Algorithm::WsdH, 32, Some(1), &[Pattern::Triangle]).expect("opens");
+    let victim = client.open(Algorithm::WsdH, 32, Some(2), &[Pattern::Triangle]).expect("opens");
+    let head = chain_stream(120);
+    for id in [healthy, victim] {
+        client.send_events(id, &head).expect("sends");
+        client.flush(id).expect("flushes");
+    }
+    let blob = client.snapshot(victim).expect("snapshots");
+    server.shutdown();
+
+    let mut forged = SessionSnapshot::decode(&blob).expect("decodes");
+    let SamplerState::Wsd { heap, .. } = &mut forged.sampler else {
+        panic!("WSD-H snapshots carry a WSD sampler state");
+    };
+    heap[0].0 = 32;
+    let bytes = forged.encode();
+    assert!(SessionSnapshot::decode(&bytes).is_err(), "decode must reject the forged blob");
+    let store = SessionStore::open(&dir).expect("opens store");
+    store.save(victim, head.len() as u64, &bytes).expect("saves forged blob");
+    drop(store);
+
+    let (rebooted, mut client2) = boot_durable(&dir, 0);
+    assert_eq!(rebooted.restored_sessions(), 1, "only the healthy session revives");
+    assert_eq!(rebooted.quarantined_files(), 1, "exactly the forged file is quarantined");
+    assert!(dir.join(format!("sess-{victim:016x}.snap.quarantined")).exists());
+    assert!(client2.estimates(victim).is_err(), "the forged session must not be served");
+    assert_eq!(client2.flush(healthy).expect("healthy session answers"), head.len() as u64);
 
     rebooted.shutdown();
     let _ = fs::remove_dir_all(&dir);

@@ -1,7 +1,7 @@
 //! End-to-end loopback tests: a real server on an ephemeral TCP port,
 //! real clients, real frames.
 
-use wsd_core::{Algorithm, SessionBuilder};
+use wsd_core::{Algorithm, SamplerState, SessionBuilder, SessionSnapshot};
 use wsd_graph::{Edge, EdgeEvent, Pattern};
 use wsd_serve::{serve, Client, ClientError, ServerConfig};
 
@@ -314,6 +314,40 @@ fn rejected_attach_leaves_the_session_serving() {
         assert_eq!(client.estimates(session).expect("estimates").queries.len(), 1);
     }
     assert_eq!(client.stats().expect("stats").sessions_poisoned, 0);
+    server.shutdown();
+}
+
+#[test]
+fn forged_restore_is_rejected_before_any_shard() {
+    // A well-tagged snapshot whose heap key equals the capacity would
+    // size the restored heap's index by that key; the server must answer
+    // the Restore with an error at decode time, and the connection must
+    // go on serving.
+    let (server, mut client) = boot(2);
+    let stream = churn_stream(10);
+    let original = client.open(Algorithm::WsdH, 16, Some(5), &[Pattern::Triangle]).expect("opens");
+    client.send_events(original, &stream).expect("sends");
+    client.flush(original).expect("flushes");
+    let mut forged = SessionSnapshot::decode(&client.snapshot(original).expect("snapshots"))
+        .expect("an honest snapshot decodes");
+    let SamplerState::Wsd { heap, .. } = &mut forged.sampler else {
+        panic!("a WSD-H session snapshots a WSD state")
+    };
+    heap[0].0 = 16;
+    match client.restore(forged.encode()) {
+        Err(ClientError::Server(msg)) => {
+            assert!(msg.contains("bad snapshot"), "wanted a decode error, got: {msg}")
+        }
+        other => panic!("a heap key at the capacity must be rejected, got {other:?}"),
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.sessions_opened, 1, "the forged restore must not reach a shard");
+    assert_eq!(stats.sessions_poisoned, 0);
+
+    let fresh = client.open(Algorithm::WsdH, 16, Some(6), &[Pattern::Triangle]).expect("opens");
+    client.send_events(fresh, &stream).expect("sends");
+    assert_eq!(client.flush(fresh).expect("serves"), stream.len() as u64);
+    assert_eq!(client.estimates(fresh).expect("estimates").queries.len(), 1);
     server.shutdown();
 }
 

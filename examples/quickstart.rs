@@ -20,10 +20,10 @@ fn main() {
     // 2. One WSD-H session under a 5% memory budget answers the paper's
     //    whole pattern grid from a single weighted edge sample — the
     //    sampling machinery (the dominant per-event cost) is paid once,
-    //    not once per pattern, and because wedge ⊂ triangle ⊂ 4-clique
-    //    all nest, the session plans one layered enumeration pass per
-    //    event feeding all three queries (bit-identical to per-query
-    //    passes).
+    //    not once per pattern, and one layered enumeration pass per
+    //    event feeds all three queries (wedge ⊂ triangle ⊂ 4-clique
+    //    nest; each estimate is bit-identical to a single-query
+    //    session's).
     let budget = edges.len() / 20;
     let patterns = [Pattern::Wedge, Pattern::Triangle, Pattern::FourClique];
     let mut session = SessionBuilder::new(Algorithm::WsdH, budget, 42)
