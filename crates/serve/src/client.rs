@@ -3,11 +3,18 @@
 //! One method per request; each writes a frame and reads frames until
 //! the matching reply arrives, buffering any checkpoint pushes that
 //! land in between (drain them with [`Client::take_checkpoints`]).
-//! [`Client::send_events`] is the exception: it is fire-and-forget, so
-//! call [`Client::flush`] when a barrier is needed.
+//!
+//! [`Client::send_events`] is the exception: it is fire-and-forget and
+//! pipelined. Its frames collect in a 64 KiB write buffer that goes out
+//! in one socket write when it is full, before the next request, or
+//! when the client is dropped, so a burst of small `Events` frames costs
+//! one syscall per 64 KiB rather than one per frame. Frame boundaries
+//! and order are unchanged. [`Client::flush`] is the barrier: it returns
+//! once every event sent before it is applied. A dropped client's write
+//! errors are lost, so a tenant confirms delivery with `flush`.
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use wsd_core::{Algorithm, SnapshotError, WeightSpec};
@@ -15,7 +22,7 @@ use wsd_graph::{EdgeEvent, Pattern};
 
 use crate::protocol::{
     encode_events_request, read_frame, write_frame, Checkpoint, Reply, Request, SessionEstimates,
-    StatsReport, CHECKPOINT_OPCODE,
+    StatsReport, CHECKPOINT_OPCODE, IO_BUFFER_BYTES,
 };
 
 /// Client-side failure.
@@ -60,9 +67,14 @@ impl From<SnapshotError> for ClientError {
 }
 
 /// A blocking connection to a `wsd-serve` server.
+///
+/// Dropping it writes out any `Events` frames still buffered; see the
+/// [module docs](self) for the delivery contract.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    /// Pending frames; written out when full, before every request's
+    /// reply is awaited, and on drop.
+    writer: BufWriter<TcpStream>,
     /// Outgoing frame buffer, reused across requests.
     frame: Vec<u8>,
     checkpoints: VecDeque<Checkpoint>,
@@ -73,7 +85,7 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
+        let writer = BufWriter::with_capacity(IO_BUFFER_BYTES, stream.try_clone()?);
         Ok(Client {
             reader: BufReader::new(stream),
             writer,
@@ -82,15 +94,12 @@ impl Client {
         })
     }
 
-    fn send(&mut self, request: &Request) -> Result<(), ClientError> {
+    /// Sends a request, together with any frames still buffered, and
+    /// blocks for its reply, buffering pushes.
+    fn request(&mut self, request: &Request) -> Result<Reply, ClientError> {
         let payload = request.encode();
         write_frame(&mut self.writer, &mut self.frame, |buf| buf.extend_from_slice(&payload))?;
-        Ok(())
-    }
-
-    /// Sends a request and blocks for its reply, buffering pushes.
-    fn request(&mut self, request: &Request) -> Result<Reply, ClientError> {
-        self.send(request)?;
+        self.writer.flush()?;
         loop {
             let payload = read_frame(&mut self.reader)?.ok_or(ClientError::Disconnected)?;
             if payload.first() == Some(&CHECKPOINT_OPCODE) {
@@ -123,6 +132,11 @@ impl Client {
     /// encoded from the borrowed slice into the connection's reused
     /// frame buffer: no copy of the events, no per-frame allocation once
     /// the buffer has grown to the batch size.
+    ///
+    /// The frame may wait in the client's write buffer until 64 KiB are
+    /// pending, until the next request, or until the client is dropped.
+    /// An `Ok` therefore means the frame is queued, not delivered; call
+    /// [`Client::flush`] to know the events are applied.
     pub fn send_events(&mut self, session: u64, events: &[EdgeEvent]) -> Result<(), ClientError> {
         write_frame(&mut self.writer, &mut self.frame, |buf| {
             encode_events_request(session, events, buf)
@@ -130,7 +144,9 @@ impl Client {
         Ok(())
     }
 
-    /// Barrier: returns once every previously sent event is applied.
+    /// Barrier: writes out every buffered frame and returns once every
+    /// event previously sent for `session` is applied, with the
+    /// session's lifetime event count.
     pub fn flush(&mut self, session: u64) -> Result<u64, ClientError> {
         match self.request(&Request::Flush { session })? {
             Reply::Flushed { events } => Ok(events),

@@ -15,7 +15,9 @@
 //! * the server internals ([`serve`], [`RunningServer`]) — listener,
 //!   connection readers, shard workers, and the `replica_seed`-derived
 //!   deterministic per-session seeding.
-//! * [`client`] — a blocking client speaking the full protocol.
+//! * [`client`] — a blocking client speaking the full protocol; it
+//!   pipelines fire-and-forget `Events` frames through a 64 KiB write
+//!   buffer, and `flush` is the delivery barrier.
 //! * [`store`] — the durable session store behind `--data-dir`:
 //!   atomic one-file-per-session snapshot blobs plus a manifest that
 //!   keeps minted session ids unique across crashes.

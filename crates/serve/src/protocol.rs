@@ -30,6 +30,11 @@ use wsd_stream::wire;
 /// Frames larger than this are rejected before allocation (64 MiB).
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 
+/// Size of the client's write buffer and of the server's per-connection
+/// read buffer, and the largest step by which [`read_frame`] grows a
+/// payload ahead of its bytes (64 KiB).
+pub(crate) const IO_BUFFER_BYTES: usize = 64 << 10;
+
 /// Opcode of unsolicited checkpoint push frames.
 pub const CHECKPOINT_OPCODE: u8 = 0xC0;
 
@@ -37,9 +42,9 @@ pub const CHECKPOINT_OPCODE: u8 = 0xC0;
 /// `frame`, a buffer the caller reuses across frames (it is cleared
 /// first).
 ///
-/// The length prefix and the payload leave in one `write_all`, so on an
-/// unbuffered `TCP_NODELAY` socket a frame costs one syscall and, when
-/// small, one TCP segment, not two of each.
+/// The length prefix and the payload go to `w` in one `write_all`, and
+/// `w` is not flushed: a buffered writer may hold the frame until its
+/// owner flushes, so the owner decides when frames reach the peer.
 pub fn write_frame(
     w: &mut impl Write,
     frame: &mut Vec<u8>,
@@ -53,8 +58,7 @@ pub fn write_frame(
         .filter(|&n| n <= MAX_FRAME_BYTES)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
     frame[..4].copy_from_slice(&len.to_le_bytes());
-    w.write_all(frame)?;
-    w.flush()
+    w.write_all(frame)
 }
 
 /// Appends the payload of a [`Request::Events`] frame to `out`, encoding
@@ -71,8 +75,13 @@ pub(crate) fn encode_events_request(session: u64, events: &[EdgeEvent], out: &mu
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` on clean EOF at a frame
-/// boundary. EOF after 1–3 prefix bytes is a torn stream and errors —
-/// only a stream ending before the first prefix byte is a clean close.
+/// boundary. EOF after 1–3 prefix bytes, or inside the payload, is a
+/// torn stream and errors with `UnexpectedEof` — only a stream ending
+/// before the first prefix byte is a clean close.
+///
+/// The payload grows as its bytes arrive, in steps of at most 64 KiB,
+/// so a peer that declares a large frame and then stalls or hangs up
+/// costs memory in proportion to what it sent, not to what it declared.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
@@ -94,8 +103,13 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(IO_BUFFER_BYTES));
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(start + (len - start).min(IO_BUFFER_BYTES), 0);
+        r.read_exact(&mut payload[start..])?;
+    }
     Ok(Some(payload))
 }
 
@@ -781,6 +795,14 @@ mod tests {
         let second = read_frame(&mut cursor).expect("reads").expect("frame");
         assert_eq!(Reply::decode(&second).expect("decodes"), Reply::Ok);
         assert_eq!(read_frame(&mut cursor).expect("clean EOF"), None);
+
+        // A payload spanning several read steps arrives whole.
+        let large: Vec<u8> = (0..3 * IO_BUFFER_BYTES + 5).map(|i| i as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &mut frame, |b| b.extend_from_slice(&large)).expect("writes");
+        let mut cursor = io::Cursor::new(buf);
+        assert_eq!(read_frame(&mut cursor).expect("reads"), Some(large));
+        assert_eq!(read_frame(&mut cursor).expect("clean EOF"), None);
     }
 
     /// A writer that records every `write` call, as an unbuffered socket
@@ -844,8 +866,40 @@ mod tests {
         // EOF before any prefix byte stays a clean close.
         let mut empty = io::Cursor::new(&[][..]);
         assert_eq!(read_frame(&mut empty).expect("clean EOF"), None);
-        // EOF inside the payload already errors via read_exact.
+        // EOF inside the payload is torn too.
         let mut torn_payload = io::Cursor::new(&framed[..framed.len() - 1]);
-        assert!(read_frame(&mut torn_payload).is_err());
+        let err = read_frame(&mut torn_payload).expect_err("torn payload");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A reader that serves `data`, then EOF, and records the largest
+    /// buffer any `read` call asks it to fill.
+    struct FillRecorder<'a> {
+        data: &'a [u8],
+        largest_fill: usize,
+    }
+
+    impl Read for FillRecorder<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_fill = self.largest_fill.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_frame_read_allocates_only_what_arrives() {
+        // A peer declares the largest legal frame, sends 10 bytes and
+        // hangs up. The read must tear without ever asking for more
+        // than one 64 KiB step, let alone the 64 MiB the prefix claims.
+        let mut data = MAX_FRAME_BYTES.to_le_bytes().to_vec();
+        data.extend_from_slice(&[7; 10]);
+        let mut reader = FillRecorder { data: &data, largest_fill: 0 };
+        let err = read_frame(&mut reader).expect_err("torn payload");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            reader.largest_fill <= 64 << 10,
+            "asked to fill {} bytes at once",
+            reader.largest_fill
+        );
     }
 }

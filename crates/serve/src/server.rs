@@ -1,7 +1,8 @@
 //! The TCP front end: listener, per-connection reader threads,
 //! session-id minting, and boot-time recovery from the durable store.
 //!
-//! Threading model: one listener thread accepts connections; each
+//! Threading model: one listener thread blocks in `accept` (shutdown
+//! wakes it by connecting to the server's own address); each
 //! connection gets a reader thread that decodes frames and routes
 //! commands; `num_shards` shard workers own the sessions. A connection
 //! reaches shard `s` through a dedicated SPSC ring created on first
@@ -23,7 +24,7 @@
 //! aborted boot.
 
 use std::io::{self, BufReader};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -35,7 +36,7 @@ use wsd_core::engine::replica_seed;
 use wsd_core::{SessionSnapshot, StreamSession};
 
 use crate::metrics::{self, ShardMetrics};
-use crate::protocol::{read_frame, Reply, Request};
+use crate::protocol::{read_frame, Reply, Request, IO_BUFFER_BYTES};
 use crate::ring::{self, Producer, PushError};
 use crate::shard::{run_shard, ConnWriter, ShardCmd, ShardCtx, ShardHandle, Waker};
 use crate::store::SessionStore;
@@ -120,6 +121,8 @@ impl ConnRegistry {
 
 struct ServerShared {
     config: ServerConfig,
+    /// Where shutdown connects to wake the blocked `accept`.
+    wake_addr: SocketAddr,
     next_session: AtomicU64,
     shutdown: Arc<AtomicBool>,
     metrics: Vec<Arc<ShardMetrics>>,
@@ -147,7 +150,14 @@ pub fn serve(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Runni
     assert!(config.shards > 0, "need at least one shard");
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    // An unspecified bind address is reached through loopback.
+    let mut wake_addr = addr;
+    if addr.ip().is_unspecified() {
+        wake_addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
 
     let store = match &config.data_dir {
         Some(dir) => Some(Arc::new(SessionStore::open(dir.clone())?)),
@@ -173,7 +183,10 @@ pub fn serve(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Runni
             match revive(&persisted.blob, persisted.events, config.max_capacity) {
                 Ok(session) => {
                     let shard = (persisted.session % config.shards as u64) as usize;
+                    // Counted live here, not by the shard worker when it
+                    // starts: a `Stats` right after boot must see them.
                     metrics[shard].add(|m| &m.sessions_restored, 1);
+                    metrics[shard].add(|m| &m.sessions_live, 1);
                     initial[shard].push((persisted.session, session));
                     restored_sessions += 1;
                 }
@@ -207,6 +220,7 @@ pub fn serve(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Runni
 
     let shared = Arc::new(ServerShared {
         config,
+        wake_addr,
         next_session: AtomicU64::new(next_session),
         shutdown: Arc::clone(&shutdown),
         metrics,
@@ -271,18 +285,29 @@ impl RunningServer {
     }
 }
 
+/// Stops the server: sets the shutdown flag, wakes the shard workers,
+/// severs live connections, and connects once to the server's own
+/// address so the listener's blocking `accept` returns and sees the
+/// flag. Serves both [`RunningServer::shutdown`] and a client's
+/// [`Request::Shutdown`]; only the first call wakes the listener.
 fn request_shutdown(shared: &ServerShared) {
-    shared.shutdown.store(true, Ordering::Release);
+    let first = !shared.shutdown.swap(true, Ordering::AcqRel);
     for shard in &shared.shards {
         shard.waker.wake();
     }
     shared.connections.shutdown_all();
+    if first {
+        let _ = TcpStream::connect(shared.wake_addr);
+    }
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for stream in listener.incoming() {
+        if shared.shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        match stream {
+            Ok(stream) => {
                 let shared = Arc::clone(&shared);
                 // Reader threads are detached; they exit on EOF, on
                 // frame errors, or when shutdown severs their socket.
@@ -290,9 +315,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                     let _ = serve_connection(stream, shared);
                 });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
+            // Back off instead of spinning on a persistent failure such
+            // as running out of file descriptors.
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -358,7 +382,9 @@ fn serve_connection(stream: TcpStream, shared: Arc<ServerShared>) -> io::Result<
 
 fn drive_connection(stream: TcpStream, shared: &Arc<ServerShared>, conn_id: u64) -> io::Result<()> {
     let writer = ConnWriter::spawn(stream.try_clone()?);
-    let mut reader = BufReader::new(stream);
+    // Sized to the client's write buffer: a coalesced burst of frames
+    // drains in one or two reads.
+    let mut reader = BufReader::with_capacity(IO_BUFFER_BYTES, stream);
     let mut pipes = ShardPipes::new(shared.config.shards);
 
     while let Some(payload) = read_frame(&mut reader)? {

@@ -192,7 +192,8 @@ pub(crate) struct ShardCtx {
     /// Autosave cadence in events per session; 0 = only on shutdown.
     pub(crate) autosave_every: u64,
     /// Sessions revived from the store at boot, under their original
-    /// ids (all of which map to this shard).
+    /// ids (all of which map to this shard); `serve` already counted
+    /// them in `sessions_live`.
     pub(crate) initial_sessions: Vec<(u64, StreamSession)>,
 }
 
@@ -235,7 +236,6 @@ pub(crate) fn run_shard(ctx: ShardCtx) {
     } = ctx;
     for (id, session) in initial_sessions {
         state.sessions.insert(id, SessionEntry::new(session));
-        metrics.add(|m| &m.sessions_live, 1);
     }
     loop {
         if shutdown.load(Ordering::Acquire) {

@@ -1,6 +1,8 @@
 //! End-to-end loopback tests: a real server on an ephemeral TCP port,
 //! real clients, real frames.
 
+use std::time::{Duration, Instant};
+
 use wsd_core::{Algorithm, SamplerState, SessionBuilder, SessionSnapshot};
 use wsd_graph::{Edge, EdgeEvent, Pattern};
 use wsd_serve::{serve, Client, ClientError, ServerConfig};
@@ -556,4 +558,78 @@ fn shutdown_unblocks_idle_connections() {
     // request on it now fails fast instead of hanging forever.
     let err = idle.flush(session);
     assert!(err.is_err(), "idle connection should observe the shutdown");
+}
+
+#[test]
+fn pipelined_frames_are_visible_to_the_next_request() {
+    // Frames well under the client's 64 KiB write buffer may sit in it,
+    // but the next request on the connection carries them out ahead of
+    // itself: the estimates reply counts every one of their events.
+    let (server, mut client) = boot(2);
+    let stream = churn_stream(12);
+    let frames: Vec<&[EdgeEvent]> = stream.chunks(9).collect();
+    // Length prefix, opcode and session id, then 17 bytes per event.
+    let bytes: usize = frames.iter().map(|f| 4 + 1 + 8 + 17 * f.len()).sum();
+    assert!(frames.len() > 1 && bytes < 64 << 10, "{} frames, {bytes} bytes", frames.len());
+
+    let session = client.open(Algorithm::Triest, 64, Some(4), &[Pattern::Triangle]).expect("opens");
+    for frame in &frames {
+        client.send_events(session, frame).expect("sends");
+    }
+    let estimates = client.estimates(session).expect("estimates");
+    assert_eq!(estimates.events, stream.len() as u64);
+
+    let mut local = SessionBuilder::new(Algorithm::Triest, 64, 4).query(Pattern::Triangle).build();
+    local.process_batch(&stream);
+    let want = local.report().queries[0].estimate.to_bits();
+    assert_eq!(estimates.queries[0].estimate.to_bits(), want);
+    assert_eq!(client.stats().expect("stats").batches, frames.len() as u64);
+    server.shutdown();
+}
+
+#[test]
+fn dropped_client_delivers_its_buffered_frames() {
+    // A client dropped with frames still in its write buffer writes them
+    // out on drop. Another connection's view of the session is ordered
+    // only by time, so it polls until every event has been applied.
+    let (server, mut observer) = boot(2);
+    let stream = churn_stream(12);
+    let mut sender = Client::connect(server.local_addr()).expect("connects");
+    let session = sender.open(Algorithm::Wrs, 48, Some(8), &[Pattern::Wedge]).expect("opens");
+    for frame in stream.chunks(11) {
+        sender.send_events(session, frame).expect("sends");
+    }
+    // Under 64 KiB and no request since: nothing has left the sender.
+    assert_eq!(observer.estimates(session).expect("estimates").events, 0);
+    drop(sender);
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let events = observer.estimates(session).expect("estimates").events;
+        if events == stream.len() as u64 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "only {events} of {} events arrived after the drop",
+            stream.len()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_of_a_server_nobody_connected_to() {
+    // The listener blocks in `accept`; shutdown must wake it even when
+    // no client ever connects, or `shutdown` would never return.
+    let server =
+        serve("127.0.0.1:0", ServerConfig { shards: 2, ..ServerConfig::default() }).expect("binds");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx.recv_timeout(Duration::from_secs(30)).expect("shutdown of an idle server returns");
+    stopper.join().expect("shutdown thread");
 }
