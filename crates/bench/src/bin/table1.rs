@@ -1,6 +1,6 @@
 //! **Table I** — dataset statistics: the train/test registry standing in
-//! for the paper's eight real graphs (DESIGN.md §4 documents the
-//! substitution).
+//! for the paper's eight real graphs, which are not redistributable
+//! (`wsd_stream::dataset` documents the substitution).
 
 use wsd_bench::{Args, Table};
 use wsd_graph::Adjacency;

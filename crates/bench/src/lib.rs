@@ -14,12 +14,7 @@
 //! * [`experiments`] — the drivers shared by several tables.
 //! * [`table`] — paper-style sectioned table rendering + CSV export.
 //!
-//! Criterion micro-benchmarks live under `benches/`: per-event sampler
-//! throughput, reservoir operations, pattern-enumeration kernels,
-//! generators and RL primitives.
-//!
-//! See EXPERIMENTS.md at the workspace root for the experiment ↔ binary
-//! index and recorded results.
+//! README's *Experiments* section shows how to run the binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,7 +14,8 @@
 //! sample with probability `Π_{i=0}^{|H|-2} (s−i)/(n−i)`, so each found
 //! instance contributes the inverse of that. Deletions subtract
 //! symmetrically with `e` excluded from both sample and population
-//! counts (see DESIGN.md §3.3).
+//! counts: the partners are the other live edges, so `e`'s own
+//! membership must not count toward their inclusion probability.
 //!
 //! The sampling decision never looks at any pattern, so one
 //! [`ThinkDSampler`] serves any number of attached queries off the same

@@ -14,8 +14,9 @@
 //! ```
 //!
 //! where `s = |S|` and `n = |E(t)|` — valid because RP keeps `S` uniform
-//! over the live population. See DESIGN.md §3.3 for the (documented)
-//! bookkeeping differences from the original TKDD formulation.
+//! over the live population. The rescaling conditions on the current
+//! sample size, so it needs only `s` and `n`: the random-pairing
+//! deletion counters steer admission alone.
 //!
 //! Because the sampling decision never looks at any pattern, one
 //! [`TriestSampler`] serves any number of attached queries off the same

@@ -1029,7 +1029,12 @@ impl SessionSnapshot {
     ///   `|H| ≤ capacity`, and a WSD-L policy has dimension `|H| + 3`;
     /// * the reservoir holds at most `capacity` edges, and every heap
     ///   key — an arena edge ID or a GPS-A item ID, both recycled so
-    ///   that fewer than `capacity` are ever live — is below `capacity`.
+    ///   that fewer than `capacity` are ever live — is below `capacity`;
+    /// * a WSD or GPS heap is keyed by exactly the sample's live arena
+    ///   IDs (`0..id_bound` minus the free list, each once), so no
+    ///   restored heap entry can alias a live edge or a freed ID;
+    /// * a weighted sample carries metadata for exactly those live IDs,
+    ///   which the restore writes into slots sized by `id_bound`.
     ///
     /// The sampled adjacency's own layout is checked when it is rebuilt
     /// ([`wsd_graph::AdjacencyBase::from_layout`]).
@@ -1080,8 +1085,39 @@ impl SessionSnapshot {
         {
             return Err(SnapshotError::Invalid("reservoir exceeds the capacity"));
         }
+        let sample = match &self.sampler {
+            SamplerState::Wsd { heap, sample, .. } | SamplerState::Gps { heap, sample, .. } => {
+                if !lists_live_ids(&sample.layout, heap.iter().map(|&(key, _)| key)) {
+                    return Err(SnapshotError::Invalid("heap keys are not the live edge IDs"));
+                }
+                sample
+            }
+            SamplerState::GpsA { sample, .. } => sample,
+            SamplerState::Rp { .. } | SamplerState::Wrs { .. } => return Ok(()),
+        };
+        if !lists_live_ids(&sample.layout, sample.meta.iter().map(|&(id, ..)| id)) {
+            return Err(SnapshotError::Invalid("metadata IDs are not the live edge IDs"));
+        }
         Ok(())
     }
+}
+
+/// Whether `ids` names each live arena ID of `layout` — `0..id_bound`
+/// minus the free list — exactly once. The counts are compared before
+/// anything is sized from `id_bound`, so a forged bound allocates no
+/// more than the decoded lists already hold.
+fn lists_live_ids(layout: &AdjacencyLayout, ids: impl ExactSizeIterator<Item = EdgeId>) -> bool {
+    let bound = layout.id_bound as usize;
+    if ids.len().checked_add(layout.free.len()) != Some(bound) {
+        return false;
+    }
+    let mut seen = vec![false; bound];
+    layout
+        .free
+        .iter()
+        .copied()
+        .chain(ids)
+        .all(|id| seen.get_mut(id as usize).is_some_and(|s| !std::mem::replace(s, true)))
 }
 
 #[cfg(test)]
@@ -1168,7 +1204,7 @@ mod tests {
                 rng: [1, 2, 3, 4],
             },
             SamplerState::Gps {
-                heap: vec![(1, 0.25)],
+                heap: vec![(1, 0.25), (0, 0.5)],
                 sample: sample_state(),
                 z: 8.0,
                 t: 7,
@@ -1343,6 +1379,10 @@ mod tests {
 
     /// A heap key sizes the restored heap's position index, so one at or
     /// past the capacity is rejected before anything allocates for it.
+    /// Below the capacity, the heap and the sample's metadata must name
+    /// exactly the sample's live arena IDs: a heap key on a freed ID
+    /// makes the next admitted insert push that ID twice, and a metadata
+    /// ID at `id_bound` indexes past the restored metadata slots.
     #[test]
     fn rejects_heap_keys_at_or_past_the_capacity() {
         for key in [64, 1 << 28, u32::MAX - 1] {
@@ -1368,9 +1408,68 @@ mod tests {
             rng: [1, 2, 3, 4],
         };
         assert_invalid(&snapshot_for(gps_a), "GPS-A key");
-        assert!(
-            SessionSnapshot::decode(&snapshot_for(wsd_with_heap(vec![(63, 1.0)])).encode()).is_ok()
-        );
+        // The largest key the capacity admits, over an arena that has
+        // freed every lower ID.
+        let top = WeightedSampleState {
+            layout: AdjacencyLayout {
+                vertices: vec![(1, vec![(2, 63)]), (2, vec![(1, 63)])],
+                free: (0..63).collect(),
+                id_bound: 64,
+            },
+            meta: vec![(63, 1.0, 0)],
+        };
+        let SamplerState::Wsd { tau_p, tau_q, t, rng, .. } = empty_wsd() else { unreachable!() };
+        let wsd = SamplerState::Wsd { heap: vec![(63, 1.0)], sample: top, tau_p, tau_q, t, rng };
+        assert!(SessionSnapshot::decode(&snapshot_for(wsd).encode()).is_ok());
+
+        // A WSD-H session (M = 16) whose stream ends by deleting a
+        // sampled edge: its arena holds the freed ID.
+        let mut session = crate::session::SessionBuilder::new(Algorithm::WsdH, 16, 5)
+            .query(Pattern::Triangle)
+            .build();
+        for a in 0..8 {
+            for b in (a + 1)..8 {
+                session.process(wsd_graph::EdgeEvent::insert(Edge::new(a, b)));
+            }
+        }
+        let SamplerState::Wsd { sample, .. } = session.snapshot().sampler else { unreachable!() };
+        let (u, slots) = &sample.layout.vertices[0];
+        session.process(wsd_graph::EdgeEvent::delete(Edge::new(*u, slots[0].0)));
+        let honest = session.snapshot();
+        assert!(SessionSnapshot::decode(&honest.encode()).is_ok(), "the honest snapshot decodes");
+        let SamplerState::Wsd { sample, .. } = &honest.sampler else { unreachable!() };
+        let freed = *sample.layout.free.last().expect("the deletion freed an arena ID");
+        let id_bound = sample.layout.id_bound;
+        let mut forged = honest.clone();
+        let SamplerState::Wsd { heap, .. } = &mut forged.sampler else { unreachable!() };
+        heap[0].0 = freed;
+        assert_invalid(&forged, "WSD key on the freed ID");
+        let mut forged = honest.clone();
+        let SamplerState::Wsd { sample, .. } = &mut forged.sampler else { unreachable!() };
+        sample.meta[0].0 = id_bound;
+        assert_invalid(&forged, "WSD metadata ID at id_bound");
+        let gps = SamplerState::Gps {
+            heap: vec![(0, 0.25), (0, 0.5)],
+            sample: sample_state(),
+            z: 0.0,
+            t: 0,
+            rng: [1, 2, 3, 4],
+        };
+        assert_invalid(&snapshot_for(gps), "GPS key repeated over two live IDs");
+        let mut sample = sample_state();
+        sample.meta[1].0 = 3;
+        let gps_a = SamplerState::GpsA {
+            heap: vec![],
+            item_edge: vec![],
+            item_live: vec![],
+            free_items: vec![],
+            edge_item: vec![],
+            sample,
+            z: 0.0,
+            t: 0,
+            rng: [1, 2, 3, 4],
+        };
+        assert_invalid(&snapshot_for(gps_a), "GPS-A metadata ID at id_bound");
     }
 
     /// A reservoir may not hold more edges than the capacity gate

@@ -18,8 +18,8 @@
 //!
 //! Exploration noise (zero-mean Gaussian, decayed multiplicatively) and
 //! the soft-update rate τ are not specified in the paper; defaults are
-//! σ₀ = 2.0 with decay 0.999 per update and τ = 0.01 (documented in
-//! EXPERIMENTS.md).
+//! σ₀ = 2.0 with decay 0.999 per update and τ = 0.01, set in
+//! [`DdpgConfig`]'s `Default`.
 
 use crate::nn::{Adam, Cache, Mlp, RunningNorm};
 use crate::replay::Transition;

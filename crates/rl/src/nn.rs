@@ -1,9 +1,9 @@
 //! Minimal dense neural-network substrate: linear layers, ReLU MLPs,
 //! Adam, and running feature normalisation — everything DDPG needs,
-//! implemented from scratch (no external ML dependency, per DESIGN.md
-//! §5). The networks here are tiny (the paper's critic has one 10-unit
-//! hidden layer; the actor is a single linear unit), so clarity wins
-//! over vectorisation.
+//! implemented from scratch (no external ML dependency: the workspace
+//! builds offline). The networks here are tiny (the paper's critic has
+//! one 10-unit hidden layer; the actor is a single linear unit), so
+//! clarity wins over vectorisation.
 
 use rand::rngs::SmallRng;
 use rand::RngExt;

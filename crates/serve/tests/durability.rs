@@ -390,42 +390,60 @@ fn forged_adjacency_layout_is_quarantined_at_boot() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A well-tagged data-dir file whose heap key reaches the capacity (a
-/// restore would size the heap's index by it) is rejected by
+/// A well-tagged data-dir file with a forged heap key is rejected by
 /// `SessionSnapshot::decode` itself, so boot quarantines it before any
-/// restore runs; the healthy session revives.
+/// restore runs; the healthy session revives. Two forgeries: a key at
+/// the capacity (a restore would size the heap's index by it) and a key
+/// on the arena ID the victim's final deletion freed (the next admitted
+/// insert would push that ID twice).
 #[test]
 fn forged_heap_key_is_quarantined_at_decode() {
-    let dir = scratch_dir("forged-heap-key");
-    let (server, mut client) = boot_durable(&dir, 0);
-    let healthy = client.open(Algorithm::WsdH, 32, Some(1), &[Pattern::Triangle]).expect("opens");
-    let victim = client.open(Algorithm::WsdH, 32, Some(2), &[Pattern::Triangle]).expect("opens");
-    let head = chain_stream(120);
-    for id in [healthy, victim] {
-        client.send_events(id, &head).expect("sends");
-        client.flush(id).expect("flushes");
+    for (tag, at_capacity) in [("at-capacity", true), ("freed-id", false)] {
+        let dir = scratch_dir(&format!("forged-heap-key-{tag}"));
+        let (server, mut client) = boot_durable(&dir, 0);
+        let healthy =
+            client.open(Algorithm::WsdH, 32, Some(1), &[Pattern::Triangle]).expect("opens");
+        let victim =
+            client.open(Algorithm::WsdH, 32, Some(2), &[Pattern::Triangle]).expect("opens");
+        let head = chain_stream(120);
+        for id in [healthy, victim] {
+            client.send_events(id, &head).expect("sends");
+            client.flush(id).expect("flushes");
+        }
+        let honest =
+            SessionSnapshot::decode(&client.snapshot(victim).expect("snapshots")).expect("decodes");
+        let SamplerState::Wsd { sample, .. } = honest.sampler else {
+            panic!("WSD-H snapshots carry a WSD sampler state");
+        };
+        let (u, slots) = &sample.layout.vertices[0];
+        let last = EdgeEvent::delete(Edge::new(*u, slots[0].0));
+        client.send_events(victim, &[last]).expect("sends");
+        let events = client.flush(victim).expect("flushes");
+        let blob = client.snapshot(victim).expect("snapshots");
+        server.shutdown();
+
+        let mut forged = SessionSnapshot::decode(&blob).expect("decodes");
+        let SamplerState::Wsd { heap, sample, .. } = &mut forged.sampler else { unreachable!() };
+        let freed = *sample.layout.free.last().expect("the deletion freed an arena ID");
+        heap[0].0 = if at_capacity { 32 } else { freed };
+        let bytes = forged.encode();
+        assert!(SessionSnapshot::decode(&bytes).is_err(), "{tag}: decode must reject the blob");
+        let store = SessionStore::open(&dir).expect("opens store");
+        store.save(victim, events, &bytes).expect("saves forged blob");
+        drop(store);
+
+        let (rebooted, mut client2) = boot_durable(&dir, 0);
+        assert_eq!(rebooted.restored_sessions(), 1, "{tag}: only the healthy session revives");
+        assert_eq!(
+            rebooted.quarantined_files(),
+            1,
+            "{tag}: exactly the forged file is quarantined"
+        );
+        assert!(dir.join(format!("sess-{victim:016x}.snap.quarantined")).exists());
+        assert!(client2.estimates(victim).is_err(), "{tag}: the forged session must not be served");
+        assert_eq!(client2.flush(healthy).expect("healthy session answers"), head.len() as u64);
+
+        rebooted.shutdown();
+        let _ = fs::remove_dir_all(&dir);
     }
-    let blob = client.snapshot(victim).expect("snapshots");
-    server.shutdown();
-
-    let mut forged = SessionSnapshot::decode(&blob).expect("decodes");
-    let SamplerState::Wsd { heap, .. } = &mut forged.sampler else {
-        panic!("WSD-H snapshots carry a WSD sampler state");
-    };
-    heap[0].0 = 32;
-    let bytes = forged.encode();
-    assert!(SessionSnapshot::decode(&bytes).is_err(), "decode must reject the forged blob");
-    let store = SessionStore::open(&dir).expect("opens store");
-    store.save(victim, head.len() as u64, &bytes).expect("saves forged blob");
-    drop(store);
-
-    let (rebooted, mut client2) = boot_durable(&dir, 0);
-    assert_eq!(rebooted.restored_sessions(), 1, "only the healthy session revives");
-    assert_eq!(rebooted.quarantined_files(), 1, "exactly the forged file is quarantined");
-    assert!(dir.join(format!("sess-{victim:016x}.snap.quarantined")).exists());
-    assert!(client2.estimates(victim).is_err(), "the forged session must not be served");
-    assert_eq!(client2.flush(healthy).expect("healthy session answers"), head.len() as u64);
-
-    rebooted.shutdown();
-    let _ = fs::remove_dir_all(&dir);
 }

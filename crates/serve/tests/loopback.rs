@@ -321,26 +321,40 @@ fn rejected_attach_leaves_the_session_serving() {
 
 #[test]
 fn forged_restore_is_rejected_before_any_shard() {
-    // A well-tagged snapshot whose heap key equals the capacity would
-    // size the restored heap's index by that key; the server must answer
-    // the Restore with an error at decode time, and the connection must
-    // go on serving.
+    // Two well-tagged forgeries of a snapshot's heap: a key equal to the
+    // capacity would size the restored heap's index by that key, and a
+    // key on the arena ID the stream's final deletion freed would make
+    // the next admitted insert push that ID twice. The server must
+    // answer each Restore with an error at decode time, and the
+    // connection must go on serving.
     let (server, mut client) = boot(2);
     let stream = churn_stream(10);
     let original = client.open(Algorithm::WsdH, 16, Some(5), &[Pattern::Triangle]).expect("opens");
     client.send_events(original, &stream).expect("sends");
     client.flush(original).expect("flushes");
-    let mut forged = SessionSnapshot::decode(&client.snapshot(original).expect("snapshots"))
-        .expect("an honest snapshot decodes");
-    let SamplerState::Wsd { heap, .. } = &mut forged.sampler else {
+    let snapshot = |client: &mut Client| {
+        SessionSnapshot::decode(&client.snapshot(original).expect("snapshots"))
+            .expect("an honest snapshot decodes")
+    };
+    let SamplerState::Wsd { sample, .. } = snapshot(&mut client).sampler else {
         panic!("a WSD-H session snapshots a WSD state")
     };
-    heap[0].0 = 16;
-    match client.restore(forged.encode()) {
-        Err(ClientError::Server(msg)) => {
-            assert!(msg.contains("bad snapshot"), "wanted a decode error, got: {msg}")
+    let (u, slots) = &sample.layout.vertices[0];
+    client.send_events(original, &[EdgeEvent::delete(Edge::new(*u, slots[0].0))]).expect("sends");
+    client.flush(original).expect("flushes");
+    let honest = snapshot(&mut client);
+    let SamplerState::Wsd { sample, .. } = &honest.sampler else { unreachable!() };
+    let freed = *sample.layout.free.last().expect("the deletion freed an arena ID");
+    for (key, what) in [(16, "a heap key at the capacity"), (freed, "a heap key on a freed ID")] {
+        let mut forged = honest.clone();
+        let SamplerState::Wsd { heap, .. } = &mut forged.sampler else { unreachable!() };
+        heap[0].0 = key;
+        match client.restore(forged.encode()) {
+            Err(ClientError::Server(msg)) => {
+                assert!(msg.contains("bad snapshot"), "{what}: wanted a decode error, got: {msg}")
+            }
+            other => panic!("{what} must be rejected, got {other:?}"),
         }
-        other => panic!("a heap key at the capacity must be rejected, got {other:?}"),
     }
     let stats = client.stats().expect("stats");
     assert_eq!(stats.sessions_opened, 1, "the forged restore must not reach a shard");

@@ -1,12 +1,12 @@
 //! Dataset registry: synthetic stand-ins for the paper's Table I.
 //!
 //! The paper's eight real graphs (networkrepository.com) are not
-//! redistributable here and range up to 265 M edges; DESIGN.md §4
-//! documents the substitution: each *category* is reproduced by a
-//! generator whose mechanism produces that category's signature
-//! structure, scaled down so the full table suite runs on a laptop. The
-//! train/test pairing of Table I (same category, smaller training graph)
-//! is preserved, as is the paper's *relative* reservoir sizing.
+//! redistributable here and range up to 265 M edges, so each
+//! *category* is reproduced by a generator whose mechanism produces
+//! that category's signature structure, scaled down so the full table
+//! suite runs on a laptop. The train/test pairing of Table I (same
+//! category, smaller training graph) is preserved, as is the paper's
+//! *relative* reservoir sizing.
 //!
 //! Real data can still be used: load an edge list with
 //! [`crate::loader::load_edge_list`] and feed it through the same

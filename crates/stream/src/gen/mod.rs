@@ -5,7 +5,9 @@
 //! appear as the network grows — which is the paper's default stream
 //! ordering. All generators are deterministic given a seed.
 //!
-//! The models and the dataset categories they stand in for (DESIGN.md §4):
+//! The models and the dataset categories they stand in for (each model's
+//! mechanism produces its category's signature structure; see
+//! [`crate::dataset`]):
 //!
 //! | Model | Stands in for | Key property reproduced |
 //! |---|---|---|

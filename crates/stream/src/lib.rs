@@ -12,8 +12,9 @@
 //! * [`order`] — the stream orderings of §V-B(3): natural, uniform at
 //!   random (UAR), and random BFS (RBFS).
 //! * [`dataset`] — a registry of synthetic stand-ins for the paper's
-//!   Table I datasets (see DESIGN.md §4 for the substitution rationale),
-//!   and [`loader`] for user-supplied real edge lists.
+//!   Table I datasets (the real graphs are not redistributable and
+//!   reach 265 M edges), and [`loader`] for user-supplied real edge
+//!   lists.
 //! * [`ground_truth`] — exact count timelines used for ARE/MARE metrics
 //!   and RL rewards.
 //! * [`stats`] — summary statistics of event streams.
