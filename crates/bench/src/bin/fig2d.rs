@@ -50,7 +50,7 @@ fn main() {
             entry.0 += w;
             entry.1 += 1;
         }));
-        StreamSession::from_parts(Box::new(sampler), &[pattern]).process_all(&workload.stream);
+        StreamSession::from_parts(Box::new(sampler), &[pattern]).process_batch(&workload.stream);
     }
     // Triangles containing each edge in the final graph.
     let mut final_graph = Adjacency::new();

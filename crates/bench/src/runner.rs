@@ -5,13 +5,13 @@
 //! accuracy repetitions execute as an [`Ensemble`] (independently seeded
 //! replicas on a thread pool, results slotted by replica index so output
 //! never depends on scheduling), and every stream pass — including the
-//! serial timing passes — ingests events in batches through a
-//! [`BatchDriver`].
+//! serial timing passes — ingests events through
+//! [`StreamSession::process_batch`].
 
 use crate::metrics::{are, mean_std, MareAccumulator};
 use std::sync::Arc;
 use std::time::Instant;
-use wsd_core::engine::{BatchDriver, Ensemble};
+use wsd_core::engine::Ensemble;
 use wsd_core::{Algorithm, LinearPolicy, SessionBuilder, StreamSession, TemporalPooling};
 use wsd_graph::Pattern;
 use wsd_stream::{EventStream, Scenario, TruthTimeline};
@@ -191,15 +191,14 @@ pub fn run_once(spec: &AlgoSpec, w: &Workload, capacity: usize, seed: u64) -> Ru
     if let Some(head) = w.stream.get(..1) {
         session.process_batch(head);
         mare.record(session.estimate(qid), truth[0]);
-        BatchDriver::with_batch_size(w.stride).run_session_with_checkpoints(
-            &mut session,
-            &w.stream[1..],
-            &mut |consumed, session| {
-                // `consumed` counts tail events; the last processed
-                // absolute event index is exactly `consumed`.
-                mare.record(session.estimate(qid), truth[consumed]);
-            },
-        );
+        // `consumed` counts tail events; the last processed absolute
+        // event index is exactly `consumed`.
+        let mut consumed = 0;
+        for chunk in w.stream[1..].chunks(w.stride) {
+            session.process_batch(chunk);
+            consumed += chunk.len();
+            mare.record(session.estimate(qid), truth[consumed]);
+        }
     }
     RunResult { are: are(session.estimate(qid), w.final_truth()), mare: mare.value() }
 }
@@ -225,14 +224,13 @@ pub fn run_cell(
     let (are, are_std) = mean_std(&results.iter().map(|r| r.are).collect::<Vec<_>>());
     let (mare, _) = mean_std(&results.iter().map(|r| r.mare).collect::<Vec<_>>());
     // Timing: serial full passes without checkpoint bookkeeping.
-    let driver = BatchDriver::new();
     let mut times = Vec::with_capacity(time_reps);
     for r in 0..time_reps {
         let mut session =
             spec.session(w.pattern, capacity, base_seed.wrapping_add(7000 + r as u64));
         let (qid, _) = session.queries().next().expect("single-query session");
         let start = Instant::now();
-        driver.run_session(&mut session, &w.stream);
+        session.process_batch(&w.stream);
         times.push(start.elapsed().as_secs_f64());
         std::hint::black_box(session.estimate(qid));
     }

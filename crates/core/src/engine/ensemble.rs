@@ -1,6 +1,5 @@
 //! Parallel ensemble execution of independently seeded replicas.
 
-use crate::engine::batch::BatchDriver;
 use crate::session::StreamSession;
 use wsd_graph::{EdgeEvent, Pattern};
 
@@ -100,10 +99,10 @@ impl EnsembleReport {
 /// primitive.
 ///
 /// Replica `i` is built by the caller's factory from seed
-/// [`replica_seed`]`(base_seed, i)` and ingests the stream through a
-/// [`BatchDriver`]. Determinism: for fixed seeds the merged report is
-/// identical regardless of the thread count (replica results are
-/// slotted by index; see [`parallel_map`]).
+/// [`replica_seed`]`(base_seed, i)` and ingests the stream through
+/// [`StreamSession::process_batch`]. Determinism: for fixed seeds the
+/// merged report is identical regardless of the thread count (replica
+/// results are slotted by index; see [`parallel_map`]).
 ///
 /// ```
 /// use wsd_core::engine::Ensemble;
@@ -130,13 +129,12 @@ impl EnsembleReport {
 pub struct Ensemble {
     replicas: usize,
     threads: usize,
-    driver: BatchDriver,
     base_seed: u64,
 }
 
 impl Ensemble {
     /// An ensemble of `replicas` replicas, defaulting to one thread per
-    /// available CPU, the default batch size and base seed 0.
+    /// available CPU and base seed 0.
     ///
     /// # Panics
     ///
@@ -144,18 +142,12 @@ impl Ensemble {
     pub fn new(replicas: usize) -> Self {
         assert!(replicas > 0, "ensemble needs at least one replica");
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self { replicas, threads, driver: BatchDriver::new(), base_seed: 0 }
+        Self { replicas, threads, base_seed: 0 }
     }
 
     /// Sets the worker thread count (clamped to ≥ 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the ingestion batch size.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.driver = BatchDriver::with_batch_size(batch_size);
         self
     }
 
@@ -178,7 +170,7 @@ impl Ensemble {
 
     /// Runs an ensemble of multi-query sessions: replica `i` is the
     /// session built from `replica_seed(base_seed, i)`, every replica
-    /// ingests the stream in batches, and each query position is merged
+    /// ingests the whole stream, and each query position is merged
     /// into its own [`EnsembleReport`]. All replicas must attach the
     /// same query patterns in the same order.
     pub fn run_sessions<F>(&self, stream: &[EdgeEvent], build: F) -> SessionEnsembleReport
@@ -187,7 +179,7 @@ impl Ensemble {
     {
         let reports = parallel_map(self.replicas, self.threads, |i| {
             let mut session = build(replica_seed(self.base_seed, i as u64));
-            self.driver.run_session(&mut session, stream);
+            session.process_batch(stream);
             session.report()
         });
         let queries = reports[0]
@@ -292,7 +284,6 @@ mod tests {
             Ensemble::new(6)
                 .with_threads(threads)
                 .with_base_seed(99)
-                .with_batch_size(37)
                 .run_sessions(&events, |seed| {
                     SessionBuilder::new(alg, 48, seed).query(Pattern::Triangle).build()
                 })

@@ -85,7 +85,7 @@ pub mod state;
 pub mod weight;
 
 pub use config::Algorithm;
-pub use engine::{BatchDriver, Ensemble, EnsembleReport, SessionEnsembleReport};
+pub use engine::{Ensemble, EnsembleReport, SessionEnsembleReport};
 pub use policy::{PolicyArtifact, PolicyError, PolicyMeta, PolicyRegistry};
 pub use session::{
     AttachError, EdgeSampler, PatternQuery, QueryCheckpoint, QueryCtx, QueryId, QueryReport,

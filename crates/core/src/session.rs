@@ -49,8 +49,8 @@
 //! **one layered enumeration pass** over the union of the attached
 //! queries' levels — plus, for the weighted samplers, the weight
 //! pattern's level — and feeds each query the result at its level. On
-//! hub-heavy streams this removes the duplicated galloping
-//! intersections that would otherwise dominate multi-query event cost.
+//! hub-heavy streams this removes the duplicated hub–hub intersections
+//! that would otherwise dominate multi-query event cost.
 //! The layered kernel emits each level in exactly the per-pattern
 //! kernel's order, so each query's estimate is **bit-identical** to a
 //! single-query session of the same configuration (the
@@ -640,16 +640,11 @@ impl StreamSession {
     /// Processes a batch of consecutive events, bit-identical to
     /// calling [`StreamSession::process`] on each (see
     /// [`EdgeSampler::process_batch`]); the batch only saves the
-    /// per-event virtual call into the sampler.
+    /// per-event virtual call into the sampler. A whole stream is one
+    /// batch.
     pub fn process_batch(&mut self, batch: &[EdgeEvent]) {
         self.sampler.process_batch(batch, QueryCtx::new(&mut self.queries, &mut self.scratch));
         self.events += batch.len() as u64;
-    }
-
-    /// Processes a whole stream in engine-sized batches (delegates to
-    /// the engine's one canonical chunking loop).
-    pub fn process_all(&mut self, stream: &[EdgeEvent]) {
-        crate::engine::BatchDriver::new().run_session(self, stream);
     }
 
     /// Whether [`StreamSession::attach`] accepts `pattern`: it must be

@@ -19,11 +19,10 @@
 //! bookkeeping (GPS-A item tables, the WRS waiting room with its ghost
 //! entries and spill horizon), and the sampler RNG's xoshiro256++ words.
 //!
-//! Pure caches are **not** serialized: the τ-epoch `1/p` cache, sorted
-//! intersection shadows, and spill hash indices are rebuilt lazily (or
-//! re-attached from current degrees) on restore — they affect probe
-//! strategy and speed, never emission order, so estimates stay
-//! bit-identical.
+//! Pure caches are **not** serialized: the τ-epoch `1/p` cache and the
+//! spill hash indices are rebuilt lazily (or re-attached from current
+//! degrees) on restore — they affect probe strategy and speed, never
+//! emission order, so estimates stay bit-identical.
 //!
 //! The encoding is a fixed little-endian byte format behind
 //! [`ByteWriter`]/[`ByteReader`] (no serde in this workspace); floats
@@ -1034,7 +1033,15 @@ impl SessionSnapshot {
     ///   IDs (`0..id_bound` minus the free list, each once), so no
     ///   restored heap entry can alias a live edge or a freed ID;
     /// * a weighted sample carries metadata for exactly those live IDs,
-    ///   which the restore writes into slots sized by `id_bound`.
+    ///   which the restore writes into slots sized by `id_bound`;
+    /// * a weighted sampler's thresholds (WSD's `τ_p` and `τ_q`, GPS's
+    ///   and GPS-A's `z`) are finite and non-negative, and its heap ranks
+    ///   and edge weights finite and positive — the inclusion
+    ///   probability `min(1, w/τ)` divides by them, and the heap orders
+    ///   by rank;
+    /// * a WRS waiting-room fraction lies in `(0, 1)`, as
+    ///   [`WrsSampler::with_fraction`](crate::algorithms::WrsSampler::with_fraction)
+    ///   requires (other algorithms carry the field unused).
     ///
     /// The sampled adjacency's own layout is checked when it is rebuilt
     /// ([`wsd_graph::AdjacencyBase::from_layout`]).
@@ -1072,6 +1079,9 @@ impl SessionSnapshot {
         if let Some(what) = invalid {
             return Err(SnapshotError::Invalid(what));
         }
+        if cfg.algorithm == Wrs && !(cfg.wrs_fraction > 0.0 && cfg.wrs_fraction < 1.0) {
+            return Err(SnapshotError::Invalid("WRS waiting-room fraction outside (0, 1)"));
+        }
         let (entries, heap) = match (&self.sampler, cfg.algorithm) {
             (SamplerState::Wsd { heap, .. }, WsdL | WsdH | WsdUniform)
             | (SamplerState::Gps { heap, .. }, Gps)
@@ -1085,18 +1095,31 @@ impl SessionSnapshot {
         {
             return Err(SnapshotError::Invalid("reservoir exceeds the capacity"));
         }
-        let sample = match &self.sampler {
-            SamplerState::Wsd { heap, sample, .. } | SamplerState::Gps { heap, sample, .. } => {
-                if !lists_live_ids(&sample.layout, heap.iter().map(|&(key, _)| key)) {
-                    return Err(SnapshotError::Invalid("heap keys are not the live edge IDs"));
-                }
-                sample
+        let threshold = |tau: f64| tau.is_finite() && tau >= 0.0;
+        // GPS-A keys its heap by item ID, WSD and GPS by arena edge ID.
+        let (sample, keyed_by_edge, thresholds_ok) = match &self.sampler {
+            SamplerState::Wsd { sample, tau_p, tau_q, .. } => {
+                (sample, true, threshold(*tau_p) && threshold(*tau_q))
             }
-            SamplerState::GpsA { sample, .. } => sample,
+            SamplerState::Gps { sample, z, .. } => (sample, true, threshold(*z)),
+            SamplerState::GpsA { sample, z, .. } => (sample, false, threshold(*z)),
             SamplerState::Rp { .. } | SamplerState::Wrs { .. } => return Ok(()),
         };
+        if keyed_by_edge && !lists_live_ids(&sample.layout, heap.iter().map(|&(key, _)| key)) {
+            return Err(SnapshotError::Invalid("heap keys are not the live edge IDs"));
+        }
         if !lists_live_ids(&sample.layout, sample.meta.iter().map(|&(id, ..)| id)) {
             return Err(SnapshotError::Invalid("metadata IDs are not the live edge IDs"));
+        }
+        if !thresholds_ok {
+            return Err(SnapshotError::Invalid("threshold negative or not finite"));
+        }
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !heap.iter().all(|&(_, rank)| positive(rank)) {
+            return Err(SnapshotError::Invalid("heap rank not positive and finite"));
+        }
+        if !sample.meta.iter().all(|&(_, weight, _)| positive(weight)) {
+            return Err(SnapshotError::Invalid("edge weight not positive and finite"));
         }
         Ok(())
     }
@@ -1470,6 +1493,119 @@ mod tests {
             rng: [1, 2, 3, 4],
         };
         assert_invalid(&snapshot_for(gps_a), "GPS-A metadata ID at id_bound");
+    }
+
+    /// A restored weighted sampler divides weights by its thresholds
+    /// into inclusion probabilities `min(1, w/τ)`, and its heap orders by
+    /// rank. A WSD-H session (M = 16) fed a 12-vertex clique is forged
+    /// with a τ or `z` that is negative or not finite, or with a heap
+    /// rank or an edge weight that is not positive and finite. Restored,
+    /// each forgery would skew the estimates that follow (a zero weight
+    /// makes a warm-up infinite).
+    #[test]
+    fn rejects_bad_thresholds_ranks_and_weights() {
+        let mut session = crate::session::SessionBuilder::new(Algorithm::WsdH, 16, 5)
+            .query(Pattern::Triangle)
+            .build();
+        for a in 0..12 {
+            for b in (a + 1)..12 {
+                session.process(wsd_graph::EdgeEvent::insert(Edge::new(a, b)));
+            }
+        }
+        let honest = session.snapshot();
+        assert!(SessionSnapshot::decode(&honest.encode()).is_ok(), "the honest snapshot decodes");
+        // Forges one field of the honest WSD state, expecting a rejection.
+        type Edit<'a> =
+            &'a dyn Fn(&mut Vec<(u32, f64)>, &mut WeightedSampleState, &mut f64, &mut f64);
+        let reject = |what: String, edit: Edit<'_>| {
+            let mut forged = honest.clone();
+            let SamplerState::Wsd { heap, sample, tau_p, tau_q, .. } = &mut forged.sampler else {
+                unreachable!()
+            };
+            edit(heap, sample, tau_p, tau_q);
+            assert_invalid(&forged, &what);
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            reject(format!("τp = {bad}"), &|_, _, tau_p, _| *tau_p = bad);
+            reject(format!("τq = {bad}"), &|_, _, _, tau_q| *tau_q = bad);
+        }
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            reject(format!("heap rank {bad}"), &|heap, _, _, _| heap[0].1 = bad);
+            reject(format!("edge weight {bad}"), &|_, sample, _, _| sample.meta[0].1 = bad);
+        }
+
+        let gps = |z: f64, rank: f64, weight: f64| {
+            let mut sample = sample_state();
+            sample.meta[0].1 = weight;
+            SamplerState::Gps {
+                heap: vec![(1, 0.25), (0, rank)],
+                sample,
+                z,
+                t: 7,
+                rng: [5, 6, 7, 8],
+            }
+        };
+        let gps_a = |z: f64, rank: f64, weight: f64| {
+            let mut sample = sample_state();
+            sample.meta[0].1 = weight;
+            SamplerState::GpsA {
+                heap: vec![(2, rank)],
+                item_edge: vec![Edge::new(1, 2), Edge::new(3, 4), Edge::new(5, 6)],
+                item_live: vec![true, false, true],
+                free_items: vec![1],
+                edge_item: vec![0, 2],
+                sample,
+                z,
+                t: 31,
+                rng: [9, 10, 11, 12],
+            }
+        };
+        type Variant = fn(f64, f64, f64) -> SamplerState;
+        let variants: [(Variant, &str); 2] = [(gps, "GPS"), (gps_a, "GPS-A")];
+        for (variant, name) in variants {
+            let honest = snapshot_for(variant(8.0, 0.5, 1.5));
+            assert!(SessionSnapshot::decode(&honest.encode()).is_ok(), "{name} decodes");
+            for bad in [f64::NAN, f64::INFINITY, -1.0] {
+                assert_invalid(&snapshot_for(variant(bad, 0.5, 1.5)), &format!("{name} z = {bad}"));
+            }
+            for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+                assert_invalid(
+                    &snapshot_for(variant(8.0, bad, 1.5)),
+                    &format!("{name} rank {bad}"),
+                );
+                assert_invalid(
+                    &snapshot_for(variant(8.0, 0.5, bad)),
+                    &format!("{name} weight {bad}"),
+                );
+            }
+        }
+    }
+
+    /// `WrsSampler::with_fraction` asserts a waiting-room fraction in
+    /// `(0, 1)`, so a WRS snapshot outside it would panic in the
+    /// restore. Other algorithms carry the field unused.
+    #[test]
+    fn rejects_wrs_fractions_outside_the_unit_interval() {
+        let wrs = SamplerState::Wrs {
+            room_fifo: vec![],
+            room_seq: vec![],
+            room_len: 0,
+            next_seq: 1,
+            spill_horizon: 0,
+            reservoir: empty_rp(),
+            adj: AdjacencyLayout { vertices: vec![], free: vec![], id_bound: 0 },
+            rng: [1, 2, 3, 4],
+        };
+        let honest = snapshot_for(wrs);
+        assert!(SessionSnapshot::decode(&honest.encode()).is_ok(), "fraction 0.1 decodes");
+        for bad in [f64::NAN, 1.5, 1.0, 0.0, -0.5, f64::INFINITY] {
+            let mut forged = honest.clone();
+            forged.config.wrs_fraction = bad;
+            assert_invalid(&forged, &format!("WRS fraction {bad}"));
+            let mut unused = snapshot_for(empty_triest());
+            unused.config.wrs_fraction = bad;
+            assert!(SessionSnapshot::decode(&unused.encode()).is_ok(), "Triest ignores {bad}");
+        }
     }
 
     /// A reservoir may not hold more edges than the capacity gate

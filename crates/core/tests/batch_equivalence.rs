@@ -10,7 +10,7 @@
 //!
 //! The ensemble determinism property is checked here too: with fixed
 //! seeds, the merged ensemble estimate is a pure function of the inputs,
-//! independent of worker thread count and batch size.
+//! independent of worker thread count.
 
 use proptest::prelude::*;
 use wsd_core::engine::Ensemble;
@@ -165,7 +165,7 @@ fn gps_batched_panics_on_deletion_like_sequential() {
 }
 
 /// Fixed seeds ⇒ one merged estimate, no matter how the replicas are
-/// scheduled (thread count) or how the stream is chopped (batch size).
+/// scheduled (thread count).
 #[test]
 fn ensemble_merge_is_schedule_invariant() {
     let mut stream = Vec::new();
@@ -192,21 +192,18 @@ fn ensemble_merge_is_schedule_invariant() {
             Ensemble::new(8).with_threads(1).with_base_seed(7).run_sessions(&stream, build);
         let reference = &reference.queries[0].1;
         for threads in [2, 3, 8] {
-            for batch_size in [1, 17, 4096] {
-                let report = Ensemble::new(8)
-                    .with_threads(threads)
-                    .with_base_seed(7)
-                    .with_batch_size(batch_size)
-                    .run_sessions(&stream, build);
-                let report = &report.queries[0].1;
-                assert_eq!(
-                    reference.estimates,
-                    report.estimates,
-                    "{} replica estimates changed at {threads} threads / batch {batch_size}",
-                    alg.name()
-                );
-                assert_eq!(reference.mean.to_bits(), report.mean.to_bits());
-            }
+            let report = Ensemble::new(8)
+                .with_threads(threads)
+                .with_base_seed(7)
+                .run_sessions(&stream, build);
+            let report = &report.queries[0].1;
+            assert_eq!(
+                reference.estimates,
+                report.estimates,
+                "{} replica estimates changed at {threads} threads",
+                alg.name()
+            );
+            assert_eq!(reference.mean.to_bits(), report.mean.to_bits());
         }
     }
 }

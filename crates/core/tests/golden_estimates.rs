@@ -20,7 +20,7 @@ use wsd_stream::{EventStream, Scenario};
 /// Runs a single-query session over the whole stream and returns its
 /// final estimate.
 fn final_estimate(mut session: StreamSession, events: &EventStream) -> f64 {
-    session.process_all(events);
+    session.process_batch(events);
     session.report().queries[0].estimate
 }
 
@@ -175,10 +175,10 @@ fn golden_wrs_forest_fire_churn() {
 /// Hub-clique k=24 + 1800 fanout-2 spokes (gen seed 17), light-deletion
 /// scenario (seed 8): 4640 events, M = 464, counter seed 19. Core–core
 /// events are hub–hub intersections whose endpoints sit past the
-/// galloping-shadow degree threshold with long disjoint spoke runs to
-/// skip — this scenario pins the galloping tier on the regime it was
-/// built for. Values captured from the pre-galloping (PR-2) kernel;
-/// the merge must reproduce them bit-for-bit, emission order included.
+/// hash-index degree threshold with long disjoint spoke runs, so most
+/// probes miss: this scenario pins the intersection kernel on large
+/// indexed neighbourhoods. Any kernel change must reproduce these
+/// values bit-for-bit, emission order included.
 #[test]
 fn golden_hub_clique_light_deletion() {
     let edges = GeneratorConfig::HubClique { clique: 24, spokes: 1800 }.generate(17);

@@ -29,7 +29,7 @@ fn mean_estimate(
     let estimates: Vec<f64> = (0..reps)
         .map(|seed| {
             let mut s = SessionBuilder::new(alg, capacity, 1000 + seed).query(pattern).build();
-            s.process_all(stream);
+            s.process_batch(stream);
             s.report().queries[0].estimate
         })
         .collect();

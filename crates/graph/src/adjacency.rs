@@ -1,6 +1,6 @@
 //! Dynamic adjacency structure shared by the samplers and the exact
-//! counter, built around a **dense edge-ID arena** and a **galloping
-//! intersection kernel** over lazily maintained sorted shadows.
+//! counter, built around a **dense edge-ID arena** and one
+//! iterate-and-probe **intersection kernel**.
 //!
 //! The structure supports the three operations every algorithm in the
 //! paper performs per event: edge insert, edge delete, and neighbourhood
@@ -29,37 +29,21 @@
 //! costs one vertex-table lookup; the one exception is a removal by edge
 //! that empties its first endpoint, which prunes it with a second.
 //!
-//! # The galloping shadow
+//! # Intersection
 //!
-//! Past [`SHADOW_THRESHOLD`] neighbours a vertex additionally carries a
-//! **sorted shadow**: a by-vertex ordered snapshot of its neighbourhood.
-//! When *both* endpoints of an intersection carry shadows, the kernel
-//! switches from iterate-and-probe (`O(min degree)` hash probes) to a
-//! merge of the two snapshots with galloping (exponential + binary)
-//! jumps, so hub–hub events skip runs of non-common neighbours in
-//! logarithmic rather than linear time. Crucially the shadow is **lazy**:
-//! mutations cost O(1) (an append to a pending list, a dead counter) and
-//! the snapshot is re-sorted only every ~[`SHADOW_PENDING_MAX`]
-//! mutations, so reservoir churn on hubs never pays per-event sorted
-//! maintenance. Snapshot entries may therefore be stale; every candidate
-//! hit is verified against the live arrays (falling back to the hash
-//! index when `swap_remove` moved it) before emission.
-//!
-//! **Every tier emits in the iterated side's dense slot order** — the
-//! order of its `items` array (insertion order as permuted by
-//! `swap_remove`-backfilled deletions), which is what the pre-galloping
-//! kernel emitted. The estimators' floating-point sums are evaluated in
-//! enumeration order, and the golden-value tests pin them bit-for-bit —
-//! so the galloping tier, whose merge naturally discovers hits in
-//! *vertex* order, re-sorts verified hits by the iterated side's slot
-//! before invoking the callback. Probing strategy is free to change;
+//! A common-neighbour query walks the smaller side's dense slots and
+//! probes the larger side for each (its hash index when indexed, a
+//! linear scan below), so it **emits in the smaller side's dense slot
+//! order** — the order of its `items` array, insertion order as permuted
+//! by `swap_remove`-backfilled deletions. The estimators' floating-point
+//! sums are evaluated in enumeration order, and the golden-value tests
+//! pin them bit-for-bit: the probing strategy is free to change, but
 //! emission order is part of the contract.
 //!
 //! No query allocates: callers either consume
 //! [`AdjacencyBase::neighbor_slice`] directly or reuse a scratch buffer
 //! via [`AdjacencyBase::common_neighbors_into`] /
-//! [`Adjacency::common_edges_into`] (the galloping tier reuses a
-//! thread-local hit buffer internally).
+//! [`Adjacency::common_edges_into`].
 //!
 //! # The edge-ID arena
 //!
@@ -82,7 +66,6 @@
 
 use crate::edge::{Edge, Vertex};
 use crate::fxhash::FxHashMap;
-use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 
 /// Dense identifier of a live edge, minted by the [`Adjacency`] arena.
@@ -174,9 +157,9 @@ pub struct CommonEdge {
 /// graphs in the same live state produce byte-identical layouts
 /// regardless of their map histories.
 ///
-/// Purely derived acceleration state (hash indexes, sorted shadows) is
-/// not captured; restore re-attaches it from the current degree. That
-/// changes probing strategy only, never emission order.
+/// Purely derived acceleration state (the hash indexes) is not captured;
+/// restore re-attaches it from the current degree. That changes probing
+/// strategy only, never emission order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AdjacencyLayout {
     /// Per vertex (ascending by id): its neighbours and connecting edge
@@ -193,107 +176,15 @@ pub struct AdjacencyLayout {
 
 /// Neighbourhood size up to which the `(neighbour, edge id)` slots are
 /// kept inline in the vertex-table entry; the next neighbour moves them
-/// to heap arrays. Three slots are what fit beside the index and shadow
-/// pointers in one 64-byte entry for both payloads.
+/// to heap arrays. Three slots are what fit in the space of the heap
+/// form's two `Vec`s for both payloads, so inlining costs the 56-byte
+/// set no size.
 pub const INLINE: usize = 3;
 
 /// Neighbourhood size beyond which a hash index is attached for O(1)
 /// membership probes. Below it, linear scans over the dense array win on
 /// real hardware (no hashing, no pointer chase).
 pub const SPILL_THRESHOLD: usize = 16;
-
-/// Neighbourhood size beyond which a sorted shadow snapshot is
-/// additionally attached, making the vertex eligible for the galloping
-/// intersection tier. Higher than [`SPILL_THRESHOLD`] because the merge
-/// only beats iterate-and-probe once both sides are genuinely large.
-/// Once attached, index and shadow are kept for the rest of the set's
-/// life — churn around the thresholds must not thrash.
-pub const SHADOW_THRESHOLD: usize = 32;
-
-/// Pending-insert count that triggers a shadow snapshot rebuild (the
-/// dead counter triggers one at half the snapshot length). Bounds both
-/// the amortised rebuild cost (`O(d log d)` every ~16 mutations) and the
-/// extra per-intersection work of probing the pending list. (PR 4
-/// re-measured 48 here under reservoir churn: no gain — pending probes
-/// eat what the rarer rebuilds save — so 16 stands.)
-pub const SHADOW_PENDING_MAX: usize = 16;
-
-/// The galloping snapshot of one (large) neighbourhood: a by-vertex
-/// sorted array of `(vertex, slot)` entries, maintained lazily.
-///
-/// Between rebuilds the snapshot tolerates three kinds of staleness,
-/// all repaired at use rather than at mutation:
-/// * a `sorted` entry's vertex may be dead (removed since the rebuild) —
-///   detected when verification finds it in neither its recorded slot
-///   nor the hash index;
-/// * a `sorted` entry's slot may be stale (`swap_remove` moved it) —
-///   repaired by one hash-index lookup;
-/// * recent inserts are missing from `sorted` — carried in `pending`
-///   and intersected by direct hash probes of the other side.
-#[derive(Clone, Default, Debug)]
-struct Shadow {
-    /// `(vertex, slot)` sorted by vertex as of the last rebuild.
-    sorted: Vec<(Vertex, u32)>,
-    /// Vertices inserted since the last rebuild (unsorted, may have died
-    /// again; verified at use like everything else).
-    pending: Vec<Vertex>,
-    /// Removals observed since the last rebuild.
-    dead: u32,
-    /// Set when the O(1) logs stopped covering the mutations (memory
-    /// guard, or a freshly attached shadow that has never been built):
-    /// the snapshot is unusable until the next refresh.
-    exhausted: bool,
-}
-
-impl Shadow {
-    /// A shadow that has never been built — refreshed on first use, so
-    /// sets that never reach the galloping tier never pay the sort.
-    fn unbuilt() -> Self {
-        Self { exhausted: true, ..Self::default() }
-    }
-
-    /// O(1) insert log. Caps the pending list at the live degree so a
-    /// heavily churned set that is never galloped cannot grow the
-    /// shadow unboundedly — past the cap the snapshot is written off
-    /// until the next refresh.
-    #[inline]
-    fn log_insert(&mut self, v: Vertex, live: usize) {
-        if self.exhausted {
-            return;
-        }
-        if self.pending.len() >= live.max(SHADOW_PENDING_MAX) {
-            self.exhausted = true;
-            self.pending.clear();
-        } else {
-            self.pending.push(v);
-        }
-    }
-
-    /// O(1) removal log.
-    #[inline]
-    fn log_remove(&mut self) {
-        self.dead = self.dead.saturating_add(1);
-    }
-
-    fn rebuild(&mut self, items: &[Vertex]) {
-        self.sorted.clear();
-        self.sorted.extend(items.iter().enumerate().map(|(i, &w)| (w, i as u32)));
-        self.sorted.sort_unstable();
-        self.pending.clear();
-        self.dead = 0;
-        self.exhausted = false;
-    }
-
-    /// Whether the snapshot must be rebuilt before the galloping tier
-    /// can trust it (checked — and repaired — at use, never at
-    /// mutation).
-    #[inline]
-    fn needs_refresh(&self) -> bool {
-        self.exhausted
-            || self.pending.len() > SHADOW_PENDING_MAX
-            || (self.dead as usize) * 2 > self.sorted.len()
-    }
-}
 
 /// The dense `(neighbour, payload)` slots of one neighbourhood, in
 /// insertion order as permuted by `swap_remove` backfills. Both forms
@@ -308,7 +199,7 @@ enum Slots<P: IdPayload> {
     /// Parallel heap arrays, from the `INLINE + 1`-th neighbour on;
     /// `ids[i]` is the payload of the edge to `items[i]` (for `P = ()` a
     /// `Vec<()>` — a length with no storage). A set that moved here stays
-    /// here, as the index and the shadow do.
+    /// here, as the index does.
     Heap { items: Vec<Vertex>, ids: Vec<P> },
 }
 
@@ -409,50 +300,35 @@ impl<P: IdPayload> Slots<P> {
 }
 
 /// One vertex's neighbourhood: its dense [`Slots`], plus a hash position
-/// index past [`SPILL_THRESHOLD`] and a lazy sorted shadow past
-/// [`SHADOW_THRESHOLD`].
+/// index past [`SPILL_THRESHOLD`].
 #[derive(Clone, Default, Debug)]
 struct NeighborSet<P: IdPayload> {
     slots: Slots<P>,
     /// vertex → slot in `items`; `Some` once spilled (kept for the rest
     /// of the set's life — churn around the threshold must not thrash).
-    /// Boxed for the same reason as the shadow: the unspilled majority
-    /// pays a niche-packed pointer, not 40 inline bytes, keeping the
-    /// per-set footprint — and so the vertex table every `adj.get`
-    /// walks — small.
+    /// Boxed so the unspilled majority pays a niche-packed pointer, not
+    /// 40 inline bytes, keeping the per-set footprint — and so the
+    /// vertex table every `adj.get` walks — small.
     index: Option<Box<FxHashMap<Vertex, u32>>>,
-    /// Galloping snapshot; `Some` once past [`SHADOW_THRESHOLD`].
-    /// `RefCell` because the snapshot is refreshed *at use* (inside the
-    /// `&self` intersection) rather than at mutation — mutation paths
-    /// reach it allocation- and borrow-free through `get_mut`. Makes the
-    /// adjacency `!Sync`; the engine clones counters per thread by
-    /// design. Boxed so the rarely-populated field costs the dominant
-    /// small sets one niche-packed pointer, not an inline `Shadow` —
-    /// `NeighborSet` lives inline in the vertex hash table, and its
-    /// size is what every `adj.get` pays for.
-    /// Invariant: `shadow.is_some()` implies `index.is_some()`.
-    shadow: Option<Box<RefCell<Shadow>>>,
 }
 
 // The set lives inline in the vertex table, so its size is what every
-// vertex lookup pays for: one cache line, whichever the payload.
+// vertex lookup pays for: 56 bytes whichever the payload, so a table
+// slot with its `u64` key is 64 bytes.
 const _: () = assert!(
-    std::mem::size_of::<NeighborSet<EdgeId>>() == 64
-        && std::mem::size_of::<NeighborSet<()>>() == 64
+    std::mem::size_of::<NeighborSet<EdgeId>>() == 56
+        && std::mem::size_of::<NeighborSet<()>>() == 56
 );
 
 impl<P: IdPayload> NeighborSet<P> {
     /// A restored neighbourhood: the recorded slots verbatim, with the
-    /// acceleration state its degree calls for (index and shadow
-    /// attached, the shadow unbuilt).
+    /// hash index attached if its degree calls for one.
     fn from_entries(entries: &[(Vertex, EdgeId)]) -> Self {
         let slots = Slots::from_entries(entries);
         let index = (slots.len() > SPILL_THRESHOLD).then(|| {
             Box::new(slots.items().iter().enumerate().map(|(i, &w)| (w, i as u32)).collect())
         });
-        let shadow =
-            (slots.len() > SHADOW_THRESHOLD).then(|| Box::new(RefCell::new(Shadow::unbuilt())));
-        Self { slots, index, shadow }
+        Self { slots, index }
     }
 
     #[inline]
@@ -540,7 +416,7 @@ impl<P: IdPayload> NeighborSet<P> {
             idx.insert(v, self.slots.len() as u32);
         }
         self.slots.push(v, id);
-        self.note_insert(v);
+        self.note_insert();
     }
 
     /// Inserts `(v, id)` unless `v` is already present; the duplicate
@@ -553,7 +429,7 @@ impl<P: IdPayload> NeighborSet<P> {
                 }
                 idx.insert(v, self.slots.len() as u32);
                 self.slots.push(v, id);
-                self.note_insert(v);
+                self.note_insert();
                 true
             }
             None => {
@@ -566,27 +442,14 @@ impl<P: IdPayload> NeighborSet<P> {
         }
     }
 
-    /// Post-insert bookkeeping: attach the index / shadow on threshold
-    /// crossings, and log the insert into an existing shadow (O(1); the
-    /// snapshot itself is only rebuilt every ~[`SHADOW_PENDING_MAX`]
-    /// mutations).
+    /// Post-insert bookkeeping: attach the index when the set crosses
+    /// [`SPILL_THRESHOLD`].
     #[inline]
-    fn note_insert(&mut self, v: Vertex) {
-        let len = self.len();
-        if self.index.is_none() && len > SPILL_THRESHOLD {
+    fn note_insert(&mut self) {
+        if self.index.is_none() && self.len() > SPILL_THRESHOLD {
             self.index = Some(Box::new(
                 self.items().iter().enumerate().map(|(i, &w)| (w, i as u32)).collect(),
             ));
-        }
-        match &mut self.shadow {
-            Some(sh) => sh.get_mut().log_insert(v, len),
-            None => {
-                if len > SHADOW_THRESHOLD {
-                    // Attached unbuilt: the first galloped intersection
-                    // pays the sort, never the mutation path.
-                    self.shadow = Some(Box::new(RefCell::new(Shadow::unbuilt())));
-                }
-            }
         }
     }
 
@@ -600,9 +463,6 @@ impl<P: IdPayload> NeighborSet<P> {
         if let (Some(idx), Some(&moved)) = (&mut self.index, self.slots.items().get(pos)) {
             idx.insert(moved, pos as u32);
         }
-        if let Some(sh) = &mut self.shadow {
-            sh.get_mut().log_remove();
-        }
         Some(id)
     }
 
@@ -610,7 +470,7 @@ impl<P: IdPayload> NeighborSet<P> {
     /// slot, e.g. through the arena's mirror table), returning the
     /// `(vertex, payload)` that `swap_remove` backfilled into `pos`, if
     /// any — the caller re-points that edge's mirror entry. Performs
-    /// exactly the dense-array / index / shadow mutations of
+    /// exactly the dense-array / index mutations of
     /// [`NeighborSet::remove`], so slot layouts (and everything
     /// downstream that observes them) are independent of which removal
     /// path ran.
@@ -623,72 +483,8 @@ impl<P: IdPayload> NeighborSet<P> {
         if let (Some(idx), Some((w, _))) = (&mut self.index, moved) {
             idx.insert(w, pos as u32);
         }
-        if let Some(sh) = &mut self.shadow {
-            sh.get_mut().log_remove();
-        }
         moved
     }
-
-    /// The live slot of snapshot entry `(w, slot)`, verifying against
-    /// the dense array and falling back to the index when `swap_remove`
-    /// moved the entry; `None` if `w` is no longer a neighbour.
-    #[inline]
-    fn verify_slot(&self, w: Vertex, slot: u32) -> Option<u32> {
-        if self.items().get(slot as usize) == Some(&w) {
-            return Some(slot);
-        }
-        let idx = self.index.as_ref().expect("shadowed set always carries an index");
-        idx.get(&w).copied()
-    }
-}
-
-/// Galloping advance: the first index `>= lo` whose vertex is `>= target`,
-/// assuming everything before `lo` is `< target`. Exponential probing
-/// brackets the answer in `O(log jump)` steps, then a binary search pins
-/// it inside the bracketed window — so skipping a run of `k` non-common
-/// neighbours costs `O(log k)` instead of `k`.
-#[inline]
-fn gallop_to(s: &[(Vertex, u32)], mut lo: usize, target: Vertex) -> usize {
-    let mut step = 1usize;
-    while lo + step <= s.len() && s[lo + step - 1].0 < target {
-        lo += step;
-        step <<= 1;
-    }
-    let hi = (lo + step - 1).min(s.len());
-    lo + s[lo..hi].partition_point(|e| e.0 < target)
-}
-
-/// Intersects two by-vertex sorted snapshots with alternating galloping,
-/// invoking `hit(v, slot_a, slot_b)` per common vertex, in vertex order.
-/// Entries are snapshot state — the caller verifies them against the
-/// live sets.
-fn gallop_intersect(
-    a: &[(Vertex, u32)],
-    b: &[(Vertex, u32)],
-    mut hit: impl FnMut(Vertex, u32, u32),
-) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (av, bv) = (a[i].0, b[j].0);
-        match av.cmp(&bv) {
-            std::cmp::Ordering::Equal => {
-                hit(av, a[i].1, b[j].1);
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => i = gallop_to(a, i + 1, bv),
-            std::cmp::Ordering::Greater => j = gallop_to(b, j + 1, av),
-        }
-    }
-}
-
-thread_local! {
-    /// Hit buffer of the galloping tier: verified `(iterated-side slot,
-    /// other-side slot)` pairs, re-sorted to the iterated side's dense
-    /// slot order before emission. Thread-local so the intersection stays `&self` and
-    /// allocation-free in steady state; `Cell` + take/put keeps
-    /// re-entrant calls safe (they just start from a fresh buffer).
-    static GALLOP_HITS: Cell<Vec<(u32, u32)>> = const { Cell::new(Vec::new()) };
 }
 
 /// A dynamic, undirected, simple-graph adjacency structure, generic over
@@ -722,7 +518,7 @@ pub struct AdjacencyBase<P: IdPayload> {
 pub type Adjacency = AdjacencyBase<EdgeId>;
 
 /// The ID-free adjacency for count-only algorithms: same neighbour
-/// storage, hash index and galloping kernel, but no arena and no
+/// storage, hash index and intersection kernel, but no arena and no
 /// per-entry ID array — insert/remove touch exactly one `Vec<Vertex>`
 /// per direction.
 pub type VertexAdjacency = AdjacencyBase<()>;
@@ -943,20 +739,12 @@ impl<P: IdPayload> AdjacencyBase<P> {
     /// common neighbour `w` of `u` and `v` with the payloads of `(u, w)`
     /// and `(v, w)`, returning `(deg u, deg v)`.
     ///
-    /// Tiers, chosen per event:
-    ///
-    /// * both sides shadowed — galloping merge over the two sorted
-    ///   snapshots plus hash probes for their pending inserts; verified
-    ///   hits are re-sorted to the iterated side's dense slot order and
-    ///   deduplicated before emission;
-    /// * otherwise — walk the smaller side's dense array in slot order
-    ///   and probe the larger (hash index if spilled, linear scan below
-    ///   the threshold).
-    ///
-    /// Every tier emits in the smaller side's dense slot order (its
-    /// insertion order as permuted by `swap_remove` deletions), so
-    /// downstream floating-point accumulation order — which the golden
-    /// tests pin bit-for-bit — is independent of the probing strategy.
+    /// Walks the smaller side's dense array in slot order and probes the
+    /// larger (hash index if spilled, linear scan below the threshold),
+    /// so it emits in the smaller side's dense slot order (its insertion
+    /// order as permuted by `swap_remove` deletions): the floating-point
+    /// accumulation order downstream, which the golden tests pin
+    /// bit-for-bit.
     #[inline]
     fn for_each_common_entry(
         &self,
@@ -972,39 +760,13 @@ impl<P: IdPayload> AdjacencyBase<P> {
         };
         let u_is_small = nu.len() <= nv.len();
         let (small, large) = if u_is_small { (nu, nv) } else { (nv, nu) };
-        if let (Some(ss), Some(ls)) = (&small.shadow, &large.shadow) {
-            // Refresh-at-use: rebuild a stale snapshot now, while no
-            // shared borrow is outstanding.
-            {
-                let mut sh = ss.borrow_mut();
-                if sh.needs_refresh() {
-                    sh.rebuild(small.items());
-                }
-            }
-            {
-                let mut sh = ls.borrow_mut();
-                if sh.needs_refresh() {
-                    sh.rebuild(large.items());
-                }
-            }
-            let (small_ids, large_ids) = (small.ids(), large.ids());
-            gallop_common(small, ss, large, ls, |w, a, b| {
-                let (a, b) = (a as usize, b as usize);
+        let small_ids = small.ids();
+        for (i, &w) in small.items().iter().enumerate() {
+            if let Some(p) = large.find_payload(w) {
                 if u_is_small {
-                    f(w, small_ids[a], large_ids[b]);
+                    f(w, small_ids[i], p);
                 } else {
-                    f(w, large_ids[b], small_ids[a]);
-                }
-            });
-        } else {
-            let small_ids = small.ids();
-            for (i, &w) in small.items().iter().enumerate() {
-                if let Some(p) = large.find_payload(w) {
-                    if u_is_small {
-                        f(w, small_ids[i], p);
-                    } else {
-                        f(w, p, small_ids[i]);
-                    }
+                    f(w, p, small_ids[i]);
                 }
             }
         }
@@ -1013,7 +775,7 @@ impl<P: IdPayload> AdjacencyBase<P> {
 
     /// Calls `f` for each common neighbour of `u` and `v`.
     ///
-    /// Runs on the shared galloping kernel; for untracked payloads the
+    /// Runs on the shared intersection kernel; for untracked payloads the
     /// probes are pure membership tests (no slot resolution). See
     /// [`Adjacency::for_each_common_edge`] for the ID-carrying variant.
     #[inline]
@@ -1057,11 +819,9 @@ impl<P: IdPayload> AdjacencyBase<P> {
 
     /// Debug-only structural invariant check: symmetry, no self-loops,
     /// the edge counter matching the stored sets, index coherence of
-    /// spilled neighbourhoods, shadow coverage (every live neighbour of
-    /// a shadowed set is reachable through its snapshot or pending
-    /// list), and — for tracked payloads — arena coherence (ID symmetry,
-    /// endpoint agreement, and exact live/free partition of the ID
-    /// space).
+    /// spilled neighbourhoods, and — for tracked payloads — arena
+    /// coherence (ID symmetry, endpoint agreement, and exact live/free
+    /// partition of the ID space).
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let mut half_edges = 0usize;
@@ -1078,29 +838,6 @@ impl<P: IdPayload> AdjacencyBase<P> {
                         Some(i as u32),
                         "index out of sync at {u} slot {i}"
                     );
-                }
-            }
-            if let Some(sh) = &set.shadow {
-                let sh = sh.borrow();
-                assert!(set.index.is_some(), "shadowed set without index at {u}");
-                assert!(
-                    sh.sorted.windows(2).all(|w| w[0].0 < w[1].0),
-                    "shadow snapshot unsorted at {u}"
-                );
-                if sh.exhausted {
-                    assert!(sh.pending.is_empty(), "exhausted shadow retains pending at {u}");
-                } else {
-                    // Every live neighbour must be covered by the
-                    // snapshot or the pending list (staleness the other
-                    // way — dead snapshot entries — is legal and
-                    // verified at use).
-                    for &w in set.items() {
-                        let in_sorted = sh.sorted.binary_search_by_key(&w, |e| e.0).is_ok();
-                        assert!(
-                            in_sorted || sh.pending.contains(&w),
-                            "live neighbour {w} of {u} invisible to the shadow"
-                        );
-                    }
                 }
             }
             for (i, &v) in set.items().iter().enumerate() {
@@ -1169,8 +906,8 @@ impl<P: IdPayload> AdjacencyBase<P> {
     /// re-materialises in the recorded slot order, the arena re-derives
     /// its endpoint and mirror tables from the per-slot IDs, and the
     /// free list is replayed verbatim so future ID mints match the
-    /// original graph's. Acceleration state (hash indexes, sorted
-    /// shadows) is re-attached from the current degree.
+    /// original graph's. The hash indexes are re-attached from the
+    /// current degree.
     ///
     /// [`layout_snapshot`]: AdjacencyBase::layout_snapshot
     ///
@@ -1260,57 +997,6 @@ impl<P: IdPayload> AdjacencyBase<P> {
         }
         restored
     }
-}
-
-/// The galloping tier: merges the two snapshots, covers their pending
-/// inserts by direct hash probes, verifies every candidate against the
-/// live sets, and emits `hit(w, slot_small, slot_large)` in the small
-/// side's dense slot order (deduplicated — a vertex can surface both
-/// from the merge and from a pending list).
-fn gallop_common<P: IdPayload>(
-    small: &NeighborSet<P>,
-    ss: &RefCell<Shadow>,
-    large: &NeighborSet<P>,
-    ls: &RefCell<Shadow>,
-    mut hit: impl FnMut(Vertex, u32, u32),
-) {
-    GALLOP_HITS.with(|cell| {
-        let mut hits = cell.take();
-        hits.clear();
-        {
-            // Shadow borrows live only for the merge/probe phase — the
-            // emission loop below reads the dense arrays alone, so a
-            // callback may freely re-enter common-neighbour queries on
-            // the same vertices (refreshing these shadows included).
-            let (ss, ls) = (ss.borrow(), ls.borrow());
-            gallop_intersect(&ss.sorted, &ls.sorted, |w, sa, sb| {
-                if let (Some(a), Some(b)) = (small.verify_slot(w, sa), large.verify_slot(w, sb)) {
-                    hits.push((a, b));
-                }
-            });
-            // Recent inserts on either side are missing from its
-            // snapshot: probe them through the live indexes (both
-            // directions, deduplicated below).
-            for &w in &ss.pending {
-                if let (Some(a), Some(b)) = (small.find(w), large.find(w)) {
-                    hits.push((a as u32, b as u32));
-                }
-            }
-            for &w in &ls.pending {
-                if let (Some(b), Some(a)) = (large.find(w), small.find(w)) {
-                    hits.push((a as u32, b as u32));
-                }
-            }
-        }
-        // Ascending slot order = the probe tier's emission order; after
-        // dedup a slot appears once per live common neighbour.
-        hits.sort_unstable();
-        hits.dedup();
-        for &(a, b) in &hits {
-            hit(small.items()[a as usize], a, b);
-        }
-        cell.set(hits);
-    });
 }
 
 impl Adjacency {
@@ -1406,7 +1092,7 @@ impl Adjacency {
     /// Calls `f(w, id(u,w), id(v,w))` for each common neighbour `w` of
     /// `u` and `v`, returning `(deg u, deg v)`.
     ///
-    /// This is the ID-carrying face of the shared galloping kernel (see
+    /// This is the ID-carrying face of the shared intersection kernel (see
     /// [`AdjacencyBase::for_each_common_neighbor`]): the edge IDs ride
     /// along with the slots the intersection touches anyway, so
     /// surfacing them is free — the zero-hash path the estimators
@@ -1672,16 +1358,15 @@ mod tests {
         }
     }
 
-    /// Drives two hubs across the shadow threshold both ways — grow past
+    /// Drives two hubs across the spill threshold both ways — grow past
     /// it, delete far below it, re-insert past it again — in repeated
     /// waves, checking membership, IDs and the hub–hub intersection
-    /// throughout. The shadow is retained once attached (its lazy
-    /// snapshot shrinks via dead-triggered rebuilds); below-threshold
-    /// operation with a shadow present is exactly the state this pins.
+    /// throughout. The index is retained once attached; below-threshold
+    /// operation with an index present is exactly the state this pins.
     #[test]
-    fn shadow_threshold_crossing_waves() {
+    fn spill_threshold_crossing_waves() {
         let mut g = Adjacency::new();
-        let top = (2 * SHADOW_THRESHOLD) as Vertex;
+        let top = (2 * SPILL_THRESHOLD) as Vertex;
         let (hub_a, hub_b) = (5000u64, 6000u64);
         g.insert(Edge::new(hub_a, hub_b));
         // Persistent common neighbours so the intersection stays
@@ -1691,14 +1376,14 @@ mod tests {
             g.insert(Edge::new(hub_b, obs));
         }
         for wave in 0..4u64 {
-            // Grow both hubs past the shadow threshold with disjoint
+            // Grow both hubs past the spill threshold with disjoint
             // leaf ranges (no new commons).
             for v in 1..=top {
                 assert!(g.insert(Edge::new(hub_a, v)), "wave {wave}: a-leaf {v}");
                 assert!(g.insert(Edge::new(hub_b, 100_000 + v)), "wave {wave}: b-leaf {v}");
             }
             g.check_invariants();
-            assert!(g.degree(hub_a) > SHADOW_THRESHOLD);
+            assert!(g.degree(hub_a) > SPILL_THRESHOLD);
             let mut got = Vec::new();
             g.for_each_common_edge(hub_a, hub_b, |w, eu, ev| {
                 assert_eq!(g.edge_id(Edge::new(hub_a, w)), Some(eu));
@@ -1719,11 +1404,11 @@ mod tests {
     }
 
     #[test]
-    fn galloping_tier_matches_linear_probes() {
-        // Two hubs far past the shadow threshold sharing an interleaved
+    fn indexed_hubs_intersect_in_slot_order() {
+        // Two hubs far past the spill threshold sharing an interleaved
         // subset of neighbours, with long non-common runs on both sides
-        // — the galloping tier must skip them and still report exactly
-        // the common set, in the iterated side's dense slot order.
+        // — the probes through the index must report exactly the common
+        // set, in the iterated side's dense slot order.
         let mut g = Adjacency::new();
         let (a, b) = (10_000u64, 20_000u64);
         g.insert(Edge::new(a, b));
@@ -1737,13 +1422,13 @@ mod tests {
             g.insert(Edge::new(b, w));
         }
         // Non-common runs: a gets 100 odd-ball vertices below, b gets
-        // 100 above, so the merge must gallop over both tails.
+        // 100 above, so most probes miss.
         for k in 0..100u64 {
             g.insert(Edge::new(a, 1_000 + 2 * k));
             g.insert(Edge::new(b, 30_000 + 2 * k));
         }
-        // Churn after the snapshots were built: delete some commons and
-        // some tail vertices, add fresh commons (pending-path coverage).
+        // Churn after both hubs are indexed: delete some commons, add
+        // fresh commons, so slot order ≠ insertion order.
         for k in [2u64, 9] {
             g.remove(Edge::new(a, 7 * k));
             g.remove(Edge::new(b, 7 * k));
@@ -1760,8 +1445,8 @@ mod tests {
             got.push(w);
         });
         assert_eq!(degs, (g.degree(a), g.degree(b)));
-        // Same set AND same order as the probe-tier kernel would emit:
-        // the iterated (smaller) side's dense slot order.
+        // Same set AND same order as a plain walk of the iterated
+        // (smaller) side's dense slots.
         let small = if g.degree(a) <= g.degree(b) { a } else { b };
         let want: Vec<Vertex> =
             g.neighbors(small).filter(|&w| g.adjacent(a, w) && g.adjacent(b, w)).collect();
@@ -1770,18 +1455,16 @@ mod tests {
     }
 
     /// A callback may re-enter common-neighbour queries on the same
-    /// shadowed vertices (the shadow borrows are released before
-    /// emission) — the pre-galloping kernel allowed this, so the
-    /// galloping tier must too.
+    /// indexed vertices while the outer enumeration is mid-flight.
     #[test]
-    fn galloping_tier_callbacks_may_reenter() {
+    fn intersection_callbacks_may_reenter() {
         let mut g = Adjacency::new();
         let (a, b, c) = (1u64, 2u64, 3u64);
         for (x, y) in [(a, b), (a, c), (b, c)] {
             g.insert(Edge::new(x, y));
         }
-        // Push all three past the shadow threshold with shared leaves.
-        let top = (2 * SHADOW_THRESHOLD) as Vertex;
+        // Push all three past the spill threshold with shared leaves.
+        let top = (2 * SPILL_THRESHOLD) as Vertex;
         for v in 100..(100 + top) {
             for hub in [a, b, c] {
                 g.insert(Edge::new(hub, v));
@@ -1791,8 +1474,8 @@ mod tests {
         let mut inner_total = 0;
         g.for_each_common_neighbor(a, b, |_| {
             outer += 1;
-            // Re-enters the galloping tier on overlapping shadowed
-            // vertices while the outer enumeration is mid-flight.
+            // Re-enters the kernel on overlapping indexed vertices
+            // while the outer enumeration is mid-flight.
             inner_total += g.common_neighbor_count(a, c);
         });
         assert_eq!(outer, top as usize + 1); // leaves + c
@@ -1883,9 +1566,9 @@ mod tests {
         }
 
         /// Insert/delete/re-insert *waves* centred on two hub vertices
-        /// drive their sets across the shadow threshold in both
-        /// directions — stale snapshot entries, moved slots and pending
-        /// inserts all in play — while a weighted and an ID-free
+        /// drive their sets across the spill threshold in both
+        /// directions — backfilled slots, re-pointed index entries and
+        /// fresh inserts all in play — while a weighted and an ID-free
         /// adjacency process the identical op sequence; membership,
         /// degrees, the hub–hub intersection (set *and* emission order)
         /// and the invariants must agree with the model after every
@@ -2156,12 +1839,12 @@ mod tests {
         /// push/swap_remove model exactly after every operation, for the
         /// tracked and the ID-free adjacency. Each wave grows or shrinks
         /// one of four hubs over vertices `0..40`, so hub degrees swing
-        /// across [`SPILL_THRESHOLD`] and [`SHADOW_THRESHOLD`] and the
-        /// other vertices' degrees (up to four hubs) across [`INLINE`],
-        /// in both directions; shrinking waves mix `remove_by_id` and
-        /// `remove_full`, and a final drain empties the graph. The
-        /// set-level proptests above compare edge sets; slot order is
-        /// what keeps the goldens stable, and this pins it.
+        /// across [`SPILL_THRESHOLD`] and the other vertices' degrees
+        /// (up to four hubs) across [`INLINE`], in both directions;
+        /// shrinking waves mix `remove_by_id` and `remove_full`, and a
+        /// final drain empties the graph. The set-level proptests above
+        /// compare edge sets; slot order is what keeps the goldens
+        /// stable, and this pins it.
         #[test]
         fn prop_slot_order_matches_push_swap_remove_model(
             waves in proptest::collection::vec(
@@ -2256,15 +1939,15 @@ mod tests {
         }
     }
 
-    /// Restore re-attaches the hash index and (unbuilt) shadow from the
-    /// current degree, so a restored hub serves the galloping tier with
-    /// the original's emission order.
+    /// Restore re-attaches the hash index from the current degree, so a
+    /// restored hub probes through it with the original's emission
+    /// order.
     #[test]
     fn layout_restore_reattaches_acceleration_state() {
         let mut g = Adjacency::new();
         let (a, b) = (900u64, 901u64);
         g.insert(Edge::new(a, b));
-        let top = (2 * SHADOW_THRESHOLD) as Vertex;
+        let top = (2 * SPILL_THRESHOLD) as Vertex;
         for v in 1..=top {
             g.insert(Edge::new(a, v));
             g.insert(Edge::new(b, v));

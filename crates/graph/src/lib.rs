@@ -15,10 +15,11 @@
 //! * [`Edge`] — an undirected, canonicalised, self-loop-free edge.
 //! * [`EdgeEvent`] — an insertion or deletion event `(op, e_t)` of a fully
 //!   dynamic graph stream (paper §II).
-//! * [`Adjacency`] — a dynamic adjacency structure whose
-//!   common-neighbour intersection runs on sorted shadows with galloping
-//!   jumps (sub-linear for hub–hub events); [`VertexAdjacency`] is its
-//!   ID-free twin for count-only algorithms.
+//! * [`Adjacency`] — a dynamic adjacency structure whose neighbourhoods
+//!   are stored in three tiers by degree (inline → heap → indexed), and
+//!   whose common-neighbour intersection walks the smaller side and
+//!   probes the larger; [`VertexAdjacency`] is its ID-free twin for
+//!   count-only algorithms.
 //! * [`Pattern`] — the subgraph patterns of interest (wedge, triangle,
 //!   4-clique, generic k-clique) together with *completion enumeration*:
 //!   the set of instances a newly arriving edge completes against a given
@@ -39,7 +40,7 @@ pub mod patterns;
 
 pub use adjacency::{
     Adjacency, AdjacencyBase, AdjacencyLayout, CommonEdge, EdgeId, IdPayload, Neighborhood,
-    VertexAdjacency, SHADOW_THRESHOLD,
+    VertexAdjacency,
 };
 pub use edge::{Edge, EdgeEvent, Op, Vertex};
 pub use exact::ExactCounter;

@@ -17,8 +17,8 @@
 //!
 //! [`Pattern::for_each_completed`] is **generic over the callback**
 //! (`impl FnMut`), so the estimator's per-instance mass/state closure is
-//! fused straight into the galloping intersection kernel — one
-//! monomorphised loop per pattern with no per-instance dynamic dispatch.
+//! fused straight into the intersection kernel — one monomorphised
+//! loop per pattern with no per-instance dynamic dispatch.
 //! The counting kernel [`Pattern::count_completed`] is additionally
 //! generic over the adjacency's [`IdPayload`], so the ID-free
 //! [`VertexAdjacency`] of the uniform baselines shares it.
@@ -300,8 +300,8 @@ impl Pattern {
 /// Estimators sum per level, so a layered pass is bit-identical to
 /// per-pattern passes — the shared walk is a pure cost optimisation,
 /// never a numeric one. The shared work is real: when both the triangle
-/// and 4-clique levels are active the galloping hub–hub intersection
-/// runs **once**, filling the common-edge buffer that the triangle level
+/// and 4-clique levels are active the endpoints' intersection runs
+/// **once**, filling the common-edge buffer that the triangle level
 /// replays (the buffer fill *is* the streaming intersection callback,
 /// same hits in the same order) and the 4-clique level pair-probes.
 #[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
@@ -401,7 +401,7 @@ impl LayeredLevels {
                 degs = Some(g.for_each_common_edge(u, v, |_, eu, ev| f(Self::TRIANGLE, &[eu, ev])));
             }
             (triangle, true) => {
-                // One galloped intersection serves both upper levels:
+                // One intersection serves both upper levels:
                 // the buffer fill is the streaming callback, so the
                 // triangle replay sees the same hits in the same order.
                 degs = Some(g.common_edges_into(u, v, &mut scratch.common_edges));

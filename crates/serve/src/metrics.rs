@@ -1,6 +1,6 @@
 //! The server's metrics surface: per-shard atomic counters, aggregated
-//! on demand into the versioned [`StatsReport`](crate::protocol::StatsReport)
-//! reply and a human-readable one-line-per-metric text dump.
+//! on demand into the versioned [`StatsReport`] reply and a
+//! human-readable one-line-per-metric text dump.
 //!
 //! Shard workers own their counter block exclusively for writes (plus
 //! the connection reader threads, which count ring-backpressure stalls

@@ -3,12 +3,12 @@
 //! command rings its connections registered.
 //!
 //! Exclusive ownership is what makes the sharding sound: a
-//! `StreamSession` is `Send` but not `Sync` (its sampled adjacency
-//! keeps interior caches), so sessions never migrate between live
-//! threads — migration happens by value, through snapshot bytes, as a
-//! `Restore` that mints a new id on a possibly different shard, or
-//! through the durable store across a process restart (revived under
-//! the *original* id at boot).
+//! `StreamSession` is `Send` but not `Sync` (its sampler is a
+//! `Box<dyn EdgeSampler>`, and the trait requires only `Send`), so
+//! sessions never migrate between live threads — migration happens by
+//! value, through snapshot bytes, as a `Restore` that mints a new id on
+//! a possibly different shard, or through the durable store across a
+//! process restart (revived under the *original* id at boot).
 //!
 //! Per-session command order is preserved because one connection sends
 //! all commands for a shard through one FIFO ring, and the worker

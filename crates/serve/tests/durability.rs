@@ -390,15 +390,17 @@ fn forged_adjacency_layout_is_quarantined_at_boot() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A well-tagged data-dir file with a forged heap key is rejected by
-/// `SessionSnapshot::decode` itself, so boot quarantines it before any
-/// restore runs; the healthy session revives. Two forgeries: a key at
-/// the capacity (a restore would size the heap's index by it) and a key
-/// on the arena ID the victim's final deletion freed (the next admitted
-/// insert would push that ID twice).
+/// A well-tagged data-dir file with a forged heap key or edge weight is
+/// rejected by `SessionSnapshot::decode` itself, so boot quarantines it
+/// before any restore runs; the healthy session revives. Three
+/// forgeries: a heap key at the capacity (a restore would size the
+/// heap's index by it), a heap key on the arena ID the victim's final
+/// deletion freed (the next admitted insert would push that ID twice),
+/// and a zero edge weight (that edge's inclusion probability would be
+/// zero).
 #[test]
 fn forged_heap_key_is_quarantined_at_decode() {
-    for (tag, at_capacity) in [("at-capacity", true), ("freed-id", false)] {
+    for tag in ["at-capacity", "freed-id", "zero-weight"] {
         let dir = scratch_dir(&format!("forged-heap-key-{tag}"));
         let (server, mut client) = boot_durable(&dir, 0);
         let healthy =
@@ -425,7 +427,11 @@ fn forged_heap_key_is_quarantined_at_decode() {
         let mut forged = SessionSnapshot::decode(&blob).expect("decodes");
         let SamplerState::Wsd { heap, sample, .. } = &mut forged.sampler else { unreachable!() };
         let freed = *sample.layout.free.last().expect("the deletion freed an arena ID");
-        heap[0].0 = if at_capacity { 32 } else { freed };
+        match tag {
+            "at-capacity" => heap[0].0 = 32,
+            "freed-id" => heap[0].0 = freed,
+            _ => sample.meta[0].1 = 0.0,
+        }
         let bytes = forged.encode();
         assert!(SessionSnapshot::decode(&bytes).is_err(), "{tag}: decode must reject the blob");
         let store = SessionStore::open(&dir).expect("opens store");

@@ -321,12 +321,13 @@ fn rejected_attach_leaves_the_session_serving() {
 
 #[test]
 fn forged_restore_is_rejected_before_any_shard() {
-    // Two well-tagged forgeries of a snapshot's heap: a key equal to the
-    // capacity would size the restored heap's index by that key, and a
-    // key on the arena ID the stream's final deletion freed would make
-    // the next admitted insert push that ID twice. The server must
-    // answer each Restore with an error at decode time, and the
-    // connection must go on serving.
+    // Three well-tagged forgeries of a snapshot's sampler state: a heap
+    // key equal to the capacity would size the restored heap's index by
+    // that key, a heap key on the arena ID the stream's final deletion
+    // freed would make the next admitted insert push that ID twice, and
+    // a zero edge weight would make that edge's inclusion probability
+    // zero. The server must answer each Restore with an error at decode
+    // time, and the connection must go on serving.
     let (server, mut client) = boot(2);
     let stream = churn_stream(10);
     let original = client.open(Algorithm::WsdH, 16, Some(5), &[Pattern::Triangle]).expect("opens");
@@ -345,10 +346,14 @@ fn forged_restore_is_rejected_before_any_shard() {
     let honest = snapshot(&mut client);
     let SamplerState::Wsd { sample, .. } = &honest.sampler else { unreachable!() };
     let freed = *sample.layout.free.last().expect("the deletion freed an arena ID");
-    for (key, what) in [(16, "a heap key at the capacity"), (freed, "a heap key on a freed ID")] {
+    for what in ["a heap key at the capacity", "a heap key on a freed ID", "a zero edge weight"] {
         let mut forged = honest.clone();
-        let SamplerState::Wsd { heap, .. } = &mut forged.sampler else { unreachable!() };
-        heap[0].0 = key;
+        let SamplerState::Wsd { heap, sample, .. } = &mut forged.sampler else { unreachable!() };
+        match what {
+            "a heap key at the capacity" => heap[0].0 = 16,
+            "a heap key on a freed ID" => heap[0].0 = freed,
+            _ => sample.meta[0].1 = 0.0,
+        }
         match client.restore(forged.encode()) {
             Err(ClientError::Server(msg)) => {
                 assert!(msg.contains("bad snapshot"), "{what}: wanted a decode error, got: {msg}")

@@ -1,17 +1,16 @@
 //! Hub-heavy synthetic: high-degree stars overlaid on a dense clique.
 //!
-//! The galloping-intersection work targets *hub–hub* edge events — both
-//! endpoints far past the sorted-shadow degree threshold — which the
-//! organic growth models only produce occasionally. This generator makes
-//! them the common case: a `clique` of mutually adjacent core vertices
-//! (every core–core event is a hub–hub intersection) plus `spokes`
-//! leaves, each attached to **two** distinct cores chosen at random.
-//! The fanout-2 spokes drive core degrees far beyond the clique order
-//! while keeping any two cores' neighbourhoods mostly *disjoint* — so
-//! hub–hub intersections must skip long runs of non-common spoke
-//! neighbours, exactly the regime where galloping jumps beat linear
-//! probing (and each spoke still closes a wedge between its two cores,
-//! keeping triangle/4-clique counts rich).
+//! *Hub–hub* edge events — both endpoints with large neighbourhoods,
+//! past the adjacency's hash-index threshold — are rare in the organic
+//! growth models. This generator makes them the common case: a `clique`
+//! of mutually adjacent core vertices (every core–core event is a
+//! hub–hub intersection) plus `spokes` leaves, each attached to **two**
+//! distinct cores chosen at random. The fanout-2 spokes drive core
+//! degrees far beyond the clique order while keeping any two cores'
+//! neighbourhoods mostly *disjoint* — so a hub–hub intersection walks a
+//! large indexed neighbourhood whose probes mostly miss (and each spoke
+//! still closes a wedge between its two cores, keeping
+//! triangle/4-clique counts rich).
 //!
 //! Edge order interleaves clique and spoke edges pseudo-randomly so
 //! reservoir samplers see hub structure throughout the stream rather

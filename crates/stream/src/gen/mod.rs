@@ -83,8 +83,8 @@ pub enum GeneratorConfig {
     /// Hub-heavy stress graph: a dense core clique whose members carry
     /// large, mostly disjoint spoke fringes (each leaf attaches to two
     /// random cores), shuffled into one stream — makes hub–hub
-    /// intersection with long skippable non-common runs (the galloping
-    /// kernel's target regime) the common case instead of the tail.
+    /// intersections over large indexed neighbourhoods, whose probes
+    /// mostly miss, the common case instead of the tail.
     HubClique {
         /// Number of mutually adjacent core (hub) vertices.
         clique: u64,

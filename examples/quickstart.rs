@@ -34,7 +34,7 @@ fn main() {
     // 3. Single pass over the stream, with exact counters riding along
     //    for the comparison.
     let mut exact: Vec<ExactCounter> = patterns.iter().map(|&p| ExactCounter::new(p)).collect();
-    BatchDriver::new().run_session(&mut session, &events);
+    session.process_batch(&events);
     for ev in &events {
         for x in &mut exact {
             x.apply(*ev).expect("generated streams are feasible");

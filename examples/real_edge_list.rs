@@ -53,7 +53,7 @@ fn main() {
     let mut session =
         SessionBuilder::new(Algorithm::WsdH, budget, 1).query(Pattern::Triangle).build();
     let (triangles, _) = session.queries().next().expect("one query");
-    session.process_all(&events);
+    session.process_batch(&events);
     let truth = ExactCounter::count_stream(Pattern::Triangle, events).expect("feasible") as f64;
     println!(
         "triangles: exact {truth}, WSD-H estimate {:.1} (budget {budget} edges)",

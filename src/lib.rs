@@ -17,7 +17,7 @@
 //! |---|---|---|
 //! | [`graph`] | `wsd-graph` | edges, events, adjacency, patterns, exact counts |
 //! | [`stream`] | `wsd-stream` | generators, scenarios, orderings, datasets |
-//! | [`core`] | `wsd-core` | multi-query stream sessions over WSD, GPS, GPS-A, Triest, ThinkD, WRS + the batched/parallel engine |
+//! | [`core`] | `wsd-core` | multi-query stream sessions over WSD, GPS, GPS-A, Triest, ThinkD, WRS + the parallel ensemble engine |
 //! | [`rl`] | `wsd-rl` | DDPG, replay, environment, scenario-grid training |
 //! | [`serve`] | `wsd-serve` | sharded many-tenant session server: TCP protocol, SPSC ingestion, snapshot/restore migration |
 //!
@@ -39,15 +39,14 @@
 //! let events = Scenario::default_light().apply(&edges, 7);
 //!
 //! // One WSD-H sampler under a 500-edge budget answers the paper's
-//! // whole pattern grid in a single pass, ingesting in batches through
-//! // the engine (bit-identical to event-by-event processing, with
-//! // per-event overheads amortised)…
+//! // whole pattern grid in a single pass, ingesting the stream as one
+//! // batch (bit-identical to event-by-event processing)…
 //! let mut session = SessionBuilder::new(Algorithm::WsdH, 500, 42)
 //!     .query(Pattern::Triangle)
 //!     .query(Pattern::Wedge)
 //!     .query(Pattern::FourClique)
 //!     .build();
-//! BatchDriver::new().run_session(&mut session, &events);
+//! session.process_batch(&events);
 //!
 //! // …and compare with the exact count. (A single run on a tiny graph
 //! // is noisy — the estimator is *unbiased*, not low-variance; see the
@@ -104,7 +103,7 @@ pub use wsd_serve as serve;
 /// The most common imports in one place.
 pub mod prelude {
     pub use wsd_core::{
-        Algorithm, BatchDriver, EdgeSampler, Ensemble, EnsembleReport, LinearPolicy, PatternQuery,
+        Algorithm, EdgeSampler, Ensemble, EnsembleReport, LinearPolicy, PatternQuery,
         PolicyArtifact, PolicyMeta, PolicyRegistry, QueryId, SessionBuilder, SessionEnsembleReport,
         SessionReport, StreamSession, TemporalPooling, WeightFn, WeightSpec,
     };

@@ -23,7 +23,7 @@ fn counters_are_deterministic_given_seed() {
     ] {
         let run = |seed: u64| {
             let mut s = SessionBuilder::new(alg, 150, seed).query(Pattern::Triangle).build();
-            s.process_all(&stream);
+            s.process_batch(&stream);
             s.report().queries[0].estimate
         };
         assert_eq!(run(7), run(7), "{:?} must be deterministic", alg);

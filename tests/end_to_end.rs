@@ -14,7 +14,7 @@ fn run(
     events: &EventStream,
 ) -> (f64, usize) {
     let mut session = SessionBuilder::new(alg, capacity, seed).query(pattern).build();
-    session.process_all(events);
+    session.process_batch(events);
     (session.report().queries[0].estimate, session.stored_edges())
 }
 

@@ -7,7 +7,7 @@ use wsd::prelude::*;
 /// Final triangle estimate of a single-query session over `events`.
 fn final_triangles(builder: SessionBuilder, events: &EventStream) -> f64 {
     let mut session = builder.query(Pattern::Triangle).build();
-    session.process_all(events);
+    session.process_batch(events);
     session.report().queries[0].estimate
 }
 

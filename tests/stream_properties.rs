@@ -76,7 +76,7 @@ proptest! {
             Algorithm::Wrs,
         ] {
             let mut s = SessionBuilder::new(alg, 1_000, 5).query(Pattern::Triangle).build();
-            s.process_all(&stream);
+            s.process_batch(&stream);
             let estimate = s.report().queries[0].estimate;
             prop_assert!(
                 (estimate - truth).abs() < 1e-6,
