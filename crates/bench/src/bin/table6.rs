@@ -1,7 +1,9 @@
 //! **Table VI** — the **insertion-only** special case on cit-PT:
 //! triangle ARE / MARE / running time for WSD-L, GPS, Triest, ThinkD and
 //! WRS. (Without deletions, WSD-H and GPS-A reduce exactly to GPS, so
-//! the paper lists plain GPS.)
+//! the paper lists plain GPS. GPS runs on the WSD sampler's
+//! insertion-only mode, and wsd-core's `session_equivalence` suite pins
+//! GPS, WSD-H and GPS-A bit-identical on insertion-only streams.)
 
 use wsd_bench::policies::{capacity_for, train_or_load};
 use wsd_bench::runner::{run_cell, AlgoSpec, Workload};

@@ -39,7 +39,6 @@ type ItemId = u32;
 
 /// The GPS-A sampling layer.
 pub struct GpsASampler {
-    display_name: String,
     capacity: usize,
     /// Keyed by item ID.
     heap: IndexedMinHeap,
@@ -76,7 +75,6 @@ impl GpsASampler {
         seed: u64,
     ) -> Self {
         Self {
-            display_name: "GPS-A".to_string(),
             weights: WeightObservation::new(
                 weight_pattern,
                 capacity,
@@ -94,12 +92,6 @@ impl GpsASampler {
             t: 0,
             rng: SmallRng::seed_from_u64(seed),
         }
-    }
-
-    /// Overrides the display name.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.display_name = name.into();
-        self
     }
 
     /// Number of tagged ghosts currently wasting reservoir budget — the
@@ -245,7 +237,7 @@ impl EdgeSampler for GpsASampler {
     }
 
     fn name(&self) -> &str {
-        &self.display_name
+        "GPS-A"
     }
 
     fn pattern_budget(&self) -> usize {

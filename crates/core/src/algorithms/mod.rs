@@ -1,14 +1,14 @@
-//! The sampling algorithms: the paper's WSD framework, its GPS/GPS-A
-//! precursors, and the uniform baselines it compares against.
+//! The sampling algorithms: the paper's WSD framework, its GPS-A
+//! precursor, and the uniform baselines it compares against. GPS, the
+//! insertion-only precursor, runs as a mode of the WSD sampler
+//! ([`WsdSampler::gps`]).
 
-pub mod gps;
 pub mod gps_a;
 pub mod thinkd;
 pub mod triest;
 pub mod wrs;
 pub mod wsd;
 
-pub use gps::GpsSampler;
 pub use gps_a::GpsASampler;
 pub use thinkd::ThinkDSampler;
 pub use triest::TriestSampler;
@@ -32,31 +32,25 @@ pub(crate) enum WeightMode {
     /// `w = a·|H_k| + b` computed inline — no state buffer, no dynamic
     /// call (the uniform and heuristic weights).
     Affine(f64, f64),
-    /// Truncated observation `[|H_k|]` through the dynamic call (custom
-    /// functions that read only the instance count, non-affinely).
-    Truncated,
     /// Full `|H|+3` state with temporal accumulation (the learned
     /// policy, and any configuration with an insertion observer).
     Full,
 }
 
 impl WeightMode {
-    /// Resolves the mode for a weight function; an installed observer
-    /// forces [`WeightMode::Full`] so observed states are never
-    /// truncated.
+    /// Resolves the mode for a weight function: affine when it gives an
+    /// affine form, unless an installed observer forces
+    /// [`WeightMode::Full`] so that observed states are always whole.
     pub(crate) fn resolve(weight_fn: &dyn WeightFn, has_observer: bool) -> Self {
-        if has_observer || weight_fn.needs_full_state() {
-            WeightMode::Full
-        } else if let Some((a, b)) = weight_fn.instances_affine() {
-            WeightMode::Affine(a, b)
-        } else {
-            WeightMode::Truncated
+        match weight_fn.instances_affine() {
+            Some((a, b)) if !has_observer => WeightMode::Affine(a, b),
+            _ => WeightMode::Full,
         }
     }
 }
 
-/// The weight-observation state every weighted sampler (WSD, GPS,
-/// GPS-A) carries: the weight pattern and its layered level, the weight
+/// The weight-observation state every weighted sampler (WSD, GPS-A)
+/// carries: the weight pattern and its layered level, the weight
 /// function with its resolved [`WeightMode`], the RL state accumulator
 /// with its reusable state buffer, and (WSD only) an insertion observer.
 pub(crate) struct WeightObservation {
@@ -145,25 +139,28 @@ impl WeightObservation {
     ) -> f64 {
         let QueryCtx { queries, scratch } = ctx;
         let mut levels = levels_of(queries);
-        if self.mode == WeightMode::Full {
-            levels.set(self.level);
-            self.acc.reset();
-            let acc = Some((self.level, &mut self.acc, now));
-            let m = layered_weighted_mass(levels, sample, e, tau, scratch, acc);
-            for q in queries.iter_mut() {
-                q.estimate += m.mass[q.level];
+        let (a, b) = match self.mode {
+            WeightMode::Affine(a, b) => (a, b),
+            WeightMode::Full => {
+                levels.set(self.level);
+                self.acc.reset();
+                let acc = Some((self.level, &mut self.acc, now));
+                let m = layered_weighted_mass(levels, sample, e, tau, scratch, acc);
+                for q in queries.iter_mut() {
+                    q.estimate += m.mass[q.level];
+                }
+                self.acc.finish_into(m.deg_u, m.deg_v, &mut self.state_buf);
+                let w = self.weight_fn.weight(&self.state_buf);
+                if let Some(obs) = self.observer.as_mut() {
+                    obs(e, &self.state_buf, w);
+                }
+                return w;
             }
-            self.acc.finish_into(m.deg_u, m.deg_v, &mut self.state_buf);
-            let w = self.weight_fn.weight(&self.state_buf);
-            if let Some(obs) = self.observer.as_mut() {
-                obs(e, &self.state_buf, w);
-            }
-            return w;
-        }
-        // Below full state the weight reads at most |H_k| (a free
-        // by-product of the mass pass), so the whole temporal-state
-        // accumulation is skipped on the hot path.
-        if !matches!(self.mode, WeightMode::Affine(a, _) if a == 0.0) {
+        };
+        // An affine weight reads only |H_k| (a free by-product of the
+        // mass pass), so the whole temporal-state accumulation is
+        // skipped on the hot path.
+        if a != 0.0 {
             levels.set(self.level);
         }
         let mut instances = 0;
@@ -174,13 +171,7 @@ impl WeightObservation {
             }
             instances = m.instances[self.level];
         }
-        match self.mode {
-            WeightMode::Affine(a, b) => a * (instances as f64) + b,
-            _ => {
-                self.state_buf.set_instances_only(instances);
-                self.weight_fn.weight(&self.state_buf)
-            }
-        }
+        a * (instances as f64) + b
     }
 }
 

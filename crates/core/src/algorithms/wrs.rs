@@ -49,6 +49,22 @@ use wsd_graph::{Adjacency, Edge, EdgeEvent, LayeredLevels, Op};
 /// Default waiting-room fraction of the budget (the WRS paper's default).
 pub const DEFAULT_WAITING_ROOM_FRACTION: f64 = 0.1;
 
+/// Splits the budget `M` into `(waiting room, reservoir)` capacities:
+/// the room takes `⌈M·fraction⌉` edges (at least one), the reservoir the
+/// rest. `None` if the fraction lies outside `(0, 1)` or the reservoir
+/// would be empty — the budgets [`WrsSampler::with_fraction`] cannot
+/// build, which [`SessionSnapshot::validate`] rejects up front.
+///
+/// [`SessionSnapshot::validate`]: crate::snapshot::SessionSnapshot::validate
+pub fn room_split(capacity: usize, fraction: f64) -> Option<(usize, usize)> {
+    if !(fraction > 0.0 && fraction < 1.0) {
+        return None;
+    }
+    let room = ((capacity as f64 * fraction).ceil() as usize).max(1);
+    let reservoir = capacity.checked_sub(room).filter(|&r| r > 0)?;
+    Some((room, reservoir))
+}
+
 /// The WRS sampling layer: waiting room + random-pairing reservoir.
 pub struct WrsSampler {
     /// FIFO order of waiting-room edges with their admission sequence at
@@ -84,22 +100,19 @@ impl WrsSampler {
     }
 
     /// Creates a WRS sampler with an explicit waiting-room fraction in
-    /// `(0, 1)`.
+    /// `(0, 1)`, split by [`room_split`].
     ///
     /// # Panics
     ///
-    /// Panics if the fraction leaves either side of the budget empty.
+    /// Panics if [`room_split`] cannot split the budget.
     pub fn with_fraction(capacity: usize, fraction: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&fraction) && fraction > 0.0,
-            "waiting-room fraction must be in (0,1), got {fraction}"
-        );
-        let room_capacity = ((capacity as f64 * fraction).ceil() as usize).max(1);
-        assert!(
-            capacity > room_capacity,
-            "budget M = {capacity} too small for waiting room of {room_capacity}"
-        );
-        let reservoir_capacity = capacity - room_capacity;
+        let (room_capacity, reservoir_capacity) =
+            room_split(capacity, fraction).unwrap_or_else(|| {
+                panic!(
+                    "budget M = {capacity} too small for a waiting room of fraction {fraction} \
+                     and a reservoir (the fraction must lie in (0, 1))"
+                )
+            });
         Self {
             room_fifo: VecDeque::with_capacity(room_capacity + 1),
             room_seq: Vec::with_capacity(capacity + 1),

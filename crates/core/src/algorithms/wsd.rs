@@ -24,6 +24,18 @@
 //! * **Case 3** (delete): drop the edge from the reservoir if sampled;
 //!   touch neither τ.
 //!
+//! # GPS is WSD without deletions
+//!
+//! WSD extends GPS (Graph Priority Sampling, Ahmed et al. \[14\], paper
+//! §III-A) to deletions. On an insertion-only stream the reservoir never
+//! shrinks, so `τp` stays 0 until it fills: Case 1 admits every edge, as
+//! GPS's fill does, and Case 2 is GPS's contest, with `τq` the running
+//! maximum of the losing ranks — GPS's threshold `z = r_{M+1}`.
+//! [`WsdSampler::gps`] is that insertion-only mode: the heuristic weight,
+//! max pooling, and a panic on any deletion (paper Example 1 shows GPS
+//! is biased under deletions). The insert-only golden pins GPS, WSD-H
+//! and GPS-A bit-identical there.
+//!
 //! The estimator (Algorithm 2) adds, for every insertion, the mass
 //! `Σ_J Π 1/P[r(e)>τq]` of instances completed against the reservoir and
 //! subtracts the corresponding mass of destroyed instances on deletions;
@@ -48,7 +60,7 @@ use crate::sampled_graph::{EdgeMeta, WeightedSample};
 use crate::session::{EdgeSampler, PatternQuery, QueryCtx, WeightSwapError};
 use crate::snapshot::{SamplerState, WeightedSampleState};
 use crate::state::{StateVector, TemporalPooling};
-use crate::weight::{WeightFn, WeightSpec};
+use crate::weight::{HeuristicWeight, WeightFn, WeightSpec};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wsd_graph::patterns::EnumScratch;
@@ -74,6 +86,9 @@ pub struct WsdSampler {
     /// insertion observer the RL training loop and the weight-analysis
     /// experiments of paper Fig. 2(d) install).
     weights: WeightObservation,
+    /// GPS mode ([`WsdSampler::gps`]): a deletion panics and the weight
+    /// function cannot be swapped.
+    insertion_only: bool,
 }
 
 impl WsdSampler {
@@ -103,7 +118,29 @@ impl WsdSampler {
             tau_q: 0.0,
             t: 0,
             rng: SmallRng::seed_from_u64(seed),
+            insertion_only: false,
         }
+    }
+
+    /// Creates a GPS sampler (see the [module docs](self)): WSD with the
+    /// heuristic weight and max pooling, named `GPS`, for
+    /// insertion-only streams. Its `τq` is GPS's threshold `z`.
+    /// [`EdgeSampler::process`] panics on a deletion before any state
+    /// changes, and [`EdgeSampler::set_weight_fn`] answers
+    /// [`WeightSwapError::Unsupported`].
+    ///
+    /// # Panics
+    ///
+    /// As [`WsdSampler::new`].
+    pub fn gps(weight_pattern: Pattern, capacity: usize, seed: u64) -> Self {
+        let wsd = Self::new(
+            weight_pattern,
+            capacity,
+            Box::new(HeuristicWeight),
+            TemporalPooling::Max,
+            seed,
+        );
+        Self { insertion_only: true, ..wsd.with_name("GPS") }
     }
 
     /// Overrides the display name (e.g. to distinguish pooling ablations).
@@ -187,10 +224,20 @@ impl WsdSampler {
 }
 
 impl EdgeSampler for WsdSampler {
+    /// # Panics
+    ///
+    /// Panics on a deletion in GPS mode ([`WsdSampler::gps`]).
     fn process(&mut self, ev: EdgeEvent, ctx: QueryCtx<'_>) {
         match ev.op {
             Op::Insert => self.insert(ev.edge, ctx),
-            Op::Delete => self.delete(ev.edge, ctx),
+            Op::Delete => {
+                assert!(
+                    !self.insertion_only,
+                    "GPS cannot process deletion events (paper §III-A); \
+                     use GPS-A or WSD for fully dynamic streams"
+                );
+                self.delete(ev.edge, ctx)
+            }
         }
         self.t += 1;
     }
@@ -245,8 +292,12 @@ impl EdgeSampler for WsdSampler {
     /// accumulator and RNG stream are untouched, so stored edges keep
     /// their admission-time weights and only future observations use
     /// the new function. The display name resets to the target weight
-    /// function's canonical algorithm name.
+    /// function's canonical algorithm name. GPS pins the heuristic and
+    /// rejects every swap.
     fn set_weight_fn(&mut self, spec: &WeightSpec) -> Result<(), WeightSwapError> {
+        if self.insertion_only {
+            return Err(WeightSwapError::Unsupported { algorithm: self.display_name.clone() });
+        }
         let dim = self.weights.pattern.num_edges() + 3;
         if let Some(got) = spec.dim() {
             if got != dim {
@@ -421,5 +472,50 @@ mod tests {
     #[should_panic(expected = "must be ≥")]
     fn capacity_below_pattern_size_panics() {
         let _ = wsd(2, 1);
+    }
+
+    fn gps(pattern: Pattern, capacity: usize, seed: u64) -> OneQuery<WsdSampler> {
+        OneQuery::new(WsdSampler::gps(pattern, capacity, seed), pattern)
+    }
+
+    #[test]
+    fn gps_exact_when_not_full() {
+        let mut c = gps(Pattern::Triangle, 64, 1);
+        for ev in [tri(1, 2), tri(2, 3), tri(1, 3), tri(1, 4), tri(3, 4)] {
+            c.process(ev);
+        }
+        // Triangles: {1,2,3} and {1,3,4}.
+        assert_eq!(c.estimate(), 2.0);
+        assert_eq!(c.sampler.thresholds(), (0.0, 0.0));
+    }
+
+    #[test]
+    fn gps_threshold_grows_monotonically() {
+        // GPS's z is WSD's τq: without deletions it never falls.
+        let mut c = gps(Pattern::Triangle, 8, 2);
+        let mut last = 0.0;
+        for i in 0..100u64 {
+            c.process(tri(i, i + 1));
+            let (_, z) = c.sampler.thresholds();
+            assert!(z >= last, "z must be monotone");
+            last = z;
+            assert!(c.sampler.stored_edges() <= 8);
+        }
+        assert!(last > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot process deletion")]
+    fn gps_deletion_panics() {
+        let mut c = gps(Pattern::Triangle, 8, 3);
+        c.process(tri(1, 2));
+        c.process(EdgeEvent::delete(Edge::new(1, 2)));
+    }
+
+    #[test]
+    fn gps_name_and_pattern() {
+        let c = gps(Pattern::Wedge, 8, 4);
+        assert_eq!(c.sampler.name(), "GPS");
+        assert_eq!(c.query.pattern(), Pattern::Wedge);
     }
 }

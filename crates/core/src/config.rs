@@ -14,7 +14,12 @@ pub enum Algorithm {
     WsdUniform,
     /// GPS adapted with DEL tags.
     GpsA,
-    /// Plain GPS (insertion-only streams only).
+    /// Plain GPS (insertion-only streams only): the WSD sampler in its
+    /// insertion-only mode ([`WsdSampler::gps`]) — heuristic weight,
+    /// `τq` as GPS's threshold `z`, a panic on any deletion. The
+    /// insert-only golden pins it bit-identical to WSD-H and GPS-A.
+    ///
+    /// [`WsdSampler::gps`]: crate::algorithms::WsdSampler::gps
     Gps,
     /// Triest-FD.
     Triest,

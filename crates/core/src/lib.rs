@@ -14,9 +14,11 @@
 //!   Algorithms 1 & 2: weighted priority sampling that genuinely
 //!   removes deleted edges while preserving the inclusion-probability
 //!   identity `P[e ∈ R] = min(1, w/τq)` of Lemma 1 — plus
-//!   [`algorithms::GpsSampler`], [`algorithms::GpsASampler`],
-//!   [`algorithms::TriestSampler`], [`algorithms::ThinkDSampler`],
-//!   [`algorithms::WrsSampler`]).
+//!   [`algorithms::GpsASampler`], [`algorithms::TriestSampler`],
+//!   [`algorithms::ThinkDSampler`], [`algorithms::WrsSampler`]). GPS
+//!   is WSD's insertion-only mode ([`algorithms::WsdSampler::gps`]):
+//!   without deletions WSD's Cases 1–2 are GPS's fill and contest, and
+//!   the insert-only golden pins GPS, WSD-H and GPS-A bit-identical.
 //! * [`PatternQuery`] — the query layer: per-pattern estimator state
 //!   fed from the shared sample (Algorithm 2 and the baselines'
 //!   analogues; unbiased per query because the inclusion identity holds
@@ -88,8 +90,8 @@ pub use config::Algorithm;
 pub use engine::{Ensemble, EnsembleReport, SessionEnsembleReport};
 pub use policy::{PolicyArtifact, PolicyError, PolicyMeta, PolicyRegistry};
 pub use session::{
-    AttachError, EdgeSampler, PatternQuery, QueryCheckpoint, QueryCtx, QueryId, QueryReport,
-    SessionBuilder, SessionReport, StreamSession, WeightSwapError,
+    AttachError, EdgeSampler, PatternQuery, QueryCtx, QueryId, QueryReport, SessionBuilder,
+    SessionReport, StreamSession, WeightSwapError,
 };
 pub use snapshot::{
     fnv1a64, write_file_atomic, ByteReader, ByteWriter, QuerySnapshot, SamplerState, SessionConfig,

@@ -168,8 +168,8 @@ impl<'a> QueryCtx<'a> {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WeightSwapError {
     /// The sampler's algorithm has no swappable weight function (only
-    /// the WSD family swaps; GPS/GPS-A pin the heuristic, the uniform
-    /// baselines have no weights at all).
+    /// WSD-L, WSD-H and WSD-U swap; GPS and GPS-A pin the heuristic, the
+    /// uniform baselines have no weights at all).
     Unsupported {
         /// Display name of the rejecting sampler.
         algorithm: String,
@@ -397,7 +397,7 @@ pub(crate) fn warm_start_sums(
     }
 }
 
-/// Warm-up for the weighted samplers (WSD, GPS, GPS-A): each pattern
+/// Warm-up for the weighted samplers (WSD and GPS-A): each pattern
 /// instance fully inside `sample` seeds its query with the
 /// Horvitz–Thompson product `Π_{e ∈ J} 1/P[r(e) > τ]` over **all** its
 /// edges. Inverse probabilities are computed directly from the stored
@@ -452,22 +452,6 @@ pub struct SessionReport {
     pub stored_edges: usize,
     /// One line per attached query, in attachment order.
     pub queries: Vec<QueryReport>,
-}
-
-/// Point-in-time snapshot of a single query (the per-query analogue of
-/// [`SessionReport`]).
-#[derive(Copy, Clone, Debug)]
-pub struct QueryCheckpoint {
-    /// The query's handle.
-    pub id: QueryId,
-    /// The pattern being counted.
-    pub pattern: Pattern,
-    /// The current estimate.
-    pub estimate: f64,
-    /// Events processed by the session so far.
-    pub events: u64,
-    /// Edges currently held by the sampler.
-    pub stored_edges: usize,
 }
 
 /// One shared sampler pass answering N pattern queries.
@@ -530,7 +514,7 @@ impl StreamSession {
     /// stream **bit-identically**: every subsequent event produces the
     /// same estimate bits, reservoir slot orders and RNG draws as the
     /// uninterrupted original (the `snapshot_equivalence` suite pins
-    /// this for all six algorithms). Serialize with
+    /// this for every sampler). Serialize with
     /// [`SessionSnapshot::encode`].
     ///
     /// # Panics
@@ -742,21 +726,6 @@ impl StreamSession {
         self.sampler.query_estimate(&self.queries[self.resolve(id)])
     }
 
-    /// A point-in-time snapshot of one query.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query was detached.
-    pub fn checkpoint(&self, id: QueryId) -> QueryCheckpoint {
-        QueryCheckpoint {
-            id,
-            pattern: self.pattern(id),
-            estimate: self.estimate(id),
-            events: self.events,
-            stored_edges: self.stored_edges(),
-        }
-    }
-
     /// Combined snapshot of every attached query.
     pub fn report(&self) -> SessionReport {
         SessionReport {
@@ -823,8 +792,9 @@ impl StreamSession {
     ///
     /// # Errors
     ///
-    /// [`WeightSwapError::Unsupported`] if the sampler is not in the
-    /// WSD family; [`WeightSwapError::DimensionMismatch`] if a policy's
+    /// [`WeightSwapError::Unsupported`] if the sampler has no swappable
+    /// weight function (GPS, GPS-A and the uniform baselines);
+    /// [`WeightSwapError::DimensionMismatch`] if a policy's
     /// dimension does not fit the sampler's weight pattern. On error
     /// the session is unchanged.
     pub fn set_weight_fn(&mut self, spec: WeightSpec) -> Result<(), WeightSwapError> {
@@ -979,7 +949,7 @@ impl SessionBuilder {
     /// tests that drive [`EdgeSampler`] directly).
     pub fn build_sampler(&self) -> Box<dyn EdgeSampler> {
         use crate::algorithms::{
-            GpsASampler, GpsSampler, ThinkDSampler, TriestSampler, WrsSampler, WsdSampler,
+            GpsASampler, ThinkDSampler, TriestSampler, WrsSampler, WsdSampler,
         };
         let heuristic: Box<dyn WeightFn> = Box::new(HeuristicWeight);
         match self.algorithm {
@@ -1021,12 +991,9 @@ impl SessionBuilder {
                 heuristic,
                 self.seed,
             )),
-            Algorithm::Gps => Box::new(GpsSampler::new(
-                self.resolve_weight_pattern(),
-                self.capacity,
-                heuristic,
-                self.seed,
-            )),
+            Algorithm::Gps => {
+                Box::new(WsdSampler::gps(self.resolve_weight_pattern(), self.capacity, self.seed))
+            }
             Algorithm::Triest => Box::new(TriestSampler::new(self.capacity, self.seed)),
             Algorithm::ThinkD => Box::new(ThinkDSampler::new(self.capacity, self.seed)),
             Algorithm::Wrs => {

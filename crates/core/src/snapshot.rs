@@ -38,6 +38,7 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::Path;
 
+use crate::algorithms::wrs::room_split;
 use crate::config::Algorithm;
 use crate::state::TemporalPooling;
 use crate::weight::{FeatureNorm, LinearPolicy};
@@ -48,7 +49,7 @@ const MAGIC: &[u8; 4] = b"WSDS";
 /// Encoding version (bump on any layout change). Blobs of any other
 /// version are rejected with [`SnapshotError::BadHeader`]; there is no
 /// compatibility reader.
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------
 // Errors
@@ -573,7 +574,9 @@ impl RpState {
 
 /// Algorithm-specific sampler state — everything a freshly built
 /// sampler skeleton needs overwritten to resume the original's
-/// trajectory bit-for-bit.
+/// trajectory bit-for-bit. There is one variant per sampler: GPS runs
+/// on the WSD sampler ([`WsdSampler::gps`]), so a GPS session
+/// snapshots as [`SamplerState::Wsd`], its threshold `z` as `τ_q`.
 ///
 /// Heaps and reservoirs travel in **verbatim slot order** (layout is
 /// observable through tie-breaking, sifting, and victim draws); the
@@ -581,10 +584,13 @@ impl RpState {
 /// *including stale entries*, because canonical snapshot bytes of the
 /// original and a restored twin must stay comparable after further
 /// events.
+///
+/// [`WsdSampler::gps`]: crate::algorithms::WsdSampler::gps
 #[derive(Clone, Debug, PartialEq)]
 pub enum SamplerState {
-    /// WSD (all three weight variants): rank heap keyed by arena edge
-    /// ID, weighted sample, the two thresholds, event clock, RNG.
+    /// WSD (all three weight variants, and GPS): rank heap keyed by
+    /// arena edge ID, weighted sample, the two thresholds, event clock,
+    /// RNG.
     Wsd {
         /// Heap `(edge id, rank)` in verbatim slot order.
         heap: Vec<(u32, f64)>,
@@ -594,20 +600,6 @@ pub enum SamplerState {
         tau_p: f64,
         /// Deletion-compensation threshold `τ_q`.
         tau_q: f64,
-        /// Event clock.
-        t: u64,
-        /// xoshiro256++ state words.
-        rng: [u64; 4],
-    },
-    /// GPS (insertion-only): rank heap, weighted sample, threshold `z`,
-    /// event clock, RNG.
-    Gps {
-        /// Heap `(edge id, rank)` in verbatim slot order.
-        heap: Vec<(u32, f64)>,
-        /// The weighted sampled graph.
-        sample: WeightedSampleState,
-        /// Threshold `z = r_{M+1}`.
-        z: f64,
         /// Event clock.
         t: u64,
         /// xoshiro256++ state words.
@@ -681,14 +673,6 @@ impl SamplerState {
                 w.put_u64(*t);
                 put_rng(w, *rng);
             }
-            SamplerState::Gps { heap, sample, z, t, rng } => {
-                w.put_u8(1);
-                put_heap(w, heap);
-                sample.encode(w);
-                w.put_f64(*z);
-                w.put_u64(*t);
-                put_rng(w, *rng);
-            }
             SamplerState::GpsA {
                 heap,
                 item_edge,
@@ -700,7 +684,7 @@ impl SamplerState {
                 t,
                 rng,
             } => {
-                w.put_u8(2);
+                w.put_u8(1);
                 put_heap(w, heap);
                 w.put_len(item_edge.len());
                 for &e in item_edge {
@@ -724,7 +708,7 @@ impl SamplerState {
                 put_rng(w, *rng);
             }
             SamplerState::Rp { reservoir, adj, rng } => {
-                w.put_u8(3);
+                w.put_u8(2);
                 reservoir.encode(w);
                 put_layout(w, adj);
                 put_rng(w, *rng);
@@ -739,7 +723,7 @@ impl SamplerState {
                 adj,
                 rng,
             } => {
-                w.put_u8(4);
+                w.put_u8(3);
                 w.put_len(room_fifo.len());
                 for &(e, seq) in room_fifo {
                     put_edge(w, e);
@@ -769,14 +753,7 @@ impl SamplerState {
                 t: r.get_u64()?,
                 rng: get_rng(r)?,
             },
-            1 => SamplerState::Gps {
-                heap: get_heap(r)?,
-                sample: WeightedSampleState::decode(r)?,
-                z: r.get_f64()?,
-                t: r.get_u64()?,
-                rng: get_rng(r)?,
-            },
-            2 => {
+            1 => {
                 let heap = get_heap(r)?;
                 let n = r.get_len()?;
                 let mut item_edge = Vec::with_capacity(n);
@@ -810,12 +787,12 @@ impl SamplerState {
                     rng: get_rng(r)?,
                 }
             }
-            3 => SamplerState::Rp {
+            2 => SamplerState::Rp {
                 reservoir: RpState::decode(r)?,
                 adj: get_layout(r)?,
                 rng: get_rng(r)?,
             },
-            4 => {
+            3 => {
                 let n = r.get_len()?;
                 let mut room_fifo = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -1023,25 +1000,27 @@ impl SessionSnapshot {
     /// runaway allocation:
     ///
     /// * every query is named by exactly one handle;
-    /// * the sampler-state variant is the one the algorithm builds;
+    /// * the sampler-state variant is the one the algorithm builds (a
+    ///   WSD state for WSD-L/H/U and for GPS, which runs on the WSD
+    ///   sampler);
     /// * a weighted algorithm carries a weight pattern with
     ///   `|H| ≤ capacity`, and a WSD-L policy has dimension `|H| + 3`;
     /// * the reservoir holds at most `capacity` edges, and every heap
     ///   key — an arena edge ID or a GPS-A item ID, both recycled so
     ///   that fewer than `capacity` are ever live — is below `capacity`;
-    /// * a WSD or GPS heap is keyed by exactly the sample's live arena
-    ///   IDs (`0..id_bound` minus the free list, each once), so no
-    ///   restored heap entry can alias a live edge or a freed ID;
+    /// * a WSD heap is keyed by exactly the sample's live arena IDs
+    ///   (`0..id_bound` minus the free list, each once), so no restored
+    ///   heap entry can alias a live edge or a freed ID;
     /// * a weighted sample carries metadata for exactly those live IDs,
     ///   which the restore writes into slots sized by `id_bound`;
-    /// * a weighted sampler's thresholds (WSD's `τ_p` and `τ_q`, GPS's
-    ///   and GPS-A's `z`) are finite and non-negative, and its heap ranks
-    ///   and edge weights finite and positive — the inclusion
-    ///   probability `min(1, w/τ)` divides by them, and the heap orders
-    ///   by rank;
-    /// * a WRS waiting-room fraction lies in `(0, 1)`, as
-    ///   [`WrsSampler::with_fraction`](crate::algorithms::WrsSampler::with_fraction)
-    ///   requires (other algorithms carry the field unused).
+    /// * a weighted sampler's thresholds (WSD's `τ_p` and `τ_q`, GPS-A's
+    ///   `z`) are finite and non-negative, and its heap ranks and edge
+    ///   weights finite and positive — the inclusion probability
+    ///   `min(1, w/τ)` divides by them, and the heap orders by rank;
+    /// * the uniform reservoirs can be built: Triest and ThinkD need a
+    ///   positive capacity, and a WRS budget must split into a waiting
+    ///   room and a non-empty reservoir at its fraction ([`room_split`];
+    ///   other algorithms carry the fraction unused).
     ///
     /// The sampled adjacency's own layout is checked when it is rebuilt
     /// ([`wsd_graph::AdjacencyBase::from_layout`]).
@@ -1079,12 +1058,18 @@ impl SessionSnapshot {
         if let Some(what) = invalid {
             return Err(SnapshotError::Invalid(what));
         }
-        if cfg.algorithm == Wrs && !(cfg.wrs_fraction > 0.0 && cfg.wrs_fraction < 1.0) {
-            return Err(SnapshotError::Invalid("WRS waiting-room fraction outside (0, 1)"));
+        let unbuildable = match cfg.algorithm {
+            Triest | ThinkD if cfg.capacity == 0 => Some("uniform reservoir of capacity 0"),
+            Wrs if room_split(cfg.capacity as usize, cfg.wrs_fraction).is_none() => {
+                Some("WRS budget cannot hold its waiting room and a reservoir")
+            }
+            _ => None,
+        };
+        if let Some(what) = unbuildable {
+            return Err(SnapshotError::Invalid(what));
         }
         let (entries, heap) = match (&self.sampler, cfg.algorithm) {
-            (SamplerState::Wsd { heap, .. }, WsdL | WsdH | WsdUniform)
-            | (SamplerState::Gps { heap, .. }, Gps)
+            (SamplerState::Wsd { heap, .. }, WsdL | WsdH | WsdUniform | Gps)
             | (SamplerState::GpsA { heap, .. }, GpsA) => (heap.len(), heap.as_slice()),
             (SamplerState::Rp { reservoir, .. }, Triest | ThinkD)
             | (SamplerState::Wrs { reservoir, .. }, Wrs) => (reservoir.edges.len(), &[][..]),
@@ -1096,12 +1081,11 @@ impl SessionSnapshot {
             return Err(SnapshotError::Invalid("reservoir exceeds the capacity"));
         }
         let threshold = |tau: f64| tau.is_finite() && tau >= 0.0;
-        // GPS-A keys its heap by item ID, WSD and GPS by arena edge ID.
+        // GPS-A keys its heap by item ID, WSD by arena edge ID.
         let (sample, keyed_by_edge, thresholds_ok) = match &self.sampler {
             SamplerState::Wsd { sample, tau_p, tau_q, .. } => {
                 (sample, true, threshold(*tau_p) && threshold(*tau_q))
             }
-            SamplerState::Gps { sample, z, .. } => (sample, true, threshold(*z)),
             SamplerState::GpsA { sample, z, .. } => (sample, false, threshold(*z)),
             SamplerState::Rp { .. } | SamplerState::Wrs { .. } => return Ok(()),
         };
@@ -1184,11 +1168,15 @@ mod tests {
     fn snapshot_for(sampler: SamplerState) -> SessionSnapshot {
         let algorithm = match sampler {
             SamplerState::Wsd { .. } => Algorithm::WsdH,
-            SamplerState::Gps { .. } => Algorithm::Gps,
             SamplerState::GpsA { .. } => Algorithm::GpsA,
             SamplerState::Rp { .. } => Algorithm::Triest,
             SamplerState::Wrs { .. } => Algorithm::Wrs,
         };
+        snapshot_as(algorithm, sampler)
+    }
+
+    /// A snapshot of `sampler` under `algorithm` (GPS for a WSD state).
+    fn snapshot_as(algorithm: Algorithm, sampler: SamplerState) -> SessionSnapshot {
         SessionSnapshot {
             config: SessionConfig {
                 algorithm,
@@ -1226,13 +1214,6 @@ mod tests {
                 t: 99,
                 rng: [1, 2, 3, 4],
             },
-            SamplerState::Gps {
-                heap: vec![(1, 0.25), (0, 0.5)],
-                sample: sample_state(),
-                z: 8.0,
-                t: 7,
-                rng: [5, 6, 7, 8],
-            },
             SamplerState::GpsA {
                 heap: vec![(2, 1.0)],
                 item_edge: vec![Edge::new(1, 2), Edge::new(3, 4), Edge::new(5, 6)],
@@ -1268,8 +1249,18 @@ mod tests {
                 rng: [17, 18, 19, 20],
             },
         ];
-        for sampler in variants {
-            let snap = snapshot_for(sampler);
+        let gps = snapshot_as(
+            Algorithm::Gps,
+            SamplerState::Wsd {
+                heap: vec![(1, 0.25), (0, 0.5)],
+                sample: sample_state(),
+                tau_p: 0.25,
+                tau_q: 8.0,
+                t: 7,
+                rng: [5, 6, 7, 8],
+            },
+        );
+        for snap in variants.into_iter().map(snapshot_for).chain([gps]) {
             let bytes = snap.encode();
             let back = SessionSnapshot::decode(&bytes).expect("decode");
             assert_eq!(back, snap);
@@ -1375,12 +1366,13 @@ mod tests {
     }
 
     /// A blob of another encoding version — version 1 still carried the
-    /// mass-kernel byte, version 2 the layered-enumeration byte — is
-    /// rejected at the header, never misparsed.
+    /// mass-kernel byte, version 2 the layered-enumeration byte, version
+    /// 3 a GPS sampler-state variant — is rejected at the header, never
+    /// misparsed.
     #[test]
     fn rejects_other_encoding_versions() {
         let bytes = snapshot_for(empty_triest()).encode();
-        for version in [1u32, 2, VERSION + 1] {
+        for version in [1u32, 2, 3, VERSION + 1] {
             let mut skewed = bytes.clone();
             skewed[4..8].copy_from_slice(&version.to_le_bytes());
             assert_eq!(SessionSnapshot::decode(&skewed), Err(SnapshotError::BadHeader));
@@ -1411,14 +1403,7 @@ mod tests {
         for key in [64, 1 << 28, u32::MAX - 1] {
             assert_invalid(&snapshot_for(wsd_with_heap(vec![(0, 1.0), (key, 2.0)])), "WSD key");
         }
-        let gps = SamplerState::Gps {
-            heap: vec![(64, 1.0)],
-            sample: empty_sample(),
-            z: 0.0,
-            t: 0,
-            rng: [1, 2, 3, 4],
-        };
-        assert_invalid(&snapshot_for(gps), "GPS key");
+        assert_invalid(&snapshot_as(Algorithm::Gps, wsd_with_heap(vec![(64, 1.0)])), "GPS key");
         let gps_a = SamplerState::GpsA {
             heap: vec![(64, 1.0)],
             item_edge: vec![],
@@ -1471,14 +1456,15 @@ mod tests {
         let SamplerState::Wsd { sample, .. } = &mut forged.sampler else { unreachable!() };
         sample.meta[0].0 = id_bound;
         assert_invalid(&forged, "WSD metadata ID at id_bound");
-        let gps = SamplerState::Gps {
+        let gps = SamplerState::Wsd {
             heap: vec![(0, 0.25), (0, 0.5)],
             sample: sample_state(),
-            z: 0.0,
+            tau_p: 0.0,
+            tau_q: 0.0,
             t: 0,
             rng: [1, 2, 3, 4],
         };
-        assert_invalid(&snapshot_for(gps), "GPS key repeated over two live IDs");
+        assert_invalid(&snapshot_as(Algorithm::Gps, gps), "GPS key repeated over two live IDs");
         let mut sample = sample_state();
         sample.meta[1].0 = 3;
         let gps_a = SamplerState::GpsA {
@@ -1499,9 +1485,10 @@ mod tests {
     /// into inclusion probabilities `min(1, w/τ)`, and its heap orders by
     /// rank. A WSD-H session (M = 16) fed a 12-vertex clique is forged
     /// with a τ or `z` that is negative or not finite, or with a heap
-    /// rank or an edge weight that is not positive and finite. Restored,
-    /// each forgery would skew the estimates that follow (a zero weight
-    /// makes a warm-up infinite).
+    /// rank or an edge weight that is not positive and finite, and so
+    /// are hand-built GPS (a WSD state, `z` as `τ_q`) and GPS-A states.
+    /// Restored, each forgery would skew the estimates that follow (a
+    /// zero weight makes a warm-up infinite).
     #[test]
     fn rejects_bad_thresholds_ranks_and_weights() {
         let mut session = crate::session::SessionBuilder::new(Algorithm::WsdH, 16, 5)
@@ -1537,10 +1524,11 @@ mod tests {
         let gps = |z: f64, rank: f64, weight: f64| {
             let mut sample = sample_state();
             sample.meta[0].1 = weight;
-            SamplerState::Gps {
+            SamplerState::Wsd {
                 heap: vec![(1, 0.25), (0, rank)],
                 sample,
-                z,
+                tau_p: 0.25,
+                tau_q: z,
                 t: 7,
                 rng: [5, 6, 7, 8],
             }
@@ -1561,32 +1549,26 @@ mod tests {
             }
         };
         type Variant = fn(f64, f64, f64) -> SamplerState;
-        let variants: [(Variant, &str); 2] = [(gps, "GPS"), (gps_a, "GPS-A")];
-        for (variant, name) in variants {
-            let honest = snapshot_for(variant(8.0, 0.5, 1.5));
-            assert!(SessionSnapshot::decode(&honest.encode()).is_ok(), "{name} decodes");
+        let variants: [(Variant, Algorithm); 2] = [(gps, Algorithm::Gps), (gps_a, Algorithm::GpsA)];
+        for (variant, algorithm) in variants {
+            let name = algorithm.name();
+            let snap = |z, rank, weight| snapshot_as(algorithm, variant(z, rank, weight));
+            assert!(
+                SessionSnapshot::decode(&snap(8.0, 0.5, 1.5).encode()).is_ok(),
+                "{name} decodes"
+            );
             for bad in [f64::NAN, f64::INFINITY, -1.0] {
-                assert_invalid(&snapshot_for(variant(bad, 0.5, 1.5)), &format!("{name} z = {bad}"));
+                assert_invalid(&snap(bad, 0.5, 1.5), &format!("{name} z = {bad}"));
             }
             for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
-                assert_invalid(
-                    &snapshot_for(variant(8.0, bad, 1.5)),
-                    &format!("{name} rank {bad}"),
-                );
-                assert_invalid(
-                    &snapshot_for(variant(8.0, 0.5, bad)),
-                    &format!("{name} weight {bad}"),
-                );
+                assert_invalid(&snap(8.0, bad, 1.5), &format!("{name} rank {bad}"));
+                assert_invalid(&snap(8.0, 0.5, bad), &format!("{name} weight {bad}"));
             }
         }
     }
 
-    /// `WrsSampler::with_fraction` asserts a waiting-room fraction in
-    /// `(0, 1)`, so a WRS snapshot outside it would panic in the
-    /// restore. Other algorithms carry the field unused.
-    #[test]
-    fn rejects_wrs_fractions_outside_the_unit_interval() {
-        let wrs = SamplerState::Wrs {
+    fn empty_wrs() -> SamplerState {
+        SamplerState::Wrs {
             room_fifo: vec![],
             room_seq: vec![],
             room_len: 0,
@@ -1595,8 +1577,15 @@ mod tests {
             reservoir: empty_rp(),
             adj: AdjacencyLayout { vertices: vec![], free: vec![], id_bound: 0 },
             rng: [1, 2, 3, 4],
-        };
-        let honest = snapshot_for(wrs);
+        }
+    }
+
+    /// `WrsSampler::with_fraction` asserts a waiting-room fraction in
+    /// `(0, 1)`, so a WRS snapshot outside it would panic in the
+    /// restore. Other algorithms carry the field unused.
+    #[test]
+    fn rejects_wrs_fractions_outside_the_unit_interval() {
+        let honest = snapshot_for(empty_wrs());
         assert!(SessionSnapshot::decode(&honest.encode()).is_ok(), "fraction 0.1 decodes");
         for bad in [f64::NAN, 1.5, 1.0, 0.0, -0.5, f64::INFINITY] {
             let mut forged = honest.clone();
@@ -1605,6 +1594,66 @@ mod tests {
             let mut unused = snapshot_for(empty_triest());
             unused.config.wrs_fraction = bad;
             assert!(SessionSnapshot::decode(&unused.encode()).is_ok(), "Triest ignores {bad}");
+        }
+    }
+
+    /// Budgets whose uniform reservoirs the restore cannot build: a WRS
+    /// budget too small for its waiting room plus a non-empty reservoir
+    /// ("budget M = 1 too small" at fraction 0.1), and capacity 0 for
+    /// Triest, ThinkD or WRS (an empty random-pairing reservoir). Each
+    /// decoded cleanly and then panicked in the restore; the smallest
+    /// buildable budgets still decode.
+    #[test]
+    fn rejects_reservoir_budgets_the_restore_cannot_build() {
+        let with_capacity = |sampler: SamplerState, algorithm: Algorithm, capacity: u64| {
+            let mut snap = snapshot_as(algorithm, sampler);
+            snap.config.capacity = capacity;
+            snap
+        };
+        for (algorithm, capacity) in [
+            (Algorithm::Wrs, 1),
+            (Algorithm::Wrs, 0),
+            (Algorithm::Triest, 0),
+            (Algorithm::ThinkD, 0),
+        ] {
+            let sampler = if algorithm == Algorithm::Wrs { empty_wrs() } else { empty_triest() };
+            let forged = with_capacity(sampler, algorithm, capacity);
+            assert_invalid(&forged, &format!("{} at capacity {capacity}", algorithm.name()));
+        }
+        for (sampler, algorithm, capacity) in [
+            (empty_wrs(), Algorithm::Wrs, 2),
+            (empty_triest(), Algorithm::Triest, 1),
+            (empty_triest(), Algorithm::ThinkD, 1),
+        ] {
+            let honest = with_capacity(sampler, algorithm, capacity);
+            let decoded = SessionSnapshot::decode(&honest.encode());
+            assert!(decoded.is_ok(), "{} at capacity {capacity}: {decoded:?}", algorithm.name());
+            crate::session::StreamSession::restore(&honest);
+        }
+    }
+
+    /// Probes the WRS room capacity `⌈M·fraction⌉` over a grid of
+    /// budgets and fractions: `decode` accepts exactly the budgets
+    /// `WrsSampler::with_fraction` builds without panicking, and every
+    /// accepted snapshot restores.
+    #[test]
+    fn probe_wrs_room_capacity() {
+        use crate::algorithms::WrsSampler;
+        for fraction in [0.05, 0.1, 0.25, 0.5, 0.9, 0.99, 0.0, 1.0, f64::NAN] {
+            for capacity in 0..=24u64 {
+                let mut snap = snapshot_for(empty_wrs());
+                snap.config.capacity = capacity;
+                snap.config.wrs_fraction = fraction;
+                let builds = std::panic::catch_unwind(|| {
+                    WrsSampler::with_fraction(capacity as usize, fraction, 1)
+                })
+                .is_ok();
+                let decoded = SessionSnapshot::decode(&snap.encode());
+                assert_eq!(decoded.is_ok(), builds, "M = {capacity}, fraction {fraction}");
+                if builds {
+                    crate::session::StreamSession::restore(&snap);
+                }
+            }
         }
     }
 
@@ -1650,9 +1699,12 @@ mod tests {
         let mut snap = snapshot_for(empty_triest());
         snap.config.algorithm = Algorithm::WsdH;
         assert_invalid(&snap, "WSD-H over a random-pairing state");
-        let mut snap = snapshot_for(empty_wsd());
+        let mut snap = snapshot_for(empty_triest());
         snap.config.algorithm = Algorithm::Gps;
-        assert_invalid(&snap, "GPS over a WSD state");
+        assert_invalid(&snap, "GPS over a random-pairing state");
+        // GPS runs on the WSD sampler, so a WSD state is its own.
+        let gps = snapshot_as(Algorithm::Gps, empty_wsd());
+        assert_eq!(SessionSnapshot::decode(&gps.encode()), Ok(gps));
     }
 
     #[test]

@@ -75,16 +75,6 @@ impl StateVector {
     pub fn empty() -> Self {
         Self { values: Vec::new() }
     }
-
-    /// Overwrites this buffer with the truncated observation `[|H_k|]`
-    /// handed to weight functions that declare
-    /// [`needs_full_state`](crate::weight::WeightFn::needs_full_state)
-    /// `== false`: feature 0 (and [`StateVector::instances`]) stays
-    /// valid; the degree and temporal features are absent.
-    pub fn set_instances_only(&mut self, instances: u64) {
-        self.values.clear();
-        self.values.push(instances as f64);
-    }
 }
 
 /// Streaming accumulator filled during instance enumeration.

@@ -30,26 +30,17 @@ pub trait WeightFn: Send {
     /// completed-instance count alone, its coefficients `(a, b)`.
     ///
     /// The samplers then compute exactly that expression inline on the
-    /// hot path — no state buffer, no dynamic call — so implementations
+    /// hot path — no state buffer, no dynamic call, and none of the
+    /// temporal-block accumulation of Eq. 20 (the per-instance time
+    /// sort, the dominant non-enumeration cost of an insertion); `|H_k|`
+    /// is a free by-product of the estimator mass pass. Implementations
     /// must guarantee `weight(s) == a * s.instances() + b` bit-for-bit
-    /// (evaluated in that order). `None` (the default) keeps the
-    /// state-vector call path.
+    /// (evaluated in that order). `None` (the default) observes the full
+    /// `|H|+3`-dimensional state through [`WeightFn::weight`], as does an
+    /// installed insertion observer, so observed states are always
+    /// whole.
     fn instances_affine(&self) -> Option<(f64, f64)> {
         None
-    }
-    /// Whether this function reads the full `|H|+3`-dimensional state.
-    ///
-    /// Functions returning `false` are handed a *truncated* observation
-    /// holding only feature 0 — `|H_k|`, still readable through
-    /// [`StateVector::instances`] — and the samplers skip the
-    /// temporal-block accumulation of Eq. 20 (the per-instance time
-    /// sort, the dominant non-enumeration cost of an insertion)
-    /// entirely. `|H_k|` is a free by-product of the estimator mass
-    /// pass, so [`UniformWeight`] and [`HeuristicWeight`] opt out; an
-    /// installed insertion observer always forces the full state back
-    /// on, so observed states are never truncated.
-    fn needs_full_state(&self) -> bool {
-        true
     }
     /// Short name for experiment tables (e.g. `WSD-L`).
     fn name(&self) -> &'static str;
@@ -66,9 +57,6 @@ impl WeightFn for UniformWeight {
     fn instances_affine(&self) -> Option<(f64, f64)> {
         Some((0.0, 1.0)) // 0·|H| + 1 ≡ 1 exactly
     }
-    fn needs_full_state(&self) -> bool {
-        false // reads nothing at all
-    }
     fn name(&self) -> &'static str {
         "uniform"
     }
@@ -84,9 +72,6 @@ impl WeightFn for HeuristicWeight {
     }
     fn instances_affine(&self) -> Option<(f64, f64)> {
         Some((9.0, 1.0))
-    }
-    fn needs_full_state(&self) -> bool {
-        false // reads |H_k| only
     }
     fn name(&self) -> &'static str {
         "WSD-H"

@@ -20,13 +20,11 @@
 //! Deterministic scenarios pin the regimes a batch-level shortcut would
 //! most easily get wrong — the fill phase, ID-recycling churn waves and
 //! WRS ghost-position re-admissions — and a proptest sweeps feasible
-//! dynamic streams × batch partitions × capacities for all six
-//! algorithms.
+//! dynamic streams × batch partitions × capacities for all five
+//! samplers, plus WSD's insertion-only GPS mode.
 
 use proptest::prelude::*;
-use wsd_core::algorithms::{
-    GpsASampler, GpsSampler, ThinkDSampler, TriestSampler, WrsSampler, WsdSampler,
-};
+use wsd_core::algorithms::{GpsASampler, ThinkDSampler, TriestSampler, WrsSampler, WsdSampler};
 use wsd_core::state::TemporalPooling;
 use wsd_core::weight::HeuristicWeight;
 use wsd_core::{EdgeSampler, PatternQuery, QueryCtx};
@@ -140,11 +138,6 @@ fn wsd_snap(s: &WsdSampler) -> (Vec<(Edge, u64)>, (u64, u64)) {
     (heap, (tau_p.to_bits(), tau_q.to_bits()))
 }
 
-fn gps_snap(s: &GpsSampler) -> (Vec<(Edge, u64)>, u64) {
-    let heap = s.reservoir_snapshot().into_iter().map(|(e, r)| (e, r.to_bits())).collect();
-    (heap, s.threshold().to_bits())
-}
-
 fn gps_a_snap(s: &GpsASampler) -> Vec<(Edge, bool, u64)> {
     s.reservoir_snapshot().into_iter().map(|(e, live, r)| (e, live, r.to_bits())).collect()
 }
@@ -226,10 +219,10 @@ fn gps_fill_plan_matches_per_event() {
     }
     for &cuts in &[&[1usize][..], &[11, 4][..], &[256][..]] {
         let mut lock = Lockstep::new(
-            GpsSampler::new(Pattern::Triangle, 16, Box::new(HeuristicWeight), 13),
-            GpsSampler::new(Pattern::Triangle, 16, Box::new(HeuristicWeight), 13),
+            WsdSampler::gps(Pattern::Triangle, 16, 13),
+            WsdSampler::gps(Pattern::Triangle, 16, 13),
             &[Pattern::Triangle],
-            gps_snap,
+            wsd_snap,
         );
         lock.drive(&stream, cuts).unwrap();
     }
@@ -288,9 +281,9 @@ fn wrs_ghost_position_readmissions_match_per_event() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Full sweep: all six algorithms, feasible dynamic churn, arbitrary
-    /// batch partitions, budgets small enough to exercise every
-    /// admission/eviction/fill regime.
+    /// Full sweep: every sampler (GPS on the first insertions), feasible
+    /// dynamic churn, arbitrary batch partitions, budgets small enough
+    /// to exercise every admission/eviction/fill regime.
     #[test]
     fn prop_admission_paths_bit_identical(
         intents in proptest::collection::vec((0u8..20, 0u8..20, any::<bool>()), 0..250),
@@ -340,10 +333,10 @@ proptest! {
             .filter(|ev| ev.is_insert() && seen.insert(ev.edge))
             .collect();
         Lockstep::new(
-            GpsSampler::new(Pattern::Triangle, capacity, Box::new(HeuristicWeight), seed),
-            GpsSampler::new(Pattern::Triangle, capacity, Box::new(HeuristicWeight), seed),
+            WsdSampler::gps(Pattern::Triangle, capacity, seed),
+            WsdSampler::gps(Pattern::Triangle, capacity, seed),
             &queries,
-            gps_snap,
+            wsd_snap,
         )
         .drive(&inserts, &cuts)?;
     }

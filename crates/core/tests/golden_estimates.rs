@@ -78,7 +78,10 @@ fn golden_light_deletion_ba() {
 /// therefore absent from the two dynamic-stream pins) — and documents
 /// that GPS, WSD-H and GPS-A coincide exactly on insertion-only
 /// streams with the same weight function and seed, as the paper's
-/// framework lineage implies.
+/// framework lineage implies. GPS runs as the WSD sampler's
+/// insertion-only mode (`WsdSampler::gps`); its values were captured
+/// from the former standalone GPS sampler and have not moved, which
+/// is the proof that the mode is GPS.
 #[test]
 fn golden_insert_only_ba_covers_plain_gps() {
     let edges = GeneratorConfig::BarabasiAlbert { vertices: 300, edges_per_vertex: 4 }.generate(21);

@@ -11,7 +11,8 @@
 //!   session's rebuildable configuration);
 //! * the swap itself touches nothing: estimates, stored-edge counts
 //!   and events are unchanged at the swap point, and rejected swaps
-//!   (wrong dimension, non-WSD sampler) leave the session untouched.
+//!   (wrong dimension, a sampler without a swappable weight function,
+//!   GPS included) leave the session untouched.
 
 use wsd_core::{
     Algorithm, FeatureNorm, LinearPolicy, SessionBuilder, StreamSession, WeightSpec,
@@ -192,6 +193,35 @@ fn rejected_swaps_leave_the_session_untouched() {
     }
     // The rejected session still tracks an untouched twin bit for bit.
     for (i, &ev) in stream.iter().enumerate() {
+        session.process(ev);
+        twin.process(ev);
+        assert_eq!(estimates(&session), estimates(&twin), "event {i}");
+    }
+}
+
+/// GPS runs on the WSD sampler but pins the heuristic: all three weight
+/// specs are rejected as unsupported, the session's snapshot (its
+/// rebuildable configuration included) stays the untouched twin's, and
+/// so does every later estimate.
+#[test]
+fn gps_rejects_every_swap_and_keeps_its_trajectory() {
+    let mut seen = std::collections::BTreeSet::new();
+    let inserts: Vec<EdgeEvent> = churn_stream(400, 0x6B5)
+        .into_iter()
+        .filter(|ev| ev.is_insert() && seen.insert(ev.edge))
+        .collect();
+    let gps = || SessionBuilder::new(Algorithm::Gps, 24, 9).query(Pattern::Triangle).build();
+    let (mut session, mut twin) = (gps(), gps());
+    let half = inserts.len() / 2;
+    session.process_batch(&inserts[..half]);
+    twin.process_batch(&inserts[..half]);
+    for spec in [WeightSpec::Uniform, WeightSpec::Heuristic, WeightSpec::Policy(policy())] {
+        let unsupported = WeightSwapError::Unsupported { algorithm: "GPS".to_string() };
+        assert_eq!(session.set_weight_fn(spec), Err(unsupported));
+    }
+    assert_eq!(session.name(), "GPS");
+    assert_eq!(session.snapshot(), twin.snapshot());
+    for (i, &ev) in inserts[half..].iter().enumerate() {
         session.process(ev);
         twin.process(ev);
         assert_eq!(estimates(&session), estimates(&twin), "event {i}");

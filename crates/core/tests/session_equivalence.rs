@@ -17,8 +17,12 @@
 //! 3. **Attach/detach churn leaves the sampler untouched**: the
 //!    surviving queries and the sample trajectory are bit-identical to
 //!    a session that never attached anything.
+//! 4. **The insertion-only reduction** behind paper Table VI: without
+//!    deletions GPS, WSD-H and GPS-A are one sampler, and GPS rejects a
+//!    deletion before anything changes.
 
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use wsd_core::{Algorithm, QueryId, SessionBuilder, StreamSession};
 use wsd_graph::{Edge, EdgeEvent, Pattern};
 
@@ -297,4 +301,72 @@ proptest! {
             prop_assert_eq!(plain.stored_edges(), churny.stored_edges());
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// 4. The insertion-only reduction (paper Table VI).
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Without deletions WSD-H and GPS-A reduce exactly to GPS, which is
+    /// why Table VI lists plain GPS in their place. For wedge, triangle
+    /// and 4-clique, at every capacity that holds one instance, the
+    /// three single-query sessions agree bit for bit on the estimate
+    /// and on the stored-edge count at every batch boundary.
+    #[test]
+    fn prop_gps_wsd_h_and_gps_a_coincide_without_deletions(
+        pairs in proptest::collection::vec((0u8..20, 0u8..20), 0..240),
+        batch in 1usize..40,
+        spare in 0usize..30,
+        seed in 0u64..1_000,
+    ) {
+        let inserts: Vec<(u8, u8, bool)> = pairs.into_iter().map(|(a, b)| (a, b, false)).collect();
+        let stream = feasible_stream(&inserts);
+        for pattern in PATTERNS {
+            let capacity = pattern.num_edges() + spare;
+            let mut sessions = [Algorithm::Gps, Algorithm::WsdH, Algorithm::GpsA]
+                .map(|alg| single_query_session(alg, pattern, capacity, seed));
+            for (i, chunk) in stream.chunks(batch).enumerate() {
+                for (session, _) in &mut sessions {
+                    session.process_batch(chunk);
+                }
+                let [(gps, gps_query), others @ ..] = &sessions;
+                for (other, query) in others {
+                    prop_assert_eq!(
+                        other.estimate(*query).to_bits(),
+                        gps.estimate(*gps_query).to_bits(),
+                        "{} left GPS on {} after batch {}", other.name(), pattern.name(), i
+                    );
+                    prop_assert_eq!(other.stored_edges(), gps.stored_edges());
+                }
+            }
+        }
+    }
+}
+
+/// A GPS session panics on a deletion with GPS's own message, before
+/// any state changes: it snapshots the same after the panic as before.
+#[test]
+fn gps_session_panics_on_a_deletion_before_any_state_change() {
+    let mut session = SessionBuilder::new(Algorithm::Gps, 8, 3).query(Pattern::Triangle).build();
+    // The churn stream opens with the 120 insertions of a 16-clique.
+    session.process_batch(&churn_stream()[..40]);
+    let before = session.snapshot();
+    let payload = catch_unwind(AssertUnwindSafe(|| {
+        session.process(EdgeEvent::delete(Edge::new(0, 1)));
+    }))
+    .expect_err("GPS must reject a deletion");
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|m| m.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .expect("a text panic");
+    assert_eq!(
+        message,
+        "GPS cannot process deletion events (paper §III-A); \
+         use GPS-A or WSD for fully dynamic streams"
+    );
+    assert_eq!(session.snapshot(), before);
 }

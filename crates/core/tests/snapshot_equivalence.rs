@@ -307,9 +307,7 @@ fn forged_layouts(layout: &AdjacencyLayout) -> Vec<(&'static str, AdjacencyLayou
 
 fn sample_layout(sampler: &mut SamplerState) -> &mut AdjacencyLayout {
     match sampler {
-        SamplerState::Wsd { sample, .. }
-        | SamplerState::Gps { sample, .. }
-        | SamplerState::GpsA { sample, .. } => &mut sample.layout,
+        SamplerState::Wsd { sample, .. } | SamplerState::GpsA { sample, .. } => &mut sample.layout,
         SamplerState::Rp { adj, .. } | SamplerState::Wrs { adj, .. } => adj,
     }
 }

@@ -326,8 +326,11 @@ fn forged_restore_is_rejected_before_any_shard() {
     // that key, a heap key on the arena ID the stream's final deletion
     // freed would make the next admitted insert push that ID twice, and
     // a zero edge weight would make that edge's inclusion probability
-    // zero. The server must answer each Restore with an error at decode
-    // time, and the connection must go on serving.
+    // zero. A fourth forges the configuration: a WRS session at
+    // capacity 1, whose budget cannot hold its waiting room and a
+    // reservoir, so rebuilding it would panic. The server must answer
+    // each Restore with an error at decode time, and the connection
+    // must go on serving.
     let (server, mut client) = boot(2);
     let stream = churn_stream(10);
     let original = client.open(Algorithm::WsdH, 16, Some(5), &[Pattern::Triangle]).expect("opens");
@@ -346,13 +349,23 @@ fn forged_restore_is_rejected_before_any_shard() {
     let honest = snapshot(&mut client);
     let SamplerState::Wsd { sample, .. } = &honest.sampler else { unreachable!() };
     let freed = *sample.layout.free.last().expect("the deletion freed an arena ID");
-    for what in ["a heap key at the capacity", "a heap key on a freed ID", "a zero edge weight"] {
+    for what in [
+        "a heap key at the capacity",
+        "a heap key on a freed ID",
+        "a zero edge weight",
+        "a WRS budget of 1",
+    ] {
         let mut forged = honest.clone();
         let SamplerState::Wsd { heap, sample, .. } = &mut forged.sampler else { unreachable!() };
         match what {
             "a heap key at the capacity" => heap[0].0 = 16,
             "a heap key on a freed ID" => heap[0].0 = freed,
-            _ => sample.meta[0].1 = 0.0,
+            "a zero edge weight" => sample.meta[0].1 = 0.0,
+            _ => {
+                let wrs = SessionBuilder::new(Algorithm::Wrs, 16, 7).query(Pattern::Triangle);
+                forged = wrs.build().snapshot();
+                forged.config.capacity = 1;
+            }
         }
         match client.restore(forged.encode()) {
             Err(ClientError::Server(msg)) => {
