@@ -121,7 +121,7 @@ impl WrsSampler {
             spill_horizon: 0,
             room_capacity,
             reservoir: RpReservoir::new(reservoir_capacity),
-            adj: Adjacency::with_capacity(2 * capacity),
+            adj: Adjacency::new(),
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -342,7 +342,7 @@ impl EdgeSampler for WrsSampler {
     fn warm_start(&self, queries: &mut [PatternQuery], scratch: &mut EnumScratch) {
         let s = self.reservoir.len() as u64;
         let n_r = self.reservoir.population();
-        crate::session::warm_start_sums(queries, &self.replay_edges(), scratch, |payloads| {
+        crate::session::warm_start_sums(queries, self.replay_edges(), scratch, |payloads| {
             Self::instance_inv(payloads.iter().sum::<f64>() as u64, s, n_r)
         });
     }

@@ -94,14 +94,12 @@ impl WeightedSample {
     }
 
     /// Creates an empty sample pre-sized for a reservoir of `edges`
-    /// edges: the vertex table and the ID-indexed slot arrays are
-    /// allocated up front, so the fill phase never rehashes the
-    /// adjacency and the arrays never reallocate mid-stream (a reservoir
-    /// of `M` edges touches at most `2M` vertices and `M` concurrent
-    /// IDs).
+    /// edges: the ID-indexed slot arrays are allocated up front, so they
+    /// never reallocate mid-stream (a reservoir of `M` edges holds at
+    /// most `M` concurrent IDs). The vertex table grows with the
+    /// vertices it holds.
     pub fn with_capacity(edges: usize) -> Self {
         Self {
-            adj: Adjacency::with_capacity(2 * edges),
             meta: Vec::with_capacity(edges + 1),
             prob: Vec::with_capacity(edges + 1),
             ..Self::default()

@@ -358,7 +358,7 @@ pub(crate) fn for_each_sample_instance(
     if levels.is_empty() {
         return;
     }
-    let mut g = Adjacency::with_capacity(2 * edges.len());
+    let mut g = Adjacency::new();
     let mut payload: Vec<f64> = Vec::with_capacity(edges.len());
     let mut buf: Vec<f64> = Vec::new();
     for &(e, p) in edges {
@@ -381,14 +381,21 @@ pub(crate) fn for_each_sample_instance(
 /// Seeds each of `queries` with the sum, over the instances at its level
 /// that `edges` span, of `value(payloads)` (one
 /// [`for_each_sample_instance`] replay); τ is reset.
+///
+/// The replay runs in canonical order, sorted by [`Edge`]: the sums are
+/// floating-point, so they depend on the order instances arrive in, and
+/// the order a sample iterates in is its vertex table's hash order,
+/// which a restored table does not share with the live one it was
+/// snapshotted from. Sorted, a warm-up depends on the sample alone.
 pub(crate) fn warm_start_sums(
     queries: &mut [PatternQuery],
-    edges: &[(Edge, f64)],
+    mut edges: Vec<(Edge, f64)>,
     scratch: &mut EnumScratch,
     mut value: impl FnMut(&[f64]) -> f64,
 ) {
+    edges.sort_unstable_by_key(|&(e, _)| e);
     let mut sums = [0.0f64; LayeredLevels::COUNT];
-    for_each_sample_instance(levels_of(queries), edges, scratch, |level, payloads| {
+    for_each_sample_instance(levels_of(queries), &edges, scratch, |level, payloads| {
         sums[level] += value(payloads);
     });
     for q in queries {
@@ -411,7 +418,7 @@ pub(crate) fn warm_start_weighted(
 ) {
     let edges: Vec<(Edge, f64)> =
         sample.iter().map(|(e, meta)| (e, 1.0 / inclusion_prob(meta.weight, tau))).collect();
-    warm_start_sums(queries, &edges, scratch, |payloads| {
+    warm_start_sums(queries, edges, scratch, |payloads| {
         payloads.iter().fold(1.0, |prod, &p| prod * p)
     });
 }
@@ -554,7 +561,11 @@ impl StreamSession {
     /// skeleton is built from the carried configuration, then every
     /// piece of dynamic state is overlaid verbatim. The restored
     /// session is bit-identical to the original for all subsequent
-    /// events (see [`StreamSession::snapshot`]).
+    /// events (see [`StreamSession::snapshot`]), and so is a query
+    /// attached to both: warm-ups replay the sample in canonical
+    /// (`Edge`) order, not in the order of the sampled graph's vertex
+    /// table, which the restore sizes from the snapshot rather than
+    /// from the original's history.
     ///
     /// Query handles are **re-minted**: the restored session issues its
     /// own token, so [`QueryId`]s from the original session do not
@@ -647,7 +658,10 @@ impl StreamSession {
     /// enumerating the pattern instances inside the current sample once
     /// (see [`EdgeSampler::warm_start`]), then tracks every subsequent
     /// event incrementally. The sampler itself is untouched: its
-    /// trajectory is identical with or without the new query.
+    /// trajectory is identical with or without the new query. The
+    /// warm-up replays the sample in canonical (`Edge`) order, so its
+    /// bits depend on the sample alone: a restored session warms up
+    /// exactly as the original does.
     ///
     /// # Panics
     ///

@@ -1020,7 +1020,11 @@ impl SessionSnapshot {
     /// * the uniform reservoirs can be built: Triest and ThinkD need a
     ///   positive capacity, and a WRS budget must split into a waiting
     ///   room and a non-empty reservoir at its fraction ([`room_split`];
-    ///   other algorithms carry the fraction unused).
+    ///   other algorithms carry the fraction unused);
+    /// * every query fits the sampler's budget, the one
+    ///   [`StreamSession::check_attach`] holds an attach to: `|H| ≤
+    ///   capacity`, or for WRS `|H|` at most the reservoir part of the
+    ///   split.
     ///
     /// The sampled adjacency's own layout is checked when it is rebuilt
     /// ([`wsd_graph::AdjacencyBase::from_layout`]).
@@ -1028,6 +1032,8 @@ impl SessionSnapshot {
     /// # Errors
     ///
     /// [`SnapshotError::Invalid`] naming the first violated invariant.
+    ///
+    /// [`StreamSession::check_attach`]: crate::session::StreamSession::check_attach
     pub fn validate(&self) -> Result<(), SnapshotError> {
         use Algorithm::*;
         let mut named = vec![false; self.queries.len()];
@@ -1058,15 +1064,24 @@ impl SessionSnapshot {
         if let Some(what) = invalid {
             return Err(SnapshotError::Invalid(what));
         }
-        let unbuildable = match cfg.algorithm {
-            Triest | ThinkD if cfg.capacity == 0 => Some("uniform reservoir of capacity 0"),
-            Wrs if room_split(cfg.capacity as usize, cfg.wrs_fraction).is_none() => {
-                Some("WRS budget cannot hold its waiting room and a reservoir")
+        // The budget `attach` holds a query to: the reservoir (for WRS,
+        // its reservoir part).
+        let budget = match cfg.algorithm {
+            Triest | ThinkD if cfg.capacity == 0 => {
+                return Err(SnapshotError::Invalid("uniform reservoir of capacity 0"))
             }
-            _ => None,
+            Wrs => match room_split(cfg.capacity as usize, cfg.wrs_fraction) {
+                Some((_, reservoir)) => reservoir as u64,
+                None => {
+                    return Err(SnapshotError::Invalid(
+                        "WRS budget cannot hold its waiting room and a reservoir",
+                    ))
+                }
+            },
+            _ => cfg.capacity,
         };
-        if let Some(what) = unbuildable {
-            return Err(SnapshotError::Invalid(what));
+        if self.queries.iter().any(|q| q.pattern.num_edges() as u64 > budget) {
+            return Err(SnapshotError::Invalid("query pattern exceeds the sampler's budget"));
         }
         let (entries, heap) = match (&self.sampler, cfg.algorithm) {
             (SamplerState::Wsd { heap, .. }, WsdL | WsdH | WsdUniform | Gps)
@@ -1379,6 +1394,13 @@ mod tests {
         }
     }
 
+    /// `snap` with every query and handle dropped.
+    fn without_queries(mut snap: SessionSnapshot) -> SessionSnapshot {
+        snap.queries.clear();
+        snap.handles.clear();
+        snap
+    }
+
     /// Encodes `snap` and expects `decode` to reject it as invalid.
     fn assert_invalid(snap: &SessionSnapshot, what: &str) {
         let got = SessionSnapshot::decode(&snap.encode());
@@ -1602,11 +1624,12 @@ mod tests {
     /// ("budget M = 1 too small" at fraction 0.1), and capacity 0 for
     /// Triest, ThinkD or WRS (an empty random-pairing reservoir). Each
     /// decoded cleanly and then panicked in the restore; the smallest
-    /// buildable budgets still decode.
+    /// buildable budgets still decode. No query fits those budgets, so
+    /// the snapshots carry none.
     #[test]
     fn rejects_reservoir_budgets_the_restore_cannot_build() {
         let with_capacity = |sampler: SamplerState, algorithm: Algorithm, capacity: u64| {
-            let mut snap = snapshot_as(algorithm, sampler);
+            let mut snap = without_queries(snapshot_as(algorithm, sampler));
             snap.config.capacity = capacity;
             snap
         };
@@ -1635,13 +1658,14 @@ mod tests {
     /// Probes the WRS room capacity `⌈M·fraction⌉` over a grid of
     /// budgets and fractions: `decode` accepts exactly the budgets
     /// `WrsSampler::with_fraction` builds without panicking, and every
-    /// accepted snapshot restores.
+    /// accepted snapshot restores. The snapshots carry no query, so no
+    /// query budget decides the outcome.
     #[test]
     fn probe_wrs_room_capacity() {
         use crate::algorithms::WrsSampler;
         for fraction in [0.05, 0.1, 0.25, 0.5, 0.9, 0.99, 0.0, 1.0, f64::NAN] {
             for capacity in 0..=24u64 {
-                let mut snap = snapshot_for(empty_wrs());
+                let mut snap = without_queries(snapshot_for(empty_wrs()));
                 snap.config.capacity = capacity;
                 snap.config.wrs_fraction = fraction;
                 let builds = std::panic::catch_unwind(|| {
@@ -1654,6 +1678,31 @@ mod tests {
                     crate::session::StreamSession::restore(&snap);
                 }
             }
+        }
+    }
+
+    /// A restored session may hold only the queries `attach` accepts:
+    /// `|H|` at most the capacity, or for WRS at most the reservoir part
+    /// of its split (at fraction 0.1, budget 11 leaves a reservoir of 9,
+    /// budget 12 one of 10). The fixture's 5-clique has 10 edges. Each
+    /// accepted snapshot restores to a session whose `check_attach`
+    /// agrees.
+    #[test]
+    fn rejects_queries_over_the_budget() {
+        for (sampler, algorithm, fits) in [
+            (empty_wsd(), Algorithm::WsdH, 10),
+            (empty_triest(), Algorithm::Triest, 10),
+            (empty_triest(), Algorithm::ThinkD, 10),
+            (empty_wrs(), Algorithm::Wrs, 12),
+        ] {
+            let mut snap = snapshot_as(algorithm, sampler);
+            snap.config.capacity = fits - 1;
+            assert_invalid(&snap, &format!("a 5-clique on {} at {}", algorithm.name(), fits - 1));
+            snap.config.capacity = fits;
+            let decoded = SessionSnapshot::decode(&snap.encode());
+            assert!(decoded.is_ok(), "{} at capacity {fits}: {decoded:?}", algorithm.name());
+            let restored = crate::session::StreamSession::restore(&snap);
+            assert_eq!(restored.check_attach(Pattern::Clique(5)), Ok(()));
         }
     }
 

@@ -8,7 +8,9 @@
 //! original session and a snapshot→encode→decode→restore twin in
 //! lockstep over churn streams and asserts, per subsequent event:
 //!
-//! * **estimate bit-equality** for every query (`f64::to_bits`);
+//! * **estimate bit-equality** for every query (`f64::to_bits`),
+//!   including queries attached to both at the snapshot point, whose
+//!   warm-ups replay each twin's own sample;
 //! * **canonical snapshot equality** — the full re-encoded snapshot
 //!   blob, which covers heap slot order, adjacency layout, arena free
 //!   lists, GPS-A item tables, the WRS room (ghosts + horizon), RNG
@@ -24,6 +26,8 @@
 use proptest::prelude::*;
 use wsd_core::{Algorithm, SamplerState, SessionBuilder, SessionSnapshot, StreamSession};
 use wsd_graph::{AdjacencyLayout, Edge, EdgeEvent, Pattern};
+use wsd_stream::gen::GeneratorConfig;
+use wsd_stream::Scenario;
 
 /// All six algorithm configurations the paper's grid exercises (the
 /// three WSD weight variants share one sampler implementation; WSD-H
@@ -75,9 +79,14 @@ fn assert_estimates_bit_equal(a: &StreamSession, b: &StreamSession, context: &st
     assert_eq!(ea, eb, "estimate bits diverged {context}");
 }
 
+/// The patterns [`run_lockstep`] attaches to both twins at the cut.
+const WARM_UPS: [Pattern; 3] = [Pattern::Wedge, Pattern::Triangle, Pattern::FourClique];
+
 /// Drives `stream`, snapshots at `cut`, restores a twin **through
-/// encoded bytes**, then runs the tail on both in lockstep asserting
-/// estimate bits and canonical snapshot bytes per event.
+/// encoded bytes**, attaches [`WARM_UPS`] to both, then runs the tail on
+/// both in lockstep asserting estimate bits and canonical snapshot bytes
+/// per event. The attached queries warm up from each twin's own sample,
+/// so their bits match only if a warm-up depends on the sample alone.
 fn run_lockstep(
     algorithm: Algorithm,
     capacity: usize,
@@ -104,6 +113,9 @@ fn run_lockstep(
         blob,
         "re-encoded snapshot of the restored session must be canonical"
     );
+    original.attach_many(&WARM_UPS);
+    restored.attach_many(&WARM_UPS);
+    assert_estimates_bit_equal(&original, &restored, &format!("after attach ({algorithm:?})"));
 
     for (i, &ev) in stream[cut..].iter().enumerate() {
         original.process(ev);
@@ -254,6 +266,41 @@ fn restored_session_supports_attach_and_detach() {
         restored.process(ev);
     }
     assert_eq!(original.estimate(a).to_bits(), restored.estimate(b).to_bits());
+}
+
+/// A query attached right after a restore warms up bit-identically to
+/// the same query attached to the original. The live sample's vertex
+/// table grew with the stream while the restored one is sized from the
+/// snapshot's layout, so the two iterate their edges in different hash
+/// orders; the warm-up replay must not depend on that order. BA with
+/// 3,000 vertices (m = 5, generation seed 17) under light deletion
+/// (seed 99), one triangle query, cut at 1/3, 1/2 and 2/3, across three
+/// capacities. GPS runs on the stream's first insertion of each edge.
+#[test]
+fn attach_after_restore_warms_up_bit_identically() {
+    let edges =
+        GeneratorConfig::BarabasiAlbert { vertices: 3_000, edges_per_vertex: 5 }.generate(17);
+    let dynamic = Scenario::default_light().apply(&edges, 99);
+    let mut seen = std::collections::BTreeSet::new();
+    let insert_only: Vec<EdgeEvent> =
+        dynamic.iter().copied().filter(|ev| ev.is_insert() && seen.insert(ev.edge)).collect();
+    for algorithm in ALGORITHMS {
+        let stream = if algorithm == Algorithm::Gps { &insert_only[..] } else { &dynamic[..] };
+        for capacity in [300, 1_000, 2_500] {
+            for cut in [stream.len() / 3, stream.len() / 2, stream.len() * 2 / 3] {
+                let mut original =
+                    SessionBuilder::new(algorithm, capacity, 7).query(Pattern::Triangle).build();
+                original.process_batch(&stream[..cut]);
+                let blob = original.snapshot().encode();
+                let mut restored =
+                    StreamSession::restore(&SessionSnapshot::decode(&blob).expect("decodes"));
+                original.attach_many(&WARM_UPS);
+                restored.attach_many(&WARM_UPS);
+                let context = format!("{algorithm:?} at capacity {capacity}, cut {cut}");
+                assert_estimates_bit_equal(&original, &restored, &context);
+            }
+        }
+    }
 }
 
 proptest! {

@@ -27,7 +27,16 @@
 //! form a set is in never shows in emission order, edge IDs or layout
 //! snapshots. Each endpoint of an edge insert, removal or intersection
 //! costs one vertex-table lookup; the one exception is a removal by edge
-//! that empties its first endpoint, which prunes it with a second.
+//! that empties its first endpoint, which prunes it with a second. That
+//! first lookup is a `get_mut`, not an `entry`: an `entry` on an absent
+//! key reserves room for an insert, so removing an absent edge could
+//! grow the table.
+//!
+//! The vertex table grows with the vertices it holds; nothing pre-sizes
+//! it. How it grew decides its hash iteration order, which a graph
+//! rebuilt from its layout does not share, so no result may depend on
+//! that order: the estimators' warm-up replays sort the sample by
+//! [`Edge`] first.
 //!
 //! # Intersection
 //!
@@ -529,17 +538,6 @@ impl<P: IdPayload> AdjacencyBase<P> {
         Self::default()
     }
 
-    /// Creates an empty graph with room for roughly `vertices` vertices.
-    pub fn with_capacity(vertices: usize) -> Self {
-        Self {
-            adj: FxHashMap::with_capacity_and_hasher(vertices, Default::default()),
-            num_edges: 0,
-            endpoints: Vec::new(),
-            mirror: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
     /// Number of live edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
@@ -611,13 +609,11 @@ impl<P: IdPayload> AdjacencyBase<P> {
     }
 
     /// One vertex-table lookup per endpoint. u's is a plain `get_mut`:
-    /// the edge may be absent, and an entry on an absent key reserves
-    /// table capacity, which would move the table's growth points and so
-    /// its iteration order (warm-up replays walk it). u is therefore
-    /// pruned by key, the one case that costs a third lookup. v is
-    /// present whenever the edge is, so its entry detaches and prunes.
-    /// Prunes run u before v: the order decides the table's tombstones,
-    /// and with them its later layout.
+    /// the edge may be absent, and an `entry` on an absent key reserves
+    /// room for an insert first, so a removal of an absent edge could
+    /// grow the table. u is therefore pruned by key, the one case that
+    /// costs a third lookup. v is present whenever the edge is, so its
+    /// entry detaches and prunes.
     fn remove_impl(&mut self, e: Edge) -> Option<EdgeId> {
         let (u, v) = e.endpoints();
         let u_set = self.adj.get_mut(&u)?;
@@ -728,7 +724,9 @@ impl<P: IdPayload> AdjacencyBase<P> {
         self.adj.keys().copied()
     }
 
-    /// Iterates all live edges (each once, in canonical form).
+    /// Iterates all live edges (each once, in canonical form) in the
+    /// vertex table's hash order, which depends on the table's history:
+    /// sort them wherever the order can reach a result.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.adj.iter().flat_map(|(&u, set)| {
             set.items().iter().copied().filter(move |&v| u < v).map(move |v| Edge::new(u, v))

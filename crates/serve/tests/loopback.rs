@@ -328,9 +328,11 @@ fn forged_restore_is_rejected_before_any_shard() {
     // a zero edge weight would make that edge's inclusion probability
     // zero. A fourth forges the configuration: a WRS session at
     // capacity 1, whose budget cannot hold its waiting room and a
-    // reservoir, so rebuilding it would panic. The server must answer
-    // each Restore with an error at decode time, and the connection
-    // must go on serving.
+    // reservoir, so rebuilding it would panic. A fifth swaps the query
+    // for a 7-clique, whose 21 edges exceed the capacity of 16 that
+    // `attach` holds a query to. The server must answer each Restore
+    // with an error at decode time, and the connection must go on
+    // serving.
     let (server, mut client) = boot(2);
     let stream = churn_stream(10);
     let original = client.open(Algorithm::WsdH, 16, Some(5), &[Pattern::Triangle]).expect("opens");
@@ -354,6 +356,7 @@ fn forged_restore_is_rejected_before_any_shard() {
         "a heap key on a freed ID",
         "a zero edge weight",
         "a WRS budget of 1",
+        "a query over the budget",
     ] {
         let mut forged = honest.clone();
         let SamplerState::Wsd { heap, sample, .. } = &mut forged.sampler else { unreachable!() };
@@ -361,6 +364,7 @@ fn forged_restore_is_rejected_before_any_shard() {
             "a heap key at the capacity" => heap[0].0 = 16,
             "a heap key on a freed ID" => heap[0].0 = freed,
             "a zero edge weight" => sample.meta[0].1 = 0.0,
+            "a query over the budget" => forged.queries[0].pattern = Pattern::Clique(7),
             _ => {
                 let wrs = SessionBuilder::new(Algorithm::Wrs, 16, 7).query(Pattern::Triangle);
                 forged = wrs.build().snapshot();
