@@ -1,17 +1,16 @@
 //! The sampling algorithms: the paper's WSD framework, its GPS-A
 //! precursor, and the uniform baselines it compares against. GPS, the
 //! insertion-only precursor, runs as a mode of the WSD sampler
-//! ([`WsdSampler::gps`]).
+//! ([`WsdSampler::gps`]); Triest-FD and ThinkD, which differ only in
+//! when a query counts, share one random-pairing sampler ([`RpSampler`]).
 
 pub mod gps_a;
-pub mod thinkd;
-pub mod triest;
+pub mod rp;
 pub mod wrs;
 pub mod wsd;
 
 pub use gps_a::GpsASampler;
-pub use thinkd::ThinkDSampler;
-pub use triest::TriestSampler;
+pub use rp::RpSampler;
 pub use wrs::WrsSampler;
 pub use wsd::WsdSampler;
 

@@ -37,7 +37,7 @@
 //! [`WrsSampler`] serves any number of attached queries off the same
 //! split sample (see [`crate::session`]).
 
-use crate::reservoir::{Admission, RpReservoir};
+use crate::reservoir::{inverse_inclusion, Admission, RpReservoir};
 use crate::session::{levels_of, EdgeSampler, PatternQuery, QueryCtx};
 use crate::snapshot::{RpState, SamplerState};
 use rand::rngs::SmallRng;
@@ -196,17 +196,6 @@ impl WrsSampler {
         self.room_len += 1;
     }
 
-    /// Per-instance inverse inclusion probability for `in_reservoir`
-    /// reservoir partners, sample `s` over population `n_r`.
-    #[inline]
-    fn instance_inv(in_reservoir: u64, s: u64, n_r: u64) -> f64 {
-        let mut inv = 1.0;
-        for i in 0..in_reservoir {
-            inv *= (n_r - i) as f64 / (s - i) as f64;
-        }
-        inv
-    }
-
     /// Adds `sign ×` the estimator mass of the instances `e` completes
     /// against the current sample to every query — one layered pass over
     /// the queries' levels (the per-instance inverse products are
@@ -230,7 +219,7 @@ impl WrsSampler {
                 }
             }
             debug_assert!(in_reservoir <= s);
-            totals[level] += Self::instance_inv(in_reservoir, s, n_r);
+            totals[level] += inverse_inclusion(in_reservoir, s, n_r);
         });
         for q in queries.iter_mut() {
             q.estimate += sign * totals[q.level];
@@ -343,7 +332,7 @@ impl EdgeSampler for WrsSampler {
         let s = self.reservoir.len() as u64;
         let n_r = self.reservoir.population();
         crate::session::warm_start_sums(queries, self.replay_edges(), scratch, |payloads| {
-            Self::instance_inv(payloads.iter().sum::<f64>() as u64, s, n_r)
+            inverse_inclusion(payloads.iter().sum::<f64>() as u64, s, n_r)
         });
     }
 

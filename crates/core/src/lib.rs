@@ -14,11 +14,15 @@
 //!   Algorithms 1 & 2: weighted priority sampling that genuinely
 //!   removes deleted edges while preserving the inclusion-probability
 //!   identity `P[e ∈ R] = min(1, w/τq)` of Lemma 1 — plus
-//!   [`algorithms::GpsASampler`], [`algorithms::TriestSampler`],
-//!   [`algorithms::ThinkDSampler`], [`algorithms::WrsSampler`]). GPS
-//!   is WSD's insertion-only mode ([`algorithms::WsdSampler::gps`]):
-//!   without deletions WSD's Cases 1–2 are GPS's fill and contest, and
-//!   the insert-only golden pins GPS, WSD-H and GPS-A bit-identical.
+//!   [`algorithms::GpsASampler`], [`algorithms::RpSampler`] and
+//!   [`algorithms::WrsSampler`]). GPS is WSD's insertion-only mode
+//!   ([`algorithms::WsdSampler::gps`]): without deletions WSD's Cases
+//!   1–2 are GPS's fill and contest, and the insert-only golden pins
+//!   GPS, WSD-H and GPS-A bit-identical. Triest-FD and ThinkD share the
+//!   random-pairing sampler ([`algorithms::RpSampler::triest`],
+//!   [`algorithms::RpSampler::thinkd`]): one uniform sample and one
+//!   sampling trajectory, counted as edges enter the sample or as they
+//!   arrive.
 //! * [`PatternQuery`] — the query layer: per-pattern estimator state
 //!   fed from the shared sample (Algorithm 2 and the baselines'
 //!   analogues; unbiased per query because the inclusion identity holds

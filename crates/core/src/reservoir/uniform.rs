@@ -14,6 +14,20 @@ use rand::rngs::SmallRng;
 use rand::RngExt;
 use wsd_graph::{Edge, FxHashMap};
 
+/// The inverse of the probability that `partners` specific live edges
+/// are all in a uniform sample of `s` edges over a population of `n`:
+/// `Π_{i<partners} (n−i)/(s−i)`. ThinkD weighs each instance an event
+/// completes by it, and WRS each instance by its reservoir partners.
+/// Found instances imply `partners ≤ s`, and `s ≤ n` always.
+#[inline]
+pub(crate) fn inverse_inclusion(partners: u64, s: u64, n: u64) -> f64 {
+    let mut inv = 1.0;
+    for i in 0..partners {
+        inv *= (n - i) as f64 / (s - i) as f64;
+    }
+    inv
+}
+
 /// A bounded uniform edge sample with O(1) insert, O(1) remove-by-edge
 /// and O(1) uniform random eviction, plus random-pairing deletion
 /// counters.
@@ -304,6 +318,13 @@ mod tests {
         for i in 0..(n_edges / 2) {
             assert!(!freq.contains_key(&edge(i)), "deleted edge {i} sampled");
         }
+    }
+
+    #[test]
+    fn inverse_inclusion_formula() {
+        assert_eq!(inverse_inclusion(2, 10, 10), 1.0);
+        assert_eq!(inverse_inclusion(2, 5, 10), (10.0 / 5.0) * (9.0 / 4.0));
+        assert_eq!(inverse_inclusion(0, 5, 10), 1.0);
     }
 
     #[test]

@@ -68,7 +68,7 @@ use crate::snapshot::{QuerySnapshot, SamplerState, SessionConfig, SessionSnapsho
 use crate::state::TemporalPooling;
 use crate::weight::{HeuristicWeight, LinearPolicy, UniformWeight, WeightFn, WeightSpec};
 use wsd_graph::patterns::EnumScratch;
-use wsd_graph::{Adjacency, Edge, EdgeEvent, LayeredLevels, Pattern, VertexAdjacency};
+use wsd_graph::{Adjacency, Edge, EdgeEvent, LayeredLevels, Pattern};
 
 /// Stable handle of a query attached to a [`StreamSession`].
 ///
@@ -95,13 +95,13 @@ impl QueryId {
 /// Per-pattern estimator state fed from a shared [`EdgeSampler`].
 ///
 /// A query owns everything that is *per pattern*: the running
-/// accumulator (a mass estimate for the weighted samplers, ThinkD and
-/// WRS; the in-sample instance counter τ for Triest). It owns nothing
-/// of the sample — that lives in the sampler — and no enumeration
-/// scratch: the session owns one [`EnumScratch`] shared by every
-/// attached query (the scratch is pure per-event workspace, so N
-/// queries never needed N copies), handed to the sampler per event via
-/// [`QueryCtx`].
+/// accumulator (a mass estimate for the weighted samplers, WRS and the
+/// random-pairing sampler's ThinkD mode; the in-sample instance counter
+/// τ for its Triest mode). It owns nothing of the sample — that lives
+/// in the sampler — and no enumeration scratch: the session owns one
+/// [`EnumScratch`] shared by every attached query (the scratch is pure
+/// per-event workspace, so N queries never needed N copies), handed to
+/// the sampler per event via [`QueryCtx`].
 pub struct PatternQuery {
     pub(crate) pattern: Pattern,
     /// The pattern's [`LayeredLevels`] level: where the session's one
@@ -276,9 +276,10 @@ pub trait EdgeSampler: Send {
     }
 
     /// The current estimate of `query`'s pattern count. For most
-    /// samplers this is the query's running accumulator; Triest rescales
-    /// its in-sample instance counter by the inclusion probability κ
-    /// computed from the reservoir statistics.
+    /// samplers this is the query's running accumulator; the
+    /// random-pairing sampler in Triest mode rescales the in-sample
+    /// instance counter by the inclusion probability κ computed from
+    /// the reservoir statistics.
     fn query_estimate(&self, query: &PatternQuery) -> f64;
 
     /// Warm-starts freshly attached queries — the backend of
@@ -289,8 +290,9 @@ pub trait EdgeSampler: Send {
     /// accumulator is seeded with the instances at its level, weighted
     /// by their inverse inclusion probability under the algorithm's
     /// sampling model (all-edge Horvitz–Thompson product for the
-    /// weighted samplers, κ⁻¹ for the uniform ones, the room/reservoir
-    /// split for WRS); Triest seeds its in-sample counter τ. A query's
+    /// weighted samplers, κ⁻¹ for the random-pairing sampler's ThinkD
+    /// mode, the room/reservoir split for WRS); in Triest mode the
+    /// random-pairing sampler seeds the in-sample counter τ. A query's
     /// seed is independent of the other queries in the slice. The
     /// warm-up is a pure function of the sampler's current state — it
     /// reads nothing else and mutates nothing of the sampler. `scratch`
@@ -421,20 +423,6 @@ pub(crate) fn warm_start_weighted(
     warm_start_sums(queries, edges, scratch, |payloads| {
         payloads.iter().fold(1.0, |prod, &p| prod * p)
     });
-}
-
-/// The number of instances at each of `queries`' levels inside the
-/// uniform baselines' sample `adj` (one [`for_each_sample_instance`]
-/// replay) — their warm-up input.
-pub(crate) fn sample_instance_counts(
-    adj: &VertexAdjacency,
-    queries: &[PatternQuery],
-    scratch: &mut EnumScratch,
-) -> [u64; LayeredLevels::COUNT] {
-    let edges: Vec<(Edge, f64)> = adj.edges().map(|e| (e, 0.0)).collect();
-    let mut counts = [0u64; LayeredLevels::COUNT];
-    for_each_sample_instance(levels_of(queries), &edges, scratch, |level, _| counts[level] += 1);
-    counts
 }
 
 /// A per-query line of a [`SessionReport`].
@@ -962,9 +950,7 @@ impl SessionBuilder {
     /// Builds just the sampler layer (the session backend; exposed for
     /// tests that drive [`EdgeSampler`] directly).
     pub fn build_sampler(&self) -> Box<dyn EdgeSampler> {
-        use crate::algorithms::{
-            GpsASampler, ThinkDSampler, TriestSampler, WrsSampler, WsdSampler,
-        };
+        use crate::algorithms::{GpsASampler, RpSampler, WrsSampler, WsdSampler};
         let heuristic: Box<dyn WeightFn> = Box::new(HeuristicWeight);
         match self.algorithm {
             Algorithm::WsdL => {
@@ -1008,8 +994,8 @@ impl SessionBuilder {
             Algorithm::Gps => {
                 Box::new(WsdSampler::gps(self.resolve_weight_pattern(), self.capacity, self.seed))
             }
-            Algorithm::Triest => Box::new(TriestSampler::new(self.capacity, self.seed)),
-            Algorithm::ThinkD => Box::new(ThinkDSampler::new(self.capacity, self.seed)),
+            Algorithm::Triest => Box::new(RpSampler::triest(self.capacity, self.seed)),
+            Algorithm::ThinkD => Box::new(RpSampler::thinkd(self.capacity, self.seed)),
             Algorithm::Wrs => {
                 Box::new(WrsSampler::with_fraction(self.capacity, self.wrs_fraction, self.seed))
             }

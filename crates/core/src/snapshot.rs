@@ -42,7 +42,7 @@ use crate::algorithms::wrs::room_split;
 use crate::config::Algorithm;
 use crate::state::TemporalPooling;
 use crate::weight::{FeatureNorm, LinearPolicy};
-use wsd_graph::{AdjacencyLayout, Edge, EdgeId, Pattern};
+use wsd_graph::{AdjacencyLayout, Edge, EdgeId, Pattern, Vertex};
 
 /// Magic bytes opening every encoded snapshot.
 const MAGIC: &[u8; 4] = b"WSDS";
@@ -570,6 +570,27 @@ impl RpState {
         let population = r.get_u64()?;
         Ok(Self { edges, d_in, d_out, population })
     }
+
+    /// Checks what random pairing keeps true after `events` stream
+    /// events in a reservoir of `capacity`: distinct edges, `|S| ≤
+    /// population ≤ events`, `|S| + d_in ≤ capacity` (each uncompensated
+    /// sampled deletion frees a slot the reservoir may refill) and
+    /// `d_in + d_out ≤ events`.
+    fn validate(&self, events: u64, capacity: u64) -> Result<(), SnapshotError> {
+        let len = self.edges.len() as u64;
+        let invalid = if !(len <= self.population && self.population <= events) {
+            Some("reservoir population below its sample or past the events")
+        } else if len.checked_add(self.d_in).is_none_or(|n| n > capacity) {
+            Some("reservoir and its pending refills exceed the capacity")
+        } else if self.d_in.checked_add(self.d_out).is_none_or(|d| d > events) {
+            Some("uncompensated deletions exceed the events")
+        } else {
+            let mut edges = self.edges.clone();
+            edges.sort_unstable();
+            edges.windows(2).any(|w| w[0] == w[1]).then_some("reservoir repeats an edge")
+        };
+        invalid.map_or(Ok(()), |what| Err(SnapshotError::Invalid(what)))
+    }
 }
 
 /// Algorithm-specific sampler state — everything a freshly built
@@ -629,7 +650,8 @@ pub enum SamplerState {
         /// xoshiro256++ state words.
         rng: [u64; 4],
     },
-    /// Triest-FD / ThinkD: uniform RP reservoir, sampled adjacency, RNG.
+    /// The random-pairing sampler of Triest-FD and ThinkD: uniform RP
+    /// reservoir, sampled adjacency, RNG.
     Rp {
         /// The random-pairing reservoir.
         reservoir: RpState,
@@ -1024,7 +1046,11 @@ impl SessionSnapshot {
     /// * every query fits the sampler's budget, the one
     ///   [`StreamSession::check_attach`] holds an attach to: `|H| ≤
     ///   capacity`, or for WRS `|H|` at most the reservoir part of the
-    ///   split.
+    ///   split;
+    /// * a random-pairing reservoir (Triest, ThinkD, WRS) holds distinct
+    ///   edges and counters random pairing can reach within that budget
+    ///   and the session's events, and a Triest or ThinkD adjacency
+    ///   holds exactly the reservoir's edges.
     ///
     /// The sampled adjacency's own layout is checked when it is rebuilt
     /// ([`wsd_graph::AdjacencyBase::from_layout`]).
@@ -1102,7 +1128,14 @@ impl SessionSnapshot {
                 (sample, true, threshold(*tau_p) && threshold(*tau_q))
             }
             SamplerState::GpsA { sample, z, .. } => (sample, false, threshold(*z)),
-            SamplerState::Rp { .. } | SamplerState::Wrs { .. } => return Ok(()),
+            SamplerState::Rp { reservoir, adj, .. } => {
+                reservoir.validate(self.events, budget)?;
+                if !holds_exactly(adj, &reservoir.edges) {
+                    return Err(SnapshotError::Invalid("adjacency is not the reservoir's edges"));
+                }
+                return Ok(());
+            }
+            SamplerState::Wrs { reservoir, .. } => return reservoir.validate(self.events, budget),
         };
         if keyed_by_edge && !lists_live_ids(&sample.layout, heap.iter().map(|&(key, _)| key)) {
             return Err(SnapshotError::Invalid("heap keys are not the live edge IDs"));
@@ -1122,6 +1155,21 @@ impl SessionSnapshot {
         }
         Ok(())
     }
+}
+
+/// Whether `layout` holds exactly `edges` (which are distinct), each as
+/// a half-edge from both of its endpoints.
+fn holds_exactly(layout: &AdjacencyLayout, edges: &[Edge]) -> bool {
+    let mut halves: Vec<(Vertex, Vertex)> = layout
+        .vertices
+        .iter()
+        .flat_map(|(u, slots)| slots.iter().map(move |&(v, _)| (*u, v)))
+        .collect();
+    let mut expected: Vec<(Vertex, Vertex)> =
+        edges.iter().flat_map(|e| [(e.u(), e.v()), (e.v(), e.u())]).collect();
+    halves.sort_unstable();
+    expected.sort_unstable();
+    halves == expected
 }
 
 /// Whether `ids` names each live arena ID of `layout` — `0..id_bound`
@@ -1243,7 +1291,12 @@ mod tests {
             SamplerState::Rp {
                 reservoir: rp.clone(),
                 adj: AdjacencyLayout {
-                    vertices: vec![(4, vec![(5, 0)]), (5, vec![(4, 0)])],
+                    vertices: vec![
+                        (1, vec![(9, 0)]),
+                        (4, vec![(5, 0)]),
+                        (5, vec![(4, 0)]),
+                        (9, vec![(1, 0)]),
+                    ],
                     free: vec![],
                     id_bound: 0,
                 },
@@ -1730,6 +1783,143 @@ mod tests {
             rng: [1, 2, 3, 4],
         };
         assert_invalid(&snapshot_for(wrs), "WRS reservoir");
+    }
+
+    /// An honest random-pairing snapshot: `algorithm` at M = 16, seed 7,
+    /// one triangle query, fed a 12-vertex clique and then the deletions
+    /// of vertex 0's edges.
+    fn random_pairing_snapshot(algorithm: Algorithm) -> SessionSnapshot {
+        let mut session =
+            crate::session::SessionBuilder::new(algorithm, 16, 7).query(Pattern::Triangle).build();
+        for a in 0..12 {
+            for b in (a + 1)..12 {
+                session.process(wsd_graph::EdgeEvent::insert(Edge::new(a, b)));
+            }
+        }
+        for b in 1..12 {
+            session.process(wsd_graph::EdgeEvent::delete(Edge::new(0, b)));
+        }
+        session.snapshot()
+    }
+
+    fn reservoir_of(state: &mut SamplerState) -> &mut RpState {
+        match state {
+            SamplerState::Rp { reservoir, .. } | SamplerState::Wrs { reservoir, .. } => reservoir,
+            _ => unreachable!("a random-pairing state"),
+        }
+    }
+
+    /// Random pairing keeps `|S| ≤ population ≤ events`, `|S| + d_in ≤`
+    /// the reservoir's capacity (each uncompensated sampled deletion is
+    /// a slot it refills) and `d_in + d_out ≤ events`. Past them a
+    /// restored Triest, ThinkD or WRS reservoir refills far beyond its
+    /// capacity (`d_in = 10^6`), divides by a population below its
+    /// sample (`population = 0`), or overflows `d_in + d_out` on the
+    /// next insert. The bounds themselves are reachable: a state at each
+    /// restores and takes a 200-edge insert tail within its budget.
+    #[test]
+    fn rejects_random_pairing_counters_no_reservoir_reaches() {
+        // Edits a reservoir given the session's events and its capacity.
+        type Edit = fn(&mut RpState, u64, u64);
+        let forgeries: [(&str, Edit); 7] = [
+            ("d_in = 10^6", |r, _, _| r.d_in = 1_000_000),
+            ("population = 0", |r, _, _| r.population = 0),
+            ("population below the sample", |r, _, _| r.population = r.edges.len() as u64 - 1),
+            ("population past the events", |r, events, _| r.population = events + 1),
+            ("|S| + d_in past the capacity", |r, _, cap| r.d_in = cap + 1 - r.edges.len() as u64),
+            ("d_in + d_out past the events", |r, events, _| r.d_out = events + 1 - r.d_in),
+            ("d_in = 1, d_out = u64::MAX", |r, _, _| (r.d_in, r.d_out) = (1, u64::MAX)),
+        ];
+        let bounds: [(&str, Edit); 3] = [
+            ("population = events", |r, events, _| r.population = events),
+            ("|S| + d_in = capacity", |r, _, cap| r.d_in = cap - r.edges.len() as u64),
+            ("d_in + d_out = events", |r, events, _| r.d_out = events - r.d_in),
+        ];
+        // WRS at fraction 0.1 splits M = 16 into a room of 2 and a
+        // reservoir of 14.
+        for (algorithm, capacity) in
+            [(Algorithm::Triest, 16), (Algorithm::ThinkD, 16), (Algorithm::Wrs, 14)]
+        {
+            let name = algorithm.name();
+            let honest = random_pairing_snapshot(algorithm);
+            assert!(SessionSnapshot::decode(&honest.encode()).is_ok(), "honest {name}");
+            let forge = |edit: Edit| {
+                let mut forged = honest.clone();
+                edit(reservoir_of(&mut forged.sampler), honest.events, capacity);
+                forged
+            };
+            for (what, edit) in forgeries {
+                assert_invalid(&forge(edit), &format!("{name} with {what}"));
+            }
+            for (what, edit) in bounds {
+                let snap = forge(edit);
+                let decoded = SessionSnapshot::decode(&snap.encode());
+                assert!(decoded.is_ok(), "{name} with {what}: {decoded:?}");
+                let mut restored = crate::session::StreamSession::restore(&snap);
+                for v in 100..300 {
+                    restored.process(wsd_graph::EdgeEvent::insert(Edge::new(v, v + 1)));
+                }
+                assert!(restored.stored_edges() <= 16, "{name} with {what} outgrew its budget");
+            }
+        }
+    }
+
+    /// A random-pairing reservoir holds distinct edges, and a Triest or
+    /// ThinkD adjacency holds exactly the reservoir's edges, each from
+    /// both endpoints. A repeated reservoir edge decoded and then
+    /// panicked in the restore; an adjacency with an extra triangle, or
+    /// an empty one, restored cleanly and then counted instances the
+    /// reservoir never held, or missed the ones it did.
+    #[test]
+    fn rejects_random_pairing_samples_their_adjacency_disagrees_with() {
+        for algorithm in [Algorithm::Triest, Algorithm::ThinkD, Algorithm::Wrs] {
+            let mut forged = random_pairing_snapshot(algorithm);
+            let reservoir = reservoir_of(&mut forged.sampler);
+            reservoir.edges[1] = reservoir.edges[0];
+            assert_eq!(
+                SessionSnapshot::decode(&forged.encode()),
+                Err(SnapshotError::Invalid("reservoir repeats an edge")),
+                "{}",
+                algorithm.name()
+            );
+        }
+        type Edit = fn(&mut RpState, &mut AdjacencyLayout);
+        let forgeries: [(&str, Edit); 4] = [
+            ("an extra triangle", |_, adj| {
+                adj.vertices.push((100, vec![(101, 0), (102, 0)]));
+                adj.vertices.push((101, vec![(100, 0), (102, 0)]));
+                adj.vertices.push((102, vec![(100, 0), (101, 0)]));
+            }),
+            ("an empty adjacency", |_, adj| adj.vertices.clear()),
+            ("a reservoir edge the adjacency lacks", |r, _| r.edges[0] = Edge::new(100, 101)),
+            ("an edge listed twice from one endpoint", |r, adj| {
+                // Its lower endpoint lists it twice; the upper one not at all.
+                let (a, b) = (r.edges[0].u(), r.edges[0].v());
+                for (u, slots) in &mut adj.vertices {
+                    if *u == a {
+                        slots.push((b, 0));
+                    } else if *u == b {
+                        slots.retain(|&(w, _)| w != a);
+                    }
+                }
+            }),
+        ];
+        for algorithm in [Algorithm::Triest, Algorithm::ThinkD] {
+            let honest = random_pairing_snapshot(algorithm);
+            for (what, edit) in forgeries {
+                let mut forged = honest.clone();
+                let SamplerState::Rp { reservoir, adj, .. } = &mut forged.sampler else {
+                    unreachable!()
+                };
+                edit(reservoir, adj);
+                assert_eq!(
+                    SessionSnapshot::decode(&forged.encode()),
+                    Err(SnapshotError::Invalid("adjacency is not the reservoir's edges")),
+                    "{} with {what}",
+                    algorithm.name()
+                );
+            }
+        }
     }
 
     /// Every query is named by exactly one handle: an aliased handle

@@ -20,11 +20,12 @@
 //! Deterministic scenarios pin the regimes a batch-level shortcut would
 //! most easily get wrong — the fill phase, ID-recycling churn waves and
 //! WRS ghost-position re-admissions — and a proptest sweeps feasible
-//! dynamic streams × batch partitions × capacities for all five
-//! samplers, plus WSD's insertion-only GPS mode.
+//! dynamic streams × batch partitions × capacities for every sampler
+//! (the random-pairing one as Triest and as ThinkD), plus WSD's
+//! insertion-only GPS mode.
 
 use proptest::prelude::*;
-use wsd_core::algorithms::{GpsASampler, ThinkDSampler, TriestSampler, WrsSampler, WsdSampler};
+use wsd_core::algorithms::{GpsASampler, RpSampler, WrsSampler, WsdSampler};
 use wsd_core::state::TemporalPooling;
 use wsd_core::weight::HeuristicWeight;
 use wsd_core::{EdgeSampler, PatternQuery, QueryCtx};
@@ -142,11 +143,7 @@ fn gps_a_snap(s: &GpsASampler) -> Vec<(Edge, bool, u64)> {
     s.reservoir_snapshot().into_iter().map(|(e, live, r)| (e, live, r.to_bits())).collect()
 }
 
-fn triest_snap(s: &TriestSampler) -> Vec<Edge> {
-    s.reservoir_snapshot()
-}
-
-fn thinkd_snap(s: &ThinkDSampler) -> Vec<Edge> {
+fn rp_snap(s: &RpSampler) -> Vec<Edge> {
     s.reservoir_snapshot()
 }
 
@@ -233,17 +230,17 @@ fn rp_fill_runs_match_per_event() {
     let stream = churn_waves();
     for &cuts in &[&[1usize][..], &[2, 9][..], &[64][..]] {
         let mut t = Lockstep::new(
-            TriestSampler::new(10, 17),
-            TriestSampler::new(10, 17),
+            RpSampler::triest(10, 17),
+            RpSampler::triest(10, 17),
             &[Pattern::Triangle],
-            triest_snap,
+            rp_snap,
         );
         t.drive(&stream, cuts).unwrap();
         let mut d = Lockstep::new(
-            ThinkDSampler::new(10, 19),
-            ThinkDSampler::new(10, 19),
+            RpSampler::thinkd(10, 19),
+            RpSampler::thinkd(10, 19),
             &[Pattern::Triangle],
-            thinkd_snap,
+            rp_snap,
         );
         d.drive(&stream, cuts).unwrap();
     }
@@ -303,17 +300,17 @@ proptest! {
         )
         .drive(&stream, &cuts)?;
         Lockstep::new(
-            TriestSampler::new(capacity, seed),
-            TriestSampler::new(capacity, seed),
+            RpSampler::triest(capacity, seed),
+            RpSampler::triest(capacity, seed),
             &queries,
-            triest_snap,
+            rp_snap,
         )
         .drive(&stream, &cuts)?;
         Lockstep::new(
-            ThinkDSampler::new(capacity, seed),
-            ThinkDSampler::new(capacity, seed),
+            RpSampler::thinkd(capacity, seed),
+            RpSampler::thinkd(capacity, seed),
             &queries,
-            thinkd_snap,
+            rp_snap,
         )
         .drive(&stream, &cuts)?;
         Lockstep::new(

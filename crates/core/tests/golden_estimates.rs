@@ -12,7 +12,7 @@
 //! different RNG protocol), regenerate these constants deliberately and
 //! say so in the commit — never loosen the comparison to a tolerance.
 
-use wsd_core::{Algorithm, SessionBuilder, StreamSession};
+use wsd_core::{fnv1a64, Algorithm, SessionBuilder, StreamSession};
 use wsd_graph::Pattern;
 use wsd_stream::gen::GeneratorConfig;
 use wsd_stream::{EventStream, Scenario};
@@ -42,12 +42,18 @@ fn check(events: &EventStream, seed: u64, capacity: usize, golden: &[(Pattern, A
 }
 
 /// BA n=400 m=4 (gen seed 11), light-deletion scenario (seed 5):
-/// 1880 events, M = 188, counter seed 42.
-#[test]
-fn golden_light_deletion_ba() {
+/// 1880 events.
+fn light_deletion_ba() -> EventStream {
     let edges = GeneratorConfig::BarabasiAlbert { vertices: 400, edges_per_vertex: 4 }.generate(11);
     let events = Scenario::default_light().apply(&edges, 5);
     assert_eq!(events.len(), 1880, "stream generation drifted; goldens no longer apply");
+    events
+}
+
+/// [`light_deletion_ba`] at M = 188, counter seed 42.
+#[test]
+fn golden_light_deletion_ba() {
+    let events = light_deletion_ba();
     let capacity = events.len() / 10;
     #[rustfmt::skip]
     let golden = [
@@ -71,6 +77,36 @@ fn golden_light_deletion_ba() {
         (Pattern::FourClique, Algorithm::Wrs, 34.33533440304514_f64),
     ];
     check(&events, 42, capacity, &golden);
+}
+
+/// Snapshot-byte pins: the length and `fnv1a64` of
+/// `snapshot().encode()` after [`light_deletion_ba`] at M = 188, seed
+/// 42, one session per algorithm with a wedge, a triangle and a
+/// 4-clique query (the wedge is the weight pattern; WSD-L runs the
+/// neutral policy). A refactor must not move a byte; a deliberate
+/// format change bumps the snapshot `VERSION` and re-pins these.
+#[test]
+fn golden_snapshot_digests() {
+    let events = light_deletion_ba();
+    let capacity = events.len() / 10;
+    let patterns = [Pattern::Wedge, Pattern::Triangle, Pattern::FourClique];
+    #[rustfmt::skip]
+    let golden = [
+        (Algorithm::WsdH, 13_280, 0xd09f_5a4e_821e_7c65_u64),
+        (Algorithm::WsdUniform, 13_992, 0x2376_4b37_da8a_d386),
+        (Algorithm::WsdL, 13_992, 0x66f9_39df_bf82_ee84),
+        (Algorithm::GpsA, 15_456, 0x2619_426c_a15e_1e39),
+        (Algorithm::Triest, 11_228, 0x278b_f4f7_8583_0258),
+        (Algorithm::ThinkD, 11_228, 0x7215_c30e_162e_df08),
+        (Algorithm::Wrs, 12_880, 0x4335_0910_c32d_9e8e),
+    ];
+    for &(alg, len, digest) in &golden {
+        let mut session = SessionBuilder::new(alg, capacity, 42).queries(patterns).build();
+        session.process_batch(&events);
+        let bytes = session.snapshot().encode();
+        let got = (bytes.len(), fnv1a64(&bytes));
+        assert_eq!(got, (len, digest), "{} snapshot bytes moved", alg.name());
+    }
 }
 
 /// BA n=300 m=4 (gen seed 21), insertion-only: 1190 events, M = 119,

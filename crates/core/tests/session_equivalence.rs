@@ -20,6 +20,9 @@
 //! 4. **The insertion-only reduction** behind paper Table VI: without
 //!    deletions GPS, WSD-H and GPS-A are one sampler, and GPS rejects a
 //!    deletion before anything changes.
+//! 5. **One random-pairing trajectory**: Triest and ThinkD differ only
+//!    in when a query counts, so with the same capacity and seed they
+//!    hold the same sampler state throughout.
 
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -369,4 +372,37 @@ fn gps_session_panics_on_a_deletion_before_any_state_change() {
          use GPS-A or WSD for fully dynamic streams"
     );
     assert_eq!(session.snapshot(), before);
+}
+
+// ---------------------------------------------------------------------
+// 5. One random-pairing trajectory.
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Triest and ThinkD sessions with the same capacity and seed snapshot
+    /// equal sampler states — reservoir slots, random-pairing counters,
+    /// adjacency layout and RNG words — at every batch boundary, which is
+    /// what lets one sampler serve both.
+    #[test]
+    fn prop_triest_and_thinkd_share_one_sampling_trajectory(
+        intents in proptest::collection::vec((0u8..20, 0u8..20, any::<bool>()), 0..250),
+        batch in 1usize..40,
+        capacity in 3usize..32,
+        seed in 0u64..1_000,
+    ) {
+        let stream = feasible_stream(&intents);
+        let [mut triest, mut thinkd] = [Algorithm::Triest, Algorithm::ThinkD]
+            .map(|alg| single_query_session(alg, Pattern::Triangle, capacity, seed).0);
+        for (i, chunk) in stream.chunks(batch).enumerate() {
+            triest.process_batch(chunk);
+            thinkd.process_batch(chunk);
+            prop_assert_eq!(
+                triest.snapshot().sampler,
+                thinkd.snapshot().sampler,
+                "Triest and ThinkD sampler states diverged after batch {}", i
+            );
+        }
+    }
 }

@@ -330,9 +330,12 @@ fn forged_restore_is_rejected_before_any_shard() {
     // capacity 1, whose budget cannot hold its waiting room and a
     // reservoir, so rebuilding it would panic. A fifth swaps the query
     // for a 7-clique, whose 21 edges exceed the capacity of 16 that
-    // `attach` holds a query to. The server must answer each Restore
-    // with an error at decode time, and the connection must go on
-    // serving.
+    // `attach` holds a query to. The last two forge a Triest session's
+    // random-pairing reservoir: a million uncompensated sampled
+    // deletions, which the restored reservoir would refill far past its
+    // capacity, and a repeated reservoir edge, which the restore would
+    // panic on. The server must answer each Restore with an error at
+    // decode time, and the connection must go on serving.
     let (server, mut client) = boot(2);
     let stream = churn_stream(10);
     let original = client.open(Algorithm::WsdH, 16, Some(5), &[Pattern::Triangle]).expect("opens");
@@ -351,20 +354,34 @@ fn forged_restore_is_rejected_before_any_shard() {
     let honest = snapshot(&mut client);
     let SamplerState::Wsd { sample, .. } = &honest.sampler else { unreachable!() };
     let freed = *sample.layout.free.last().expect("the deletion freed an arena ID");
+    let mut triest = SessionBuilder::new(Algorithm::Triest, 16, 7).query(Pattern::Triangle).build();
+    triest.process_batch(&stream);
     for what in [
         "a heap key at the capacity",
         "a heap key on a freed ID",
         "a zero edge weight",
         "a WRS budget of 1",
         "a query over the budget",
+        "random-pairing counters past the capacity",
+        "a repeated reservoir edge",
     ] {
         let mut forged = honest.clone();
         let SamplerState::Wsd { heap, sample, .. } = &mut forged.sampler else { unreachable!() };
+        let mut rp = triest.snapshot();
+        let SamplerState::Rp { reservoir, .. } = &mut rp.sampler else { unreachable!() };
         match what {
             "a heap key at the capacity" => heap[0].0 = 16,
             "a heap key on a freed ID" => heap[0].0 = freed,
             "a zero edge weight" => sample.meta[0].1 = 0.0,
             "a query over the budget" => forged.queries[0].pattern = Pattern::Clique(7),
+            "random-pairing counters past the capacity" => {
+                reservoir.d_in = 1_000_000;
+                forged = rp;
+            }
+            "a repeated reservoir edge" => {
+                reservoir.edges[1] = reservoir.edges[0];
+                forged = rp;
+            }
             _ => {
                 let wrs = SessionBuilder::new(Algorithm::Wrs, 16, 7).query(Pattern::Triangle);
                 forged = wrs.build().snapshot();
