@@ -16,7 +16,6 @@
 //!
 //! README's *Experiments* section shows how to run the binaries.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -73,7 +73,6 @@
 //! assert_eq!(session.estimate(report.queries[1].id), 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -765,6 +765,74 @@ impl SamplerState {
         }
     }
 
+    /// The first waiting-room invariant a WRS state breaks, if any
+    /// (other states carry no room). `WrsSampler` keeps a live edge in
+    /// the room iff its stamp `room_seq[id]` exceeds `spill_horizon`,
+    /// and a room edge's FIFO entry carries its stamp, so every state it
+    /// writes has:
+    ///
+    /// * a stamp for each arena ID below `id_bound`;
+    /// * FIFO sequences that strictly increase, above `spill_horizon` and
+    ///   below `next_seq`, which is at most `events + 1` (one admission
+    ///   per insert);
+    /// * exactly `room_len` live edges stamped into the room, at most
+    ///   `room_capacity`, each with a FIFO entry carrying its stamp;
+    /// * the reservoir's edges as exactly the other live edges.
+    fn wrs_room_error(&self, room_capacity: usize, events: u64) -> Option<&'static str> {
+        let SamplerState::Wrs {
+            room_fifo,
+            room_seq,
+            room_len,
+            next_seq,
+            spill_horizon,
+            reservoir,
+            adj,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        let uncovered = "room stamps do not cover the arena IDs";
+        if room_seq.len() < adj.id_bound as usize {
+            return Some(uncovered);
+        }
+        let seqs = room_fifo.iter().map(|&(_, seq)| seq);
+        let bounded = std::iter::once(*spill_horizon).chain(seqs).chain([*next_seq]);
+        if !bounded.is_sorted_by(|a, b| a < b) || *next_seq > events.saturating_add(1) {
+            return Some("room sequences out of order or past the events");
+        }
+        let mut roomed = Vec::new();
+        let mut reserved = Vec::new();
+        for (u, slots) in &adj.vertices {
+            for &(v, id) in slots.iter().filter(|&&(v, _)| *u < v) {
+                let Some(&stamp) = room_seq.get(id as usize) else { return Some(uncovered) };
+                if stamp > *spill_horizon {
+                    roomed.push((stamp, Edge::new(*u, v)));
+                } else {
+                    reserved.push(Edge::new(*u, v));
+                }
+            }
+        }
+        if roomed.len() as u64 != *room_len {
+            return Some("room_len is not the number of live edges stamped into the room");
+        }
+        if roomed.len() > room_capacity {
+            return Some("waiting room over its capacity");
+        }
+        let queued = |&(stamp, e): &(u64, Edge)| {
+            room_fifo
+                .binary_search_by_key(&stamp, |&(_, seq)| seq)
+                .is_ok_and(|i| room_fifo[i].0 == e)
+        };
+        if !roomed.iter().all(queued) {
+            return Some("room edge without a FIFO entry carrying its stamp");
+        }
+        let mut sampled = reservoir.edges.clone();
+        sampled.sort_unstable();
+        reserved.sort_unstable();
+        (reserved != sampled).then_some("live edges outside the room are not the reservoir's")
+    }
+
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
         Ok(match r.get_u8()? {
             0 => SamplerState::Wsd {
@@ -1050,7 +1118,9 @@ impl SessionSnapshot {
     /// * a random-pairing reservoir (Triest, ThinkD, WRS) holds distinct
     ///   edges and counters random pairing can reach within that budget
     ///   and the session's events, and a Triest or ThinkD adjacency
-    ///   holds exactly the reservoir's edges.
+    ///   holds exactly the reservoir's edges;
+    /// * a WRS adjacency holds exactly its waiting room and reservoir, as
+    ///   the room's stamps, FIFO, horizon and `room_len` classify it.
     ///
     /// The sampled adjacency's own layout is checked when it is rebuilt
     /// ([`wsd_graph::AdjacencyBase::from_layout`]).
@@ -1091,20 +1161,20 @@ impl SessionSnapshot {
             return Err(SnapshotError::Invalid(what));
         }
         // The budget `attach` holds a query to: the reservoir (for WRS,
-        // its reservoir part).
-        let budget = match cfg.algorithm {
+        // its reservoir part, beside the room's capacity).
+        let (room_capacity, budget) = match cfg.algorithm {
             Triest | ThinkD if cfg.capacity == 0 => {
                 return Err(SnapshotError::Invalid("uniform reservoir of capacity 0"))
             }
             Wrs => match room_split(cfg.capacity as usize, cfg.wrs_fraction) {
-                Some((_, reservoir)) => reservoir as u64,
+                Some((room, reservoir)) => (room, reservoir as u64),
                 None => {
                     return Err(SnapshotError::Invalid(
                         "WRS budget cannot hold its waiting room and a reservoir",
                     ))
                 }
             },
-            _ => cfg.capacity,
+            _ => (0, cfg.capacity),
         };
         if self.queries.iter().any(|q| q.pattern.num_edges() as u64 > budget) {
             return Err(SnapshotError::Invalid("query pattern exceeds the sampler's budget"));
@@ -1135,7 +1205,13 @@ impl SessionSnapshot {
                 }
                 return Ok(());
             }
-            SamplerState::Wrs { reservoir, .. } => return reservoir.validate(self.events, budget),
+            SamplerState::Wrs { reservoir, .. } => {
+                reservoir.validate(self.events, budget)?;
+                return self
+                    .sampler
+                    .wrs_room_error(room_capacity, self.events)
+                    .map_or(Ok(()), |what| Err(SnapshotError::Invalid(what)));
+            }
         };
         if keyed_by_edge && !lists_live_ids(&sample.layout, heap.iter().map(|&(key, _)| key)) {
             return Err(SnapshotError::Invalid("heap keys are not the live edge IDs"));
@@ -1304,15 +1380,22 @@ mod tests {
             },
             SamplerState::Wrs {
                 room_fifo: vec![(Edge::new(2, 8), 4), (Edge::new(2, 9), 5)],
-                room_seq: vec![0, 4, 5],
+                room_seq: vec![0, 4, 5, 2, 0],
                 room_len: 2,
                 next_seq: 6,
                 spill_horizon: 3,
                 reservoir: rp,
                 adj: AdjacencyLayout {
-                    vertices: vec![(2, vec![(8, 1), (9, 2)]), (8, vec![(2, 1)]), (9, vec![(2, 2)])],
-                    free: vec![0],
-                    id_bound: 3,
+                    vertices: vec![
+                        (1, vec![(9, 3)]),
+                        (2, vec![(8, 1), (9, 2)]),
+                        (4, vec![(5, 0)]),
+                        (5, vec![(4, 0)]),
+                        (8, vec![(2, 1)]),
+                        (9, vec![(1, 3), (2, 2)]),
+                    ],
+                    free: vec![4],
+                    id_bound: 5,
                 },
                 rng: [17, 18, 19, 20],
             },
@@ -1731,6 +1814,53 @@ mod tests {
                     crate::session::StreamSession::restore(&snap);
                 }
             }
+        }
+    }
+
+    /// A WRS state whose waiting room, reservoir and adjacency disagree
+    /// is rejected. A WRS session (M = 16, seed 7) fed a 12-vertex clique
+    /// is forged four ways: a reservoir edge swapped for one the
+    /// adjacency lacks, `room_len` one too high, `room_seq` cut to one
+    /// stamp, and an emptied FIFO. Each used to decode, restore and
+    /// ingest a triangle-closing tail without an error; the last two
+    /// ended that tail at more than twice the honest twin's estimate.
+    /// A fifth sets `next_seq` to `u64::MAX`, past the one admission per
+    /// insert event, so the next admission overflows it.
+    #[test]
+    fn rejects_wrs_rooms_that_disagree_with_the_adjacency() {
+        let mut session = crate::session::SessionBuilder::new(Algorithm::Wrs, 16, 7)
+            .query(Pattern::Triangle)
+            .build();
+        for a in 0..12 {
+            for b in (a + 1)..12 {
+                session.process(wsd_graph::EdgeEvent::insert(Edge::new(a, b)));
+            }
+        }
+        let honest = session.snapshot();
+        assert!(SessionSnapshot::decode(&honest.encode()).is_ok(), "the honest snapshot decodes");
+        for what in [
+            "a reservoir edge outside the adjacency",
+            "room_len one too high",
+            "room_seq cut to one stamp",
+            "an emptied FIFO",
+            "next_seq past the events",
+        ] {
+            let mut forged = honest.clone();
+            let SamplerState::Wrs { room_fifo, room_seq, room_len, next_seq, reservoir, .. } =
+                &mut forged.sampler
+            else {
+                unreachable!()
+            };
+            match what {
+                "a reservoir edge outside the adjacency" => {
+                    reservoir.edges[0] = Edge::new(1000, 1001);
+                }
+                "room_len one too high" => *room_len += 1,
+                "room_seq cut to one stamp" => room_seq.truncate(1),
+                "an emptied FIFO" => room_fifo.clear(),
+                _ => *next_seq = u64::MAX,
+            }
+            assert_invalid(&forged, what);
         }
     }
 

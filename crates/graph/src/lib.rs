@@ -28,7 +28,6 @@
 //! * [`ExactCounter`] — exact `|J(t)|` maintained incrementally over the
 //!   stream.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -36,7 +36,6 @@
 //! assert_eq!(report.policy.dim(), 6); // |H| + 3 for triangles
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

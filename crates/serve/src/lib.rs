@@ -4,17 +4,17 @@
 //! serving layer the paper's deployment sketch implies but never
 //! specifies. One server process hosts thousands of independent
 //! [`StreamSession`](wsd_core::StreamSession)s — one per tenant stream
-//! — sharded across worker threads, fed through bounded SPSC rings
-//! with batched ingestion, and reachable over a length-prefixed TCP
-//! protocol.
+//! — sharded across worker threads, fed through one bounded command
+//! queue per connection and shard with batched ingestion, and reachable
+//! over a length-prefixed TCP protocol.
 //!
-//! * [`ring`] — the bounded lock-free SPSC ring between a connection
-//!   reader and a shard worker; a full ring is the backpressure signal.
 //! * [`protocol`] — frames, requests, replies and checkpoint pushes;
 //!   event batches use `wsd_stream::wire`'s 17-byte encoding verbatim.
 //! * the server internals ([`serve`], [`RunningServer`]) — listener,
-//!   connection readers, shard workers, and the `replica_seed`-derived
-//!   deterministic per-session seeding.
+//!   connection readers, shard workers, the bounded command queues
+//!   between them (a full queue blocks the connection's reader: the
+//!   backpressure signal), and the `replica_seed`-derived deterministic
+//!   per-session seeding.
 //! * [`client`] — a blocking client speaking the full protocol; it
 //!   pipelines fire-and-forget `Events` frames through a 64 KiB write
 //!   buffer, and `flush` is the delivery barrier.
@@ -35,9 +35,12 @@
 //!
 //! Every shard keeps an atomic counter block (events, batches,
 //! per-opcode command counts and latencies, checkpoint pushes, session
-//! lifecycle, ring stalls, autosave writes); `Stats` aggregates them
-//! into a versioned [`StatsReport`] and `Metrics` renders a
-//! one-line-per-metric text dump.
+//! lifecycle, full-queue stalls, autosave writes); `Stats` aggregates
+//! them into a versioned [`StatsReport`] and `Metrics` renders a
+//! one-line-per-metric text dump. The full-queue count keeps its
+//! `ring_*` names, `ring_stalls` on the wire and
+//! `ring_full_stalls_total` in the dump, so existing readers of either
+//! stay valid.
 //!
 //! ## Sessions move by value
 //!
@@ -55,7 +58,6 @@
 pub mod client;
 mod metrics;
 pub mod protocol;
-pub mod ring;
 mod server;
 mod shard;
 pub mod store;

@@ -103,8 +103,8 @@ pub(crate) struct ShardMetrics {
     pub sessions_poisoned: AtomicU64,
     /// Sessions revived from the data-dir at boot.
     pub sessions_restored: AtomicU64,
-    /// Ring-full backpressure stalls suffered by producers pushing to
-    /// this shard (counted once per stalled command, not per retry).
+    /// Full-queue backpressure stalls suffered by connections sending
+    /// to this shard (counted once per stalled command).
     pub ring_stalls: AtomicU64,
     /// Snapshot files written to the durable store.
     pub autosave_writes: AtomicU64,

@@ -262,7 +262,8 @@ pub struct StatsReport {
     pub sessions_poisoned: u64,
     /// Sessions revived from the data-dir at boot.
     pub sessions_restored: u64,
-    /// Ring-full backpressure stalls (once per stalled command).
+    /// Full command-queue backpressure stalls (once per stalled
+    /// command).
     pub ring_stalls: u64,
     /// Snapshot files written to the durable store.
     pub autosave_writes: u64,

@@ -5,11 +5,12 @@
 //! wakes it by connecting to the server's own address); each
 //! connection gets a reader thread that decodes frames and routes
 //! commands; `num_shards` shard workers own the sessions. A connection
-//! reaches shard `s` through a dedicated SPSC ring created on first
-//! use, so all of a session's commands from one connection arrive in
-//! order. Session ids are minted from one atomic counter and a session
-//! lives on shard `id % num_shards` — routing is pure arithmetic, no
-//! shared lookup table. Per-session sampler seeds derive from the
+//! reaches shard `s` through a dedicated bounded command queue (a
+//! `std::sync::mpsc::sync_channel`) created on first use, so all of a
+//! session's commands from one connection arrive in order. Session ids
+//! are minted from one atomic counter and a session lives on shard
+//! `id % num_shards` — routing is pure arithmetic, no shared lookup
+//! table. Per-session sampler seeds derive from the
 //! server's base seed via the engine's `replica_seed` bijection, so a
 //! server boot is one deterministic scheduling plan: session `n` gets
 //! the same RNG stream no matter which connection opened it.
@@ -27,7 +28,7 @@ use std::io::{self, BufReader};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -37,7 +38,6 @@ use wsd_core::{SessionSnapshot, StreamSession};
 
 use crate::metrics::{self, ShardMetrics};
 use crate::protocol::{read_frame, Reply, Request, IO_BUFFER_BYTES};
-use crate::ring::{self, Producer, PushError};
 use crate::shard::{run_shard, ConnWriter, ShardCmd, ShardCtx, ShardHandle, Waker};
 use crate::store::SessionStore;
 
@@ -49,7 +49,9 @@ pub struct ServerConfig {
     /// Base seed; session `n` samples with `replica_seed(base, n)`
     /// unless the client supplied an explicit seed.
     pub base_seed: u64,
-    /// Capacity of each connection→shard command ring.
+    /// Capacity of each connection→shard command queue, rounded up to
+    /// a power of two (at least 2). A full queue blocks that
+    /// connection's reader: the ingestion backpressure.
     pub ring_capacity: usize,
     /// Largest reservoir capacity a tenant may request, whether via
     /// `Open`, inside a `Restore` blob, or inside a persisted snapshot
@@ -324,51 +326,41 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
 
 /// One connection's command pipes, one per shard, created on demand.
 struct ShardPipes {
-    producers: Vec<Option<Producer<ShardCmd>>>,
+    senders: Vec<Option<SyncSender<ShardCmd>>>,
 }
 
 impl ShardPipes {
     fn new(n: usize) -> Self {
-        ShardPipes { producers: (0..n).map(|_| None).collect() }
+        ShardPipes { senders: (0..n).map(|_| None).collect() }
     }
 
-    /// Sends `cmd` to shard `shard`, blocking while its ring is full
-    /// (that full ring **is** the ingestion backpressure).
+    /// Sends `cmd` to shard `shard`, blocking while its queue is full
+    /// (that full queue **is** the ingestion backpressure).
     fn send(&mut self, shard: usize, shared: &ServerShared, cmd: ShardCmd) -> io::Result<()> {
+        let gone = || io::Error::new(io::ErrorKind::BrokenPipe, "shard gone");
         let handle = &shared.shards[shard];
-        if self.producers[shard].is_none() {
-            let (tx, rx) = ring::ring(shared.config.ring_capacity);
-            handle
-                .registrations
-                .send(rx)
-                .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "shard gone"))?;
-            handle.waker.wake();
-            self.producers[shard] = Some(tx);
-        }
-        let producer = self.producers[shard].as_mut().expect("just ensured");
-        let mut pending = cmd;
-        let mut stalled = false;
-        loop {
-            match producer.push(pending) {
-                Ok(()) => {
-                    handle.waker.wake();
-                    return Ok(());
-                }
-                Err(PushError::Full(back)) => {
-                    if !stalled {
-                        // Once per stalled command, not per spin.
-                        shared.metrics[shard].add(|m| &m.ring_stalls, 1);
-                        stalled = true;
-                    }
-                    pending = back;
-                    handle.waker.wake();
-                    thread::yield_now();
-                }
-                Err(PushError::Closed(_)) => {
-                    return Err(io::Error::new(io::ErrorKind::BrokenPipe, "shard gone"));
-                }
+        let sender = match &mut self.senders[shard] {
+            Some(sender) => sender,
+            slot => {
+                let bound = shared.config.ring_capacity.max(2).next_power_of_two();
+                let (tx, rx) = mpsc::sync_channel(bound);
+                handle.registrations.send(rx).map_err(|_| gone())?;
+                handle.waker.wake();
+                slot.insert(tx)
             }
+        };
+        match sender.try_send(cmd) {
+            Ok(()) => {}
+            Err(TrySendError::Full(cmd)) => {
+                shared.metrics[shard].add(|m| &m.ring_stalls, 1);
+                // Wake a parked shard before blocking on it to drain.
+                handle.waker.wake();
+                sender.send(cmd).map_err(|_| gone())?;
+            }
+            Err(TrySendError::Disconnected(_)) => return Err(gone()),
         }
+        handle.waker.wake();
+        Ok(())
     }
 }
 
@@ -502,7 +494,7 @@ fn handle_request(
             Err(e) => send_reply(writer, &Reply::Error { message: format!("bad snapshot: {e}") }),
         },
         Request::Events { session, events } => {
-            // Fire-and-forget: no reply frame, backpressure via the ring.
+            // Fire-and-forget: no reply frame, backpressure via the queue.
             pipes.send(shard_of(session), shared, ShardCmd::Events { session, events })
         }
         Request::Estimates { session } => {

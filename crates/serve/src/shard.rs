@@ -1,6 +1,6 @@
 //! Shard workers: each worker thread exclusively owns the sessions
-//! whose id maps to it (`session % num_shards`) and drains the SPSC
-//! command rings its connections registered.
+//! whose id maps to it (`session % num_shards`) and drains the bounded
+//! command queues its connections registered, one queue per connection.
 //!
 //! Exclusive ownership is what makes the sharding sound: a
 //! `StreamSession` is `Send` but not `Sync` (its sampler is a
@@ -11,8 +11,8 @@
 //! process restart (revived under the *original* id at boot).
 //!
 //! Per-session command order is preserved because one connection sends
-//! all commands for a shard through one FIFO ring, and the worker
-//! applies each ring's commands in pop order. That ordering is what
+//! all commands for a shard through one FIFO queue, and the worker
+//! applies each queue's commands in receive order. That ordering is what
 //! gives `Flush` its barrier meaning and keeps checkpoint pushes ahead
 //! of the flush reply on the socket.
 
@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -30,7 +30,6 @@ use wsd_graph::{EdgeEvent, Pattern};
 
 use crate::metrics::{CmdKind, ShardMetrics};
 use crate::protocol::{self, Checkpoint, QueryEstimate, Reply, SessionEstimates};
-use crate::ring::Consumer;
 use crate::store::SessionStore;
 
 /// Outbound frames buffered per connection. Replies block the sending
@@ -115,7 +114,7 @@ pub(crate) enum ShardCmd {
     Snapshot { session: u64, reply: Sender<Reply> },
     /// Set the checkpoint push cadence (0 = off).
     Subscribe { session: u64, every: u64, conn: ConnWriter, reply: Sender<Reply> },
-    /// Barrier: reply once all prior commands on this ring are applied.
+    /// Barrier: reply once all prior commands on this queue are applied.
     Flush { session: u64, reply: Sender<Reply> },
     /// Drop the session.
     Close { session: u64, reply: Sender<Reply> },
@@ -123,7 +122,8 @@ pub(crate) enum ShardCmd {
     SwapPolicy { session: u64, spec: Box<WeightSpec>, reply: Sender<Reply> },
 }
 
-/// Parks a shard worker when every ring is empty; producers wake it.
+/// Parks a shard worker when every command queue is empty; senders
+/// wake it.
 pub(crate) struct Waker {
     signalled: Mutex<bool>,
     cv: Condvar,
@@ -150,10 +150,11 @@ impl Waker {
     }
 }
 
-/// A connection-side handle for registering rings and waking a shard.
+/// A connection-side handle for registering command queues and waking
+/// a shard.
 #[derive(Clone)]
 pub(crate) struct ShardHandle {
-    pub(crate) registrations: Sender<Consumer<ShardCmd>>,
+    pub(crate) registrations: Sender<Receiver<ShardCmd>>,
     pub(crate) waker: Arc<Waker>,
 }
 
@@ -179,8 +180,8 @@ impl SessionEntry {
 
 /// Everything a shard worker owns for its lifetime.
 pub(crate) struct ShardCtx {
-    /// New command rings from connections.
-    pub(crate) registrations: Receiver<Consumer<ShardCmd>>,
+    /// New command queues from connections.
+    pub(crate) registrations: Receiver<Receiver<ShardCmd>>,
     /// Parked-worker wakeups.
     pub(crate) waker: Arc<Waker>,
     /// Server-wide stop flag.
@@ -210,8 +211,8 @@ struct ShardState {
 /// Upper bound on remembered poisoned-session ids per shard.
 const POISONED_CAP: usize = 1024;
 
-/// How many commands one ring may run before the worker moves on — the
-/// fairness quantum across a shard's connections.
+/// How many commands one queue may run before the worker moves on —
+/// the fairness quantum across a shard's connections.
 const RING_QUANTUM: usize = 64;
 
 /// Worker idle park time; bounds shutdown latency when a wake is lost
@@ -223,7 +224,7 @@ const IDLE_PARK: Duration = Duration::from_millis(2);
 /// exactly the applied state; a SIGKILL falls back to the last
 /// autosave).
 pub(crate) fn run_shard(ctx: ShardCtx) {
-    let mut rings: Vec<Consumer<ShardCmd>> = Vec::new();
+    let mut queues: Vec<Receiver<ShardCmd>> = Vec::new();
     let mut state = ShardState { sessions: HashMap::new(), poisoned: HashMap::new() };
     let ShardCtx {
         registrations,
@@ -247,26 +248,26 @@ pub(crate) fn run_shard(ctx: ShardCtx) {
             metrics.sessions_live.fetch_sub(state.sessions.len() as u64, Ordering::Relaxed);
             return;
         }
-        while let Ok(ring) = registrations.try_recv() {
-            rings.push(ring);
-        }
+        queues.extend(registrations.try_iter());
         let mut worked = false;
-        rings.retain_mut(|ring| {
+        queues.retain(|queue| {
             for _ in 0..RING_QUANTUM {
-                match ring.pop() {
-                    Some(cmd) => {
-                        worked = true;
-                        let kind = cmd.kind();
-                        metrics.count_cmd(kind);
-                        let start = Instant::now();
-                        apply_guarded(&mut state, cmd, &metrics, store.as_ref(), autosave_every);
-                        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        metrics.time_cmd(kind, nanos);
-                    }
-                    None => break,
-                }
+                // `Disconnected` comes only once the connection is gone
+                // and its queue drained: the queue is finished for good.
+                let cmd = match queue.try_recv() {
+                    Ok(cmd) => cmd,
+                    Err(TryRecvError::Empty) => return true,
+                    Err(TryRecvError::Disconnected) => return false,
+                };
+                worked = true;
+                let kind = cmd.kind();
+                metrics.count_cmd(kind);
+                let start = Instant::now();
+                apply_guarded(&mut state, cmd, &metrics, store.as_ref(), autosave_every);
+                let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                metrics.time_cmd(kind, nanos);
             }
-            !ring.is_finished()
+            true
         });
         if !worked {
             waker.wait(IDLE_PARK);

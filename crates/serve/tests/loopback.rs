@@ -334,8 +334,10 @@ fn forged_restore_is_rejected_before_any_shard() {
     // random-pairing reservoir: a million uncompensated sampled
     // deletions, which the restored reservoir would refill far past its
     // capacity, and a repeated reservoir edge, which the restore would
-    // panic on. The server must answer each Restore with an error at
-    // decode time, and the connection must go on serving.
+    // panic on. The last forges a WRS session's waiting-room count one
+    // past the live edges its stamps put in the room. The server must
+    // answer each Restore with an error at decode time, and the
+    // connection must go on serving.
     let (server, mut client) = boot(2);
     let stream = churn_stream(10);
     let original = client.open(Algorithm::WsdH, 16, Some(5), &[Pattern::Triangle]).expect("opens");
@@ -364,6 +366,7 @@ fn forged_restore_is_rejected_before_any_shard() {
         "a query over the budget",
         "random-pairing counters past the capacity",
         "a repeated reservoir edge",
+        "a WRS room count off its stamps",
     ] {
         let mut forged = honest.clone();
         let SamplerState::Wsd { heap, sample, .. } = &mut forged.sampler else { unreachable!() };
@@ -381,6 +384,16 @@ fn forged_restore_is_rejected_before_any_shard() {
             "a repeated reservoir edge" => {
                 reservoir.edges[1] = reservoir.edges[0];
                 forged = rp;
+            }
+            "a WRS room count off its stamps" => {
+                let mut wrs =
+                    SessionBuilder::new(Algorithm::Wrs, 16, 7).query(Pattern::Triangle).build();
+                wrs.process_batch(&stream);
+                forged = wrs.snapshot();
+                let SamplerState::Wrs { room_len, .. } = &mut forged.sampler else {
+                    unreachable!()
+                };
+                *room_len += 1;
             }
             _ => {
                 let wrs = SessionBuilder::new(Algorithm::Wrs, 16, 7).query(Pattern::Triangle);
@@ -591,6 +604,44 @@ fn stats_and_metrics_reconcile_with_client_accounting() {
     let report = client.stats().expect("stats");
     assert_eq!(report.sessions, 0);
     assert_eq!(report.sessions_closed, 1);
+    server.shutdown();
+}
+
+#[test]
+fn full_command_queue_backpressures_without_losing_events() {
+    // A two-command queue to the only shard fills as soon as the reader
+    // decodes frames faster than the shard applies them; the reader then
+    // blocks until the shard drains it. Stalling must lose, reorder or
+    // duplicate nothing: every frame lands once, in order, and the
+    // estimates match an in-process twin bit for bit.
+    let config =
+        ServerConfig { shards: 1, base_seed: 99, ring_capacity: 2, ..ServerConfig::default() };
+    let server = serve("127.0.0.1:0", config).expect("binds");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let patterns = [Pattern::Triangle, Pattern::Clique(4)];
+    let stream = churn_stream(40); // 1,300 events
+    let session = client.open(Algorithm::WsdH, 256, Some(5), &patterns).expect("opens");
+    for event in &stream {
+        client.send_events(session, std::slice::from_ref(event)).expect("sends");
+    }
+    assert_eq!(client.flush(session).expect("flushes"), stream.len() as u64);
+
+    let report = client.stats().expect("stats");
+    assert_eq!(report.events, stream.len() as u64);
+    assert_eq!(report.batches, stream.len() as u64, "one batch per one-event frame");
+    assert!(report.ring_stalls > 0, "a two-command queue must fill");
+
+    let mut local = SessionBuilder::new(Algorithm::WsdH, 256, 5)
+        .query(Pattern::Triangle)
+        .query(Pattern::Clique(4))
+        .build();
+    local.process_batch(&stream);
+    let served = client.estimates(session).expect("estimates");
+    for (q, l) in served.queries.iter().zip(&local.report().queries) {
+        assert_eq!(q.pattern, l.pattern);
+        assert_eq!(q.estimate.to_bits(), l.estimate.to_bits(), "{:?}", q.pattern);
+    }
+    assert_eq!(served.queries.len(), patterns.len());
     server.shutdown();
 }
 

@@ -21,7 +21,6 @@
 //! * [`wire`] — the fixed 17-byte event encoding `wsd-serve` ships
 //!   over its ingestion protocol.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -19,7 +19,7 @@
 //! | [`stream`] | `wsd-stream` | generators, scenarios, orderings, datasets |
 //! | [`core`] | `wsd-core` | multi-query stream sessions over WSD, GPS, GPS-A, Triest, ThinkD, WRS + the parallel ensemble engine |
 //! | [`rl`] | `wsd-rl` | DDPG, replay, environment, scenario-grid training |
-//! | [`serve`] | `wsd-serve` | sharded many-tenant session server: TCP protocol, SPSC ingestion, snapshot/restore migration |
+//! | [`serve`] | `wsd-serve` | sharded many-tenant session server: TCP protocol, bounded command queues, snapshot/restore migration |
 //!
 //! # Quickstart
 //!
@@ -82,7 +82,6 @@
 //! assert!(ensemble_are < 0.5, "averaging replicas tightens the estimate");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Graph substrate: edges, events, adjacency, patterns, exact counting.
